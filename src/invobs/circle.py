@@ -19,20 +19,6 @@ def wrap(a):
     return float(w) if np.isscalar(a) or np.ndim(a) == 0 else w
 
 
-def act(phi, alpha):
-    """Right action of a group angle phi on an output angle alpha."""
-    return wrap(alpha - phi)
-
-
-def observer_rate(phi, phi_hat, u: float, k: float) -> float:
-    """Rate of the group-angle observer: internal model plus gradient innovation.
-
-    The output error yhat - y equals phi - phi_hat, so the innovation pulls the
-    estimate toward the plant at rate k*sin(phi - phi_hat).
-    """
-    return u + k * np.sin(phi - phi_hat)
-
-
 def error_closed_form(delta0: float, k: float, t):
     """Signed observer error delta(t) solving delta' = -k sin(delta).
 

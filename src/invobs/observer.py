@@ -20,6 +20,7 @@ from .sampling import random_rotation, random_unit
 from .so3 import (
     TangentVector,
     act,
+    cross,
     hat,
     section,
     tangent_project,
@@ -91,13 +92,13 @@ def innovation_s2(c, yhat, y) -> TangentVector:
 def projected_observer_field(c, yhat, y, u) -> TangentVector:
     """Observer velocity on the sphere: internal model plus innovation."""
     yhat = np.asarray(yhat, dtype=float)
-    return TangentVector(yhat, -np.cross(u, yhat) - c.grad1(yhat, y))
+    return TangentVector(yhat, -cross(u, yhat) - c.grad1(yhat, y))
 
 
 def omega_bar(v: TangentVector) -> np.ndarray:
     """Body-frame angular velocity with omega_bar x base = vec and zero
     component along base; equals base x vec."""
-    return np.cross(v.base, v.vec)
+    return cross(v.base, v.vec)
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ class HorizontalSubspace:
         yhat = act(Xhat, self.y0)
         if float(np.linalg.norm(v.base - yhat)) > 1e-9:
             raise ValueError("tangent base point does not match act(Xhat, y0)")
-        return np.asarray(Xhat) @ hat(np.cross(v.vec, v.base))
+        return np.asarray(Xhat) @ hat(cross(v.vec, v.base))
 
     def contains(self, Xhat, V, tol: float = 1e-9) -> bool:
         """Whether the group tangent V at Xhat lies in the horizontal space."""
@@ -145,7 +146,7 @@ def lifted_observer_field(c, Xhat, y, u, y0) -> np.ndarray:
     complementary-filter form.
     """
     yhat = act(Xhat, y0)
-    return np.asarray(u, dtype=float) - np.cross(c.grad1(yhat, y), yhat)
+    return np.asarray(u, dtype=float) - cross(c.grad1(yhat, y), yhat)
 
 
 def lifted_cost(c, Xhat, X, y0) -> float:
@@ -162,7 +163,7 @@ def grad1_lifted_cost(c: SphereCost, Xhat, X, y0) -> np.ndarray:
     """
     yhat = act(Xhat, y0)
     y = act(X, y0)
-    return c.k * (np.asarray(Xhat) @ hat(np.cross(yhat, y)))
+    return c.k * (np.asarray(Xhat) @ hat(cross(yhat, y)))
 
 
 def right_invariant_error(Xhat, X) -> np.ndarray:
@@ -276,5 +277,5 @@ def make_invariant_cost(fhat, y0) -> SectionedCost:
 def _tangent_basis(y) -> tuple[np.ndarray, np.ndarray]:
     """An orthonormal basis of the tangent plane at unit vector y."""
     pick = np.array([1.0, 0.0, 0.0]) if abs(y[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
-    w1 = unit(np.cross(y, pick))
-    return w1, np.cross(y, w1)
+    w1 = unit(cross(y, pick))
+    return w1, cross(y, w1)

@@ -129,6 +129,8 @@ def _number(d: dict, key: str, default, path: str = "", positive=False, integer=
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ScenarioError(f"{label} must be a number")
+    if isinstance(v, int) and not -2 ** 63 <= v < 2 ** 64:
+        raise ScenarioError(f"{label} is out of the 64-bit integer range")
     if integer and int(v) != v:
         raise ScenarioError(f"{label} must be an integer")
     if not np.isfinite(v):
@@ -271,8 +273,9 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise ScenarioError("integrator must be an object")
     _check_keys(integ, {"method", "h"}, "integrator")
     method = integ.get("method", "rk4-project")
+    h = _number(integ, "h", 1e-3, "integrator", positive=True)
     try:
-        spec = IntegratorSpec(method=method, h=_number(integ, "h", 1e-3, "integrator", positive=True))
+        spec = IntegratorSpec(method=method, h=h)
     except ValueError as exc:
         raise ScenarioError(f"integrator: {exc}") from exc
 

@@ -11,13 +11,14 @@ order keeps the integrator far below every property tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import circle
 from .observer import SphereCost, error_angle_closed_form
-from .so3 import IDENTITY, act, compose, group_exp, hat, orthonormalize, unit
+from .so3 import IDENTITY, act, compose, cross, group_exp, hat, orthonormalize, unit
 from .sampling import random_rotation, random_unit
 
 ANTIPODAL_EXCLUSION = 0.01  # rad; Monte Carlo cap around the antipode
@@ -184,8 +185,8 @@ def simulate_projected(scenario, cost=None) -> TrajectoryRecord:
         def f(t, s):
             y_, yh_ = s[:3], s[3:]
             uv = inp.eval(t)
-            dy = -np.cross(uv, y_)
-            dyh = -np.cross(uv, yh_)
+            dy = -cross(uv, y_)
+            dyh = -cross(uv, yh_)
             if cost is not None:
                 dyh = dyh - cost.grad1(yh_, y_)
             return np.concatenate([dy, dyh])
@@ -193,16 +194,17 @@ def simulate_projected(scenario, cost=None) -> TrajectoryRecord:
         s = np.concatenate([y, yhat])
         for i in range(n):
             s = _rk4(f, i * h, s, h)
-            s[:3] /= np.linalg.norm(s[:3])
-            s[3:] /= np.linalg.norm(s[3:])
+            y_, yh_ = s[:3], s[3:]
+            y_ /= math.sqrt(float(y_ @ y_))
+            yh_ /= math.sqrt(float(yh_ @ yh_))
             if i + 1 in rec_set:
-                record(i + 1, s[:3], s[3:])
+                record(i + 1, y_, yh_)
     else:  # lie-euler: exact rotations generated by the start-of-step field
         for i in range(n):
             uv = inp.eval(i * h)
             w = -np.asarray(uv, dtype=float)
             if cost is not None:
-                w_hat = w + np.cross(yhat, -cost.grad1(yhat, y))
+                w_hat = w + cross(yhat, -cost.grad1(yhat, y))
             else:
                 w_hat = w
             y = unit(group_exp(h * w) @ y)
@@ -261,7 +263,7 @@ def simulate_lifted(scenario, cost=None) -> TrajectoryRecord:
             return uv, uv
         y_ = unit(X_.T @ y0v)
         yh_ = unit(Xh_.T @ y0v)
-        return uv, uv - np.cross(cost.grad1(yh_, y_), yh_)
+        return uv, uv - cross(cost.grad1(yh_, y_), yh_)
 
     t_out, X_out, Xh_out = [], [], []
 
@@ -328,8 +330,8 @@ def simulate_cosim(scenario, cost=None) -> TrajectoryRecord:
             uv = np.asarray(inp.eval(t), dtype=float)
             y_ = unit(X_.T @ y0v)
             yh_ = unit(Xh_.T @ y0v)
-            u_ob = uv - np.cross(cost.grad1(yh_, y_), yh_)
-            dyp = -np.cross(uv, yp_) - cost.grad1(yp_, y_)
+            u_ob = uv - cross(cost.grad1(yh_, y_), yh_)
+            dyp = -cross(uv, yp_) - cost.grad1(yp_, y_)
             return np.concatenate([(X_ @ hat(uv)).ravel(), (Xh_ @ hat(u_ob)).ravel(), dyp])
 
         s = np.concatenate([X.ravel(), Xhat.ravel(), yp])
@@ -337,7 +339,7 @@ def simulate_cosim(scenario, cost=None) -> TrajectoryRecord:
             s = _rk4(f, i * h, s, h)
             X = orthonormalize(s[:9].reshape(3, 3))
             Xhat = orthonormalize(s[9:18].reshape(3, 3))
-            yp = s[18:] / np.linalg.norm(s[18:])
+            yp = s[18:] / math.sqrt(float(s[18:] @ s[18:]))
             s = np.concatenate([X.ravel(), Xhat.ravel(), yp])
             if i + 1 in rec_set:
                 record(i + 1, X, Xhat, yp)
@@ -346,9 +348,9 @@ def simulate_cosim(scenario, cost=None) -> TrajectoryRecord:
             uv = np.asarray(inp.eval(i * h), dtype=float)
             y_ = act(X, y0v)
             yh_ = act(Xhat, y0v)
-            u_ob = uv - np.cross(cost.grad1(yh_, y_), yh_)
+            u_ob = uv - cross(cost.grad1(yh_, y_), yh_)
             alpha = -cost.grad1(yp, y_)
-            w_p = -uv + np.cross(yp, alpha)
+            w_p = -uv + cross(yp, alpha)
             X = compose(X, group_exp(h * uv))
             Xhat = compose(Xhat, group_exp(h * u_ob))
             yp = unit(group_exp(h * w_p) @ yp)
@@ -593,8 +595,8 @@ def _mc_projected(scenario, n, rng):
 
     def field(t, y_, Yh_):
         uv = np.asarray(inp.eval(t), dtype=float)
-        dy = -np.cross(uv, y_)
-        dYh = -np.cross(uv, Yh_) + k * (y_[None, :] - Yh_ * (Yh_ @ y_)[:, None])
+        dy = -cross(uv, y_)
+        dYh = -cross(uv, Yh_) + k * (y_[None, :] - Yh_ * (Yh_ @ y_)[:, None])
         return dy, dYh
 
     theta_rows = [_angle_rows(Yh, y)]
@@ -605,7 +607,7 @@ def _mc_projected(scenario, n, rng):
         if lie:
             uv = np.asarray(inp.eval(t), dtype=float)
             inn = k * (y[None, :] - Yh * (Yh @ y)[:, None])
-            W = -uv[None, :] + np.cross(Yh, inn)
+            W = -uv[None, :] + cross(Yh, inn)
             Yh = np.einsum("nij,nj->ni", _group_exp_batch(h * W), Yh)
             y = group_exp(-h * uv) @ y
         else:
@@ -615,7 +617,7 @@ def _mc_projected(scenario, n, rng):
             k4y, k4Y = field(t + h, y + h * k3y, Yh + h * k3Y)
             y = y + (h / 6.0) * (k1y + 2.0 * (k2y + k3y) + k4y)
             Yh = Yh + (h / 6.0) * (k1Y + 2.0 * (k2Y + k3Y) + k4Y)
-        y = y / np.linalg.norm(y)
+        y = y / math.sqrt(float(y @ y))
         Yh = Yh / np.linalg.norm(Yh, axis=1, keepdims=True)
         if i + 1 in rec_set:
             if not (np.all(np.isfinite(y)) and np.all(np.isfinite(Yh))):
@@ -640,7 +642,7 @@ def _mc_lifted(scenario, n, rng):
 
     def outputs(X_, Xh_):
         y_ = X_.T @ y0v
-        y_ = y_ / np.linalg.norm(y_)
+        y_ = y_ / math.sqrt(float(y_ @ y_))
         Yh_ = np.einsum("nji,j->ni", Xh_, y0v)
         Yh_ /= np.linalg.norm(Yh_, axis=1, keepdims=True)
         return y_, Yh_
@@ -648,7 +650,7 @@ def _mc_lifted(scenario, n, rng):
     def field(t, X_, Xh_):
         uv = np.asarray(inp.eval(t), dtype=float)
         y_, Yh_ = outputs(X_, Xh_)
-        B = uv[None, :] + k * np.cross(np.broadcast_to(y_, Yh_.shape), Yh_)
+        B = uv[None, :] + k * cross(y_, Yh_)
         return X_ @ hat(uv), np.matmul(Xh_, _hat_batch(B))
 
     def snapshot(X_, Xh_):
@@ -667,7 +669,7 @@ def _mc_lifted(scenario, n, rng):
         if lie:
             uv = np.asarray(inp.eval(t), dtype=float)
             y_, Yh_ = outputs(X, Xh)
-            B = uv[None, :] + k * np.cross(np.broadcast_to(y_, Yh_.shape), Yh_)
+            B = uv[None, :] + k * cross(y_, Yh_)
             X = compose(X, group_exp(h * uv))
             Xh = np.matmul(Xh, _group_exp_batch(h * B))
             bad = np.linalg.norm(

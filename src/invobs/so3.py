@@ -9,6 +9,7 @@ Everything here is a pure function over immutable values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,29 @@ def hat(omega) -> np.ndarray:
     """Antisymmetric matrix of a length-3 vector, so that hat(a) @ b = a x b."""
     wx, wy, wz = omega
     return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
+
+
+def cross(a, b) -> np.ndarray:
+    """Cross product over the last axis, broadcasting leading axes.
+
+    Same arithmetic as ``np.cross`` (``a1*b2 - a2*b1`` and so on), so the
+    result is bit-for-bit equal for float64 and integer input, without its
+    per-call overhead.  A pair of plain 3-vectors is computed on Python
+    scalars; anything else on last-axis slices.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape[-1:] != (3,) or b.shape[-1:] != (3,):
+        raise ValueError(f"cross needs a last axis of length 3, got shapes {a.shape} and {b.shape}")
+    if a.ndim == 1 and b.ndim == 1:
+        a0, a1, a2 = a.tolist()
+        b0, b1, b2 = b.tolist()
+        return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.promote_types(a.dtype, b.dtype))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[..., j], b[..., k], out=out[..., i])
+        out[..., i] -= a[..., k] * b[..., j]
+    return out
 
 
 def vee(A) -> np.ndarray:
@@ -86,7 +110,7 @@ def compose(X, Y) -> np.ndarray:
 def unit(v) -> np.ndarray:
     """v scaled to unit norm."""
     v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(float(v @ v))
     if n == 0.0:
         raise ValueError("cannot normalise the zero vector")
     return v / n
@@ -98,7 +122,7 @@ def act(X, y) -> np.ndarray:
     Satisfies act(X, act(Y, y)) == act(Y @ X, y).
     """
     r = np.asarray(X).T @ np.asarray(y, dtype=float)
-    return r / np.linalg.norm(r)
+    return r / math.sqrt(float(r @ r))
 
 
 def in_stabiliser(X, y0, tol: float = 1e-9) -> bool:
@@ -117,7 +141,7 @@ def section(y, y0) -> np.ndarray:
     y0 = unit(y0)
     if float(np.linalg.norm(y + y0)) <= _ANTIPODAL_TOL:
         raise AntipodalError("section undefined: y is antipodal to y0")
-    K = hat(np.cross(y0, y))
+    K = hat(cross(y0, y))
     c = float(y0 @ y)
     # Exact rotation R with R @ y0 == y; the action uses the transpose.
     R = IDENTITY + K + (K @ K) / (1.0 + c)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .so3 import TangentVector, act, hat, in_stabiliser
+from .so3 import TangentVector, act, cross, hat, in_stabiliser
 
 
 def plant_vector_field(X, u) -> np.ndarray:
@@ -28,7 +28,7 @@ def output(X, y0) -> np.ndarray:
 def project_dynamics(y, u) -> TangentVector:
     """Output-space velocity -hat(u) @ y induced by any representative of y."""
     y = np.asarray(y, dtype=float)
-    return TangentVector(y, -np.cross(u, y))
+    return TangentVector(y, -cross(u, y))
 
 
 def indistinguishable(X, Y, y0) -> bool:

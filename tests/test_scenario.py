@@ -1,6 +1,7 @@
 """Scenario parsing, validation messages, presets, and round-tripping."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,24 @@ def test_invalid_json_rejected():
 def test_validation_errors_name_the_field(doc, fragment):
     with pytest.raises(ScenarioError, match=fragment):
         parse(doc)
+
+
+HUGE = 10 ** 30  # a JSON integer beyond every 64-bit type
+
+
+@pytest.mark.parametrize("doc,label", [
+    ({"k": HUGE}, "k"),
+    ({"t_end": HUGE}, "t_end"),
+    ({"sample_every": HUGE}, "sample_every"),
+    ({"seed": HUGE}, "seed"),
+    ({"integrator": {"h": HUGE}}, "integrator.h"),
+    ({"mode": "monte-carlo", "mc": {"runs": HUGE}}, "mc.runs"),
+    ({"mode": "monte-carlo", "mc": {"threshold": HUGE}}, "mc.threshold"),
+    ({"input": {"kind": "sinusoid", "amplitude": [1, 0, 0], "frequency": HUGE}}, "input.frequency"),
+])
+def test_huge_integers_name_the_field(doc, label):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(label)} "):
+        parse(dict(doc, instance="so3-s2"))
 
 
 def test_antipodal_direction_cannot_be_lifted():

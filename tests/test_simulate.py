@@ -281,3 +281,31 @@ def test_right_invariant_error_projects_to_canonical(rng):
         Z = random_rotation(rng)
         assert np.allclose(right_invariant_error(Xh @ Z, X @ Z), Er, atol=1e-12)
         assert np.allclose(act(Er, y0), canonical_error_from_group(Xh, X, y0), atol=1e-12)
+
+
+@pytest.mark.parametrize("method", ["rk4-project", "lie-euler"])
+def test_runs_bit_identical_with_numpy_cross(make_scenario, monkeypatch, method):
+    import invobs.simulate
+
+    integ = {"method": method, "h": 1e-3}
+    init = {"observer": {"axis_angle": [1.7, -0.4, 0.3]}}
+    runs = [
+        (simulate_projected, make_scenario(mode="projected", input=SINUSOID, t_end=0.2,
+                                           integrator=integ, init=init)),
+        (simulate_lifted, make_scenario(mode="lifted", input=SINUSOID, t_end=0.2,
+                                        integrator=integ, init=init)),
+        (simulate_cosim, make_scenario(mode="co-sim", input=SINUSOID, t_end=0.2,
+                                       integrator=integ, init=init)),
+    ]
+    sweeps = [make_scenario(mode="monte-carlo", input=SINUSOID, t_end=0.5, seed=5,
+                            integrator=dict(integ, h=1e-2), mc={"runs": 30, "space": space})
+              for space in ("projected", "lifted")]
+    ours = [fn(sc) for fn, sc in runs], [monte_carlo(sc) for sc in sweeps]
+    monkeypatch.setattr(invobs.simulate, "cross", np.cross)
+    reference = [fn(sc) for fn, sc in runs], [monte_carlo(sc) for sc in sweeps]
+    for got, want in zip(ours[0], reference[0]):
+        for f in dataclasses.fields(got):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert (a is None and b is None) or np.array_equal(a, b), f.name
+    for got, want in zip(ours[1], reference[1]):
+        assert got.summaries == want.summaries

@@ -20,6 +20,7 @@ from invobs import (
     vee,
 )
 from invobs.sampling import random_rotation, random_tangent, random_unit
+from invobs.so3 import cross
 
 E1, E2, E3 = np.eye(3)
 
@@ -43,6 +44,31 @@ def test_hat_is_linear_cross_product(rng):
         assert np.allclose(hat(a) @ b, np.cross(a, b), atol=1e-14)
         assert np.allclose(hat(2.5 * a - b), 2.5 * hat(a) - hat(b), atol=1e-14)
         assert np.array_equal(hat(a).T, -hat(a))
+
+
+def test_cross_is_bit_identical_to_numpy(rng):
+    a, b = rng.standard_normal(3), rng.standard_normal(3)
+    A, B = rng.standard_normal((50, 3)), rng.standard_normal((50, 3))
+    for x, y in [(a, b), (A, B), (a, B), (A, b), (A[None], B[:, None])]:
+        assert np.array_equal(cross(x, y), np.cross(x, y))
+        assert cross(x, y).shape == np.cross(x, y).shape
+
+
+def test_cross_accepts_int_and_list_input():
+    for x, y in [([1, 2, 3], [4, 5, 6]), (np.array([1, 2, 3]), [0.5, -1.0, 2.0]),
+                 (np.arange(12).reshape(4, 3), [1, -1, 2])]:
+        got, want = cross(x, y), np.cross(x, y)
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype
+    assert np.array_equal(cross(E1, E2), E3)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_cross_rejects_other_last_axis(n):
+    with pytest.raises(ValueError, match="length 3"):
+        cross(np.ones(n), np.ones(3))
+    with pytest.raises(ValueError, match="length 3"):
+        cross(np.ones((5, 3)), np.ones((5, n)))
 
 
 def test_vee_inverts_hat(rng):
