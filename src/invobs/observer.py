@@ -48,8 +48,14 @@ class SphereCost:
         return self.k * (1.0 - float(np.dot(yhat, y)))
 
     def grad1(self, yhat, y) -> np.ndarray:
-        """Gradient in the first slot under the embedded sphere metric."""
-        return -self.k * (np.asarray(y, dtype=float) - np.asarray(yhat) * float(np.dot(yhat, y)))
+        """Gradient in the first slot under the embedded sphere metric, over
+        leading axes of either argument."""
+        yhat = np.asarray(yhat)
+        y = np.asarray(y, dtype=float)
+        if yhat.ndim == 1 and y.ndim == 1:
+            return -self.k * (y - yhat * float(np.dot(yhat, y)))
+        dot = yhat @ y if y.ndim == 1 else np.einsum("...i,...i->...", yhat, y)
+        return -self.k * (y - yhat * dot[..., None])
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ SCHEMA_VERSION = 1
 INSTANCES = ("so3-s2", "so2-s1")
 MODES = ("projected", "lifted", "co-sim", "synchrony", "monte-carlo", "verify")
 MC_SPACES = ("projected", "lifted")
+MAX_STEPS = 10 ** 8  # integrator steps in one run; far beyond any useful horizon
 
 _TOP_KEYS = {
     "schema_version", "instance", "mode", "k", "y0", "input", "init",
@@ -281,6 +282,7 @@ def scenario_from_dict(d: dict) -> Scenario:
 
     t_end = _number(d, "t_end", 10.0, positive=True)
     _require(t_end >= spec.h, "t_end must be at least one integrator step")
+    _require(t_end / spec.h <= MAX_STEPS, f"t_end must span at most {MAX_STEPS} integrator steps")
     sample_every = _number(d, "sample_every", 10, integer=True, positive=True)
     seed = _number(d, "seed", 0, integer=True)
     _require(0 <= seed < 2 ** 64, "seed must fit in an unsigned 64-bit integer")

@@ -7,18 +7,22 @@ rotation), so states never leave the manifold beyond exponential accuracy.
 re-orthonormalisation (group) or renormalisation (sphere); it is the default
 since the continuous-time theory says nothing about discretisation and fourth
 order keeps the integrator far below every property tolerance.
+
+Both integrators live in one time loop, ``_integrate``.  Every run (projected,
+lifted, co-simulation, circle, and each Monte Carlo sweep) is a model on it: a
+velocity field and a rates function over a list of sphere, group or angle
+components, where a sweep's observer component carries the batch axis.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import circle
 from .observer import SphereCost, error_angle_closed_form
-from .so3 import IDENTITY, act, compose, cross, group_exp, hat, orthonormalize, unit
+from .so3 import act, compose, cross, drift, group_exp, hat, orthonormalize, unit
 from .sampling import random_rotation, random_unit
 
 ANTIPODAL_EXCLUSION = 0.01  # rad; Monte Carlo cap around the antipode
@@ -102,13 +106,17 @@ def fit_rate(t, theta) -> float | None:
 
 
 def summarize(record: TrajectoryRecord, threshold: float = 1e-3) -> RunSummary:
-    below = record.theta < threshold
-    t_conv = float(record.t[int(np.argmax(below))]) if bool(below.any()) else None
+    return _summary(record.t, record.theta, record.drift, threshold)
+
+
+def _summary(t, theta, drift_, threshold) -> RunSummary:
+    below = theta < threshold
+    t_conv = float(t[int(np.argmax(below))]) if bool(below.any()) else None
     return RunSummary(
-        final_angle=float(record.theta[-1]),
+        final_angle=float(theta[-1]),
         t_converged=t_conv,
-        fitted_rate=fit_rate(record.t, record.theta),
-        max_drift=float(np.max(record.drift)),
+        fitted_rate=fit_rate(t, theta),
+        max_drift=float(drift_.max()),
     )
 
 
@@ -127,25 +135,125 @@ def _n_steps(t_end: float, h: float) -> int:
     return max(1, int(round(t_end / h)))
 
 
-def _record_steps(n: int, every: int) -> list[int]:
-    idx = list(range(0, n + 1, every))
-    if idx[-1] != n:
-        idx.append(n)
-    return idx
-
-
-def _check_finite(t: float, *arrays):
-    for a in arrays:
+def _check_finite(t: float, state):
+    for a in state:
         if not np.all(np.isfinite(a)):
             raise SimulationAbort(f"non-finite state at t = {t:.6g} s")
 
 
-def _rk4(f, t, s, h):
-    k1 = f(t, s)
-    k2 = f(t + 0.5 * h, s + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, s + 0.5 * h * k2)
-    k4 = f(t + h, s + h * k3)
-    return s + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+# Per component kind: the retraction after an RK4 step, and the Lie-Euler
+# update by the step-scaled rate hw.  A sphere point moves to exp(hw) y,
+# written as the action of the transposed exponential.  The primitives are
+# looked up per call, so a replaced module attribute takes effect.
+_RETRACT = {
+    "sphere": lambda v: unit(v),
+    "group": lambda X: orthonormalize(X),
+    "angle": lambda s: s,
+}
+_LIE_STEP = {
+    "sphere": lambda y, hw: act(group_exp(hw).swapaxes(-1, -2), y),
+    "group": lambda X, hw: compose(X, group_exp(hw)),
+    "angle": lambda s, hw: s + hw,
+}
+
+
+def _integrate(scenario, kinds, state, rk4_field, lie_rates, record):
+    """Advance a list of state components over the scenario's horizon.
+
+    ``kinds`` names each component's space: "sphere" (unit vectors), "group"
+    (rotation matrices) or "angle" (circle angles).  A component may carry
+    leading batch axes; the primitives broadcast over them.
+    ``rk4_field(t, state)`` gives each component's velocity in the embedding,
+    ``lie_rates(t, state)`` each component's rate for one Lie-Euler step
+    (body rate on the group, rotation vector on the sphere, angular rate on
+    the circle).  ``record(t, state)`` sees the initial state, every
+    ``sample_every``-th step and the last step, each checked finite first.
+    """
+    h = scenario.integrator.h
+    n = _n_steps(scenario.t_end, h)
+    every = scenario.sample_every
+    rk4 = scenario.integrator.method == "rk4-project"
+    retract = [_RETRACT[k] for k in kinds]
+    lie_step = [_LIE_STEP[k] for k in kinds]
+    state = list(state)
+    _check_finite(0.0, state)
+    record(0.0, state)
+    for i in range(n):
+        t = i * h
+        if rk4:
+            k1 = rk4_field(t, state)
+            k2 = rk4_field(t + 0.5 * h, [s + 0.5 * h * d for s, d in zip(state, k1)])
+            k3 = rk4_field(t + 0.5 * h, [s + 0.5 * h * d for s, d in zip(state, k2)])
+            k4 = rk4_field(t + h, [s + h * d for s, d in zip(state, k3)])
+            state = [f(s + (h / 6.0) * (a + 2.0 * (b + c) + d))
+                     for f, s, a, b, c, d in zip(retract, state, k1, k2, k3, k4)]
+        else:
+            state = [f(s, h * w) for f, s, w in zip(lie_step, state, lie_rates(t, state))]
+        if (i + 1) % every == 0 or i + 1 == n:
+            t = (i + 1) * h
+            _check_finite(t, state)
+            record(t, state)
+
+
+def _samples(scenario, kinds, state, model, keep=lambda s: s):
+    """Integrate and return the recorded times and the samples of each
+    quantity ``keep`` takes from the state (by default every component)."""
+    rows = []
+    _integrate(scenario, kinds, state, *model, lambda t, s: rows.append((t, *keep(s))))
+    return [np.array(col) for col in zip(*rows)]
+
+
+# --- models: a velocity field and a rates function per pair ------------------
+
+def _sphere_velocity(u, yh, y, cost):
+    """Internal model -u x yh plus innovation on the sphere; the plant when
+    cost is None."""
+    v = cross(yh, u)
+    return v if cost is None else v - cost.grad1(yh, y)
+
+
+def _sphere_rate(u, yh, y, cost):
+    """Rotation vector w with w x yh equal to the velocity above."""
+    w = -np.asarray(u, dtype=float)
+    return w if cost is None else w + cross(cost.grad1(yh, y), yh)
+
+
+def _projected_model(inp, cost):
+    """Plant y and sphere observer yhat; yhat may be an (n, 3) batch."""
+    def field(t, s):
+        u = inp.eval(t)
+        return [_sphere_velocity(u, s[0], None, None), _sphere_velocity(u, s[1], s[0], cost)]
+
+    def rates(t, s):
+        u = inp.eval(t)
+        return [_sphere_rate(u, s[0], None, None), _sphere_rate(u, s[1], s[0], cost)]
+
+    return field, rates
+
+
+def _group_model(inp, cost, y0v):
+    """Plant X and lifted observer Xhat, whose body rate is the input minus the
+    horizontal lift of the cost gradient; Xhat may be an (n, 3, 3) batch.  A
+    third component, if present, is a sphere observer driven by the plant
+    output (co-simulation)."""
+    def body_rates(t, s):
+        u = np.asarray(inp.eval(t), dtype=float)
+        if cost is None:
+            return u, None, u
+        y = act(s[0], y0v)
+        yh = act(s[1], y0v)
+        return u, y, u - cross(cost.grad1(yh, y), yh)
+
+    def field(t, s):
+        u, y, u_ob = body_rates(t, s)
+        out = [s[0] @ hat(u), s[1] @ hat(u_ob)]
+        return out if len(s) == 2 else out + [_sphere_velocity(u, s[2], y, cost)]
+
+    def rates(t, s):
+        u, y, u_ob = body_rates(t, s)
+        return [u, u_ob] if len(s) == 2 else [u, u_ob, _sphere_rate(u, s[2], y, cost)]
+
+    return field, rates
 
 
 def _resolve_cost(scenario, cost):
@@ -163,201 +271,48 @@ def simulate_projected(scenario, cost=None) -> TrajectoryRecord:
     default the invariant cost with the scenario gain is used, and synchrony
     mode disables the innovation entirely.
     """
-    inp = scenario.input
-    cost = _resolve_cost(scenario, cost)
-    h = scenario.integrator.h
-    n = _n_steps(scenario.t_end, h)
-    rec = _record_steps(n, scenario.sample_every)
-    y, yhat = scenario.initial_sphere_pair()
-
-    t_out, y_out, yh_out = [], [], []
-
-    def record(i, y_, yh_):
-        t = i * h
-        _check_finite(t, y_, yh_)
-        t_out.append(t)
-        y_out.append(y_.copy())
-        yh_out.append(yh_.copy())
-
-    record(0, y, yhat)
-    rec_set = set(rec)
-    if scenario.integrator.method == "rk4-project":
-        def f(t, s):
-            y_, yh_ = s[:3], s[3:]
-            uv = inp.eval(t)
-            dy = -cross(uv, y_)
-            dyh = -cross(uv, yh_)
-            if cost is not None:
-                dyh = dyh - cost.grad1(yh_, y_)
-            return np.concatenate([dy, dyh])
-
-        s = np.concatenate([y, yhat])
-        for i in range(n):
-            s = _rk4(f, i * h, s, h)
-            y_, yh_ = s[:3], s[3:]
-            y_ /= math.sqrt(float(y_ @ y_))
-            yh_ /= math.sqrt(float(yh_ @ yh_))
-            if i + 1 in rec_set:
-                record(i + 1, y_, yh_)
-    else:  # lie-euler: exact rotations generated by the start-of-step field
-        for i in range(n):
-            uv = inp.eval(i * h)
-            w = -np.asarray(uv, dtype=float)
-            if cost is not None:
-                w_hat = w + cross(yhat, -cost.grad1(yhat, y))
-            else:
-                w_hat = w
-            y = unit(group_exp(h * w) @ y)
-            yhat = unit(group_exp(h * w_hat) @ yhat)
-            if i + 1 in rec_set:
-                record(i + 1, y, yhat)
-
-    t_arr = np.array(t_out)
-    y_arr = np.array(y_out)
-    yh_arr = np.array(yh_out)
-    theta = _angle_rows(yh_arr, y_arr)
+    model = _projected_model(scenario.input, _resolve_cost(scenario, cost))
+    t, y, yhat = _samples(scenario, ("sphere", "sphere"), scenario.initial_sphere_pair(), model)
     dr = np.maximum(
-        np.abs(np.linalg.norm(y_arr, axis=1) - 1.0),
-        np.abs(np.linalg.norm(yh_arr, axis=1) - 1.0),
+        np.abs(np.linalg.norm(y, axis=1) - 1.0),
+        np.abs(np.linalg.norm(yhat, axis=1) - 1.0),
     )
-    return TrajectoryRecord(t=t_arr, y=y_arr, yhat=yh_arr, theta=theta, drift=dr)
+    return TrajectoryRecord(t=t, y=y, yhat=yhat, theta=_angle_rows(yhat, y), drift=dr)
 
 
-def _group_record(t_out, X_out, Xh_out, y0v, consistency=None) -> TrajectoryRecord:
-    t_arr = np.array(t_out)
-    X_arr = np.array(X_out)
-    Xh_arr = np.array(Xh_out)
-    y_arr = np.einsum("nji,j->ni", X_arr, y0v)
-    y_arr /= np.linalg.norm(y_arr, axis=1, keepdims=True)
-    yh_arr = np.einsum("nji,j->ni", Xh_arr, y0v)
-    yh_arr /= np.linalg.norm(yh_arr, axis=1, keepdims=True)
+def _group_record(t, X, Xh, y0v, consistency=None) -> TrajectoryRecord:
     # Canonical-error angle from the right-invariant group error; identical to
     # the output error angle since the action is by orthogonal matrices.
-    err = np.einsum("nij,nkj,k->ni", X_arr, Xh_arr, y0v)
+    err = np.einsum("nij,nkj,k->ni", X, Xh, y0v)
     err /= np.linalg.norm(err, axis=1, keepdims=True)
-    theta = _angle_rows(err, y0v)
-    eye = IDENTITY
-    dX = np.linalg.norm(np.einsum("nji,njk->nik", X_arr, X_arr) - eye, axis=(1, 2))
-    dXh = np.linalg.norm(np.einsum("nji,njk->nik", Xh_arr, Xh_arr) - eye, axis=(1, 2))
     return TrajectoryRecord(
-        t=t_arr, y=y_arr, yhat=yh_arr, theta=theta,
-        drift=np.maximum(dX, dXh), X=X_arr, Xhat=Xh_arr,
-        consistency=None if consistency is None else np.array(consistency),
+        t=t, y=act(X, y0v), yhat=act(Xh, y0v), theta=_angle_rows(err, y0v),
+        drift=np.maximum(drift(X), drift(Xh)), X=X, Xhat=Xh, consistency=consistency,
     )
 
 
 def simulate_lifted(scenario, cost=None) -> TrajectoryRecord:
     """Integrate plant and observer on the group; the error angle is derived
     from the right-invariant group error."""
-    inp = scenario.input
-    cost = _resolve_cost(scenario, cost)
     y0v = scenario.y0_vec
-    h = scenario.integrator.h
-    n = _n_steps(scenario.t_end, h)
-    rec_set = set(_record_steps(n, scenario.sample_every))
-    X, Xhat = scenario.initial_group_pair()
-
-    def body_rate(t, X_, Xh_):
-        uv = np.asarray(inp.eval(t), dtype=float)
-        if cost is None:
-            return uv, uv
-        y_ = unit(X_.T @ y0v)
-        yh_ = unit(Xh_.T @ y0v)
-        return uv, uv - cross(cost.grad1(yh_, y_), yh_)
-
-    t_out, X_out, Xh_out = [], [], []
-
-    def record(i, X_, Xh_):
-        t = i * h
-        _check_finite(t, X_, Xh_)
-        t_out.append(t)
-        X_out.append(X_.copy())
-        Xh_out.append(Xh_.copy())
-
-    record(0, X, Xhat)
-    if scenario.integrator.method == "rk4-project":
-        def f(t, s):
-            X_, Xh_ = s[:9].reshape(3, 3), s[9:].reshape(3, 3)
-            u_pl, u_ob = body_rate(t, X_, Xh_)
-            return np.concatenate([(X_ @ hat(u_pl)).ravel(), (Xh_ @ hat(u_ob)).ravel()])
-
-        s = np.concatenate([X.ravel(), Xhat.ravel()])
-        for i in range(n):
-            s = _rk4(f, i * h, s, h)
-            X = orthonormalize(s[:9].reshape(3, 3))
-            Xhat = orthonormalize(s[9:].reshape(3, 3))
-            s = np.concatenate([X.ravel(), Xhat.ravel()])
-            if i + 1 in rec_set:
-                record(i + 1, X, Xhat)
-    else:
-        for i in range(n):
-            u_pl, u_ob = body_rate(i * h, X, Xhat)
-            X = compose(X, group_exp(h * u_pl))
-            Xhat = compose(Xhat, group_exp(h * u_ob))
-            if i + 1 in rec_set:
-                record(i + 1, X, Xhat)
-
-    return _group_record(t_out, X_out, Xh_out, y0v)
+    model = _group_model(scenario.input, _resolve_cost(scenario, cost), y0v)
+    t, X, Xh = _samples(scenario, ("group", "group"), scenario.initial_group_pair(), model)
+    return _group_record(t, X, Xh, y0v)
 
 
 def simulate_cosim(scenario, cost=None) -> TrajectoryRecord:
     """Run the group observer and the sphere observer side by side from
     matching initial conditions and record how far the group observer's output
     strays from the directly integrated sphere observer."""
-    inp = scenario.input
-    cost = _resolve_cost(scenario, cost) or SphereCost(scenario.k)
     y0v = scenario.y0_vec
-    h = scenario.integrator.h
-    n = _n_steps(scenario.t_end, h)
-    rec_set = set(_record_steps(n, scenario.sample_every))
+    cost = _resolve_cost(scenario, cost) or SphereCost(scenario.k)
     X, Xhat = scenario.initial_group_pair()
-    yp = act(Xhat, y0v)  # sphere observer started on the group observer's output
-
-    t_out, X_out, Xh_out, cons = [], [], [], []
-
-    def record(i, X_, Xh_, yp_):
-        t = i * h
-        _check_finite(t, X_, Xh_, yp_)
-        t_out.append(t)
-        X_out.append(X_.copy())
-        Xh_out.append(Xh_.copy())
-        cons.append(float(np.linalg.norm(act(Xh_, y0v) - yp_)))
-
-    record(0, X, Xhat, yp)
-    if scenario.integrator.method == "rk4-project":
-        def f(t, s):
-            X_, Xh_, yp_ = s[:9].reshape(3, 3), s[9:18].reshape(3, 3), s[18:]
-            uv = np.asarray(inp.eval(t), dtype=float)
-            y_ = unit(X_.T @ y0v)
-            yh_ = unit(Xh_.T @ y0v)
-            u_ob = uv - cross(cost.grad1(yh_, y_), yh_)
-            dyp = -cross(uv, yp_) - cost.grad1(yp_, y_)
-            return np.concatenate([(X_ @ hat(uv)).ravel(), (Xh_ @ hat(u_ob)).ravel(), dyp])
-
-        s = np.concatenate([X.ravel(), Xhat.ravel(), yp])
-        for i in range(n):
-            s = _rk4(f, i * h, s, h)
-            X = orthonormalize(s[:9].reshape(3, 3))
-            Xhat = orthonormalize(s[9:18].reshape(3, 3))
-            yp = s[18:] / math.sqrt(float(s[18:] @ s[18:]))
-            s = np.concatenate([X.ravel(), Xhat.ravel(), yp])
-            if i + 1 in rec_set:
-                record(i + 1, X, Xhat, yp)
-    else:
-        for i in range(n):
-            uv = np.asarray(inp.eval(i * h), dtype=float)
-            y_ = act(X, y0v)
-            yh_ = act(Xhat, y0v)
-            u_ob = uv - cross(cost.grad1(yh_, y_), yh_)
-            alpha = -cost.grad1(yp, y_)
-            w_p = -uv + cross(yp, alpha)
-            X = compose(X, group_exp(h * uv))
-            Xhat = compose(Xhat, group_exp(h * u_ob))
-            yp = unit(group_exp(h * w_p) @ yp)
-            if i + 1 in rec_set:
-                record(i + 1, X, Xhat, yp)
-
-    return _group_record(t_out, X_out, Xh_out, y0v, consistency=cons)
+    # The sphere observer starts on the group observer's output.
+    state = (X, Xhat, act(Xhat, y0v))
+    t, X, Xh, yp = _samples(scenario, ("group", "group", "sphere"), state,
+                            _group_model(scenario.input, cost, y0v))
+    return _group_record(t, X, Xh, y0v,
+                         consistency=np.linalg.norm(act(Xh, y0v) - yp, axis=1))
 
 
 # --- circle instance -------------------------------------------------------
@@ -373,38 +328,23 @@ class So2OracleResult:
     record: TrajectoryRecord
 
 
-def _simulate_circle_angles(scenario, innovation: bool):
+def _circle_samples(scenario, innovation: bool, output_angle: bool = False):
+    """Times, plant angles and observer angles of a circle run.  With
+    ``output_angle`` the pair is also integrated directly in the output
+    variables y = y0 - phi and yhat = y0 - phihat, whose samples follow."""
     inp = scenario.input
     k = scenario.k if innovation else 0.0
-    h = scenario.integrator.h
-    n = _n_steps(scenario.t_end, h)
-    rec = _record_steps(n, scenario.sample_every)
     phi, phihat = scenario.initial_angle_pair()
+    state = [phi, phihat]
+    if output_angle:
+        state += [scenario.y0_angle - phi, scenario.y0_angle - phihat]
 
-    ts, phis, phihats = [0.0], [phi], [phihat]
-    rec_set = set(rec)
-    rk4 = scenario.integrator.method == "rk4-project"
-    for i in range(n):
-        t = i * h
-        if rk4:
-            def f(tt, s):
-                u = float(inp.eval(tt)[0])
-                return np.array([u, u + k * np.sin(s[0] - s[1])])
+    def rates(t, s):
+        u = float(inp.eval(t)[0])
+        out = [u, u + k * np.sin(s[0] - s[1])]
+        return out if len(s) == 2 else out + [-u, -u - k * np.sin(s[3] - s[2])]
 
-            s = _rk4(f, t, np.array([phi, phihat]), h)
-            phi, phihat = float(s[0]), float(s[1])
-        else:
-            u = float(inp.eval(t)[0])
-            phi_new = phi + h * u
-            phihat += h * (u + k * np.sin(phi - phihat))
-            phi = phi_new
-        if i + 1 in rec_set:
-            if not (np.isfinite(phi) and np.isfinite(phihat)):
-                raise SimulationAbort(f"non-finite state at t = {(i + 1) * h:.6g} s")
-            ts.append((i + 1) * h)
-            phis.append(phi)
-            phihats.append(phihat)
-    return np.array(ts), np.array(phis), np.array(phihats)
+    return _samples(scenario, ("angle",) * len(state), state, (rates, rates))
 
 
 def _circle_record(ts, phis, phihats, y0_angle) -> TrajectoryRecord:
@@ -421,47 +361,16 @@ def _circle_record(ts, phis, phihats, y0_angle) -> TrajectoryRecord:
 def simulate_circle(scenario) -> TrajectoryRecord:
     """Plant/observer pair on the circle; synchrony mode disables the
     innovation just as on the sphere."""
-    ts, phis, phihats = _simulate_circle_angles(scenario, scenario.mode != "synchrony")
+    cosim = scenario.mode == "co-sim"
+    ts, phis, phihats, *output = _circle_samples(scenario, scenario.mode != "synchrony", cosim)
     rec = _circle_record(ts, phis, phihats, scenario.y0_angle)
-    if scenario.mode == "co-sim":
+    if cosim:
         # The output-angle observer is related to the group observer by an
         # affine change of variables, which fixed-step RK4 commutes with; the
         # residual is pure rounding.
         yhat_angle = circle.wrap(scenario.y0_angle - phihats)
-        direct = _simulate_output_angle(scenario)
-        rec.consistency = np.abs(circle.wrap(yhat_angle - direct))
+        rec.consistency = np.abs(circle.wrap(yhat_angle - circle.wrap(output[1])))
     return rec
-
-
-def _simulate_output_angle(scenario) -> np.ndarray:
-    """Integrate the circle observer directly in the output variable."""
-    inp = scenario.input
-    k = scenario.k
-    h = scenario.integrator.h
-    n = _n_steps(scenario.t_end, h)
-    rec_set = set(_record_steps(n, scenario.sample_every))
-    phi, phihat = scenario.initial_angle_pair()
-    y = scenario.y0_angle - phi
-    yh = scenario.y0_angle - phihat
-    out = [yh]
-    rk4 = scenario.integrator.method == "rk4-project"
-    for i in range(n):
-        t = i * h
-        if rk4:
-            def f(tt, s):
-                u = float(inp.eval(tt)[0])
-                return np.array([-u, -u - k * np.sin(s[1] - s[0])])
-
-            s = _rk4(f, t, np.array([y, yh]), h)
-            y, yh = float(s[0]), float(s[1])
-        else:
-            u = float(inp.eval(t)[0])
-            y_new = y - h * u
-            yh += h * (-u - k * np.sin(yh - y))
-            y = y_new
-        if i + 1 in rec_set:
-            out.append(yh)
-    return circle.wrap(np.array(out))
 
 
 def so2_oracle_run(scenario) -> So2OracleResult:
@@ -471,7 +380,7 @@ def so2_oracle_run(scenario) -> So2OracleResult:
     delta = phi - phihat obeys delta' = -k sin(delta) with the explicit
     solution used on the sphere, so the oracle never touches the integrator.
     """
-    ts, phis, phihats = _simulate_circle_angles(scenario, innovation=True)
+    ts, phis, phihats = _circle_samples(scenario, innovation=True)
     phi0, phihat0 = scenario.initial_angle_pair()
     exact_phi = phi0 + np.array([float(scenario.input.integral(t)[0]) for t in ts])
     delta0 = circle.wrap(phi0 - phihat0)
@@ -496,40 +405,6 @@ class MonteCarloResult:
     seed: int
 
 
-def _hat_batch(B: np.ndarray) -> np.ndarray:
-    H = np.zeros((len(B), 3, 3))
-    H[:, 0, 1] = -B[:, 2]
-    H[:, 0, 2] = B[:, 1]
-    H[:, 1, 0] = B[:, 2]
-    H[:, 1, 2] = -B[:, 0]
-    H[:, 2, 0] = -B[:, 1]
-    H[:, 2, 1] = B[:, 0]
-    return H
-
-
-def _group_exp_batch(W: np.ndarray) -> np.ndarray:
-    t2 = np.sum(W * W, axis=1)
-    small = t2 < 1e-8
-    theta = np.sqrt(np.where(small, 1.0, t2))
-    a = np.where(small, 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0), np.sin(theta) / theta)
-    b = np.where(small, 0.5 * (1.0 - t2 / 12.0 * (1.0 - t2 / 30.0)),
-                 (1.0 - np.cos(theta)) / np.where(small, 1.0, t2))
-    K = _hat_batch(W)
-    K2 = np.matmul(K, K)
-    return IDENTITY[None, :, :] + a[:, None, None] * K + b[:, None, None] * K2
-
-
-def _orthonormalize_batch(M: np.ndarray) -> np.ndarray:
-    U, _, Vt = np.linalg.svd(M)
-    R = np.matmul(U, Vt)
-    bad = np.linalg.det(R) < 0.0
-    if np.any(bad):
-        U = U.copy()
-        U[bad, :, -1] *= -1.0
-        R = np.matmul(U, Vt)
-    return R
-
-
 def _sample_observer_sphere(rng, n, y_plant) -> np.ndarray:
     """Uniform sphere points, redrawn while inside the antipodal cap."""
     Y = random_unit(rng, n)
@@ -543,9 +418,7 @@ def _sample_observer_sphere(rng, n, y_plant) -> np.ndarray:
 def _sample_observer_group(rng, n, y0v, y_plant) -> np.ndarray:
     X = random_rotation(rng, n)
     while True:
-        out = np.einsum("nji,j->ni", X, y0v)
-        out /= np.linalg.norm(out, axis=1, keepdims=True)
-        bad = _angle_rows(out, y_plant) > np.pi - ANTIPODAL_EXCLUSION
+        bad = _angle_rows(act(X, y0v), y_plant) > np.pi - ANTIPODAL_EXCLUSION
         if not np.any(bad):
             return X
         X[bad] = random_rotation(rng, int(bad.sum()))
@@ -554,8 +427,9 @@ def _sample_observer_group(rng, n, y0v, y_plant) -> np.ndarray:
 def monte_carlo(scenario, n_runs: int | None = None, seed: int | None = None) -> MonteCarloResult:
     """Sweep random observer initialisations (uniform on the sphere, or
     Haar-uniform on the group for lifted sweeps) under a shared plant and
-    input.  Runs are propagated as one vectorised batch; summaries are ordered
-    by run index and replay bit-identically from the seed."""
+    input.  The runs are one batch axis of the observer state, stepped by the
+    same model as a single run; summaries are ordered by run index and replay
+    bit-identically from the seed."""
     mc = scenario.mc
     n = int(n_runs if n_runs is not None else (mc.runs if mc else 1000))
     if n < 1:
@@ -564,131 +438,25 @@ def monte_carlo(scenario, n_runs: int | None = None, seed: int | None = None) ->
     threshold = float(mc.threshold) if mc else 1e-3
     space = mc.space if mc else "projected"
     rng = np.random.default_rng(seed)
+    cost = SphereCost(scenario.k)
+    y0v = scenario.y0_vec
     if space == "lifted":
-        t_rec, theta, drift_rows = _mc_lifted(scenario, n, rng)
+        X = scenario.initial_group_pair()[0]
+        state = (X, _sample_observer_group(rng, n, y0v, act(X, y0v)))
+        kinds, model = ("group", "group"), _group_model(scenario.input, cost, y0v)
+
+        def keep(s):
+            return _angle_rows(act(s[1], y0v), act(s[0], y0v)), drift(s[1])
     else:
-        t_rec, theta, drift_rows = _mc_projected(scenario, n, rng)
-    summaries = []
-    for i in range(n):
-        row = theta[:, i]
-        below = row < threshold
-        t_conv = float(t_rec[int(np.argmax(below))]) if bool(below.any()) else None
-        summaries.append(RunSummary(
-            final_angle=float(row[-1]),
-            t_converged=t_conv,
-            fitted_rate=fit_rate(t_rec, row),
-            max_drift=float(drift_rows[:, i].max()),
-        ))
+        y = scenario.initial_sphere_pair()[0]
+        state = (y, _sample_observer_sphere(rng, n, y))
+        kinds, model = ("sphere", "sphere"), _projected_model(scenario.input, cost)
+
+        def keep(s):
+            return _angle_rows(s[1], s[0]), np.abs(np.linalg.norm(s[1], axis=1) - 1.0)
+
+    # Only the per-run angle and drift rows are kept at each sample, not the states.
+    t_rec, theta, drift_rows = _samples(scenario, kinds, state, model, keep)
+    summaries = [_summary(t_rec, row, dr, threshold) for row, dr in zip(theta.T, drift_rows.T)]
     frac = float(np.mean([s.final_angle < threshold for s in summaries]))
     return MonteCarloResult(summaries, frac, threshold, n, seed)
-
-
-def _mc_projected(scenario, n, rng):
-    inp = scenario.input
-    k = scenario.k
-    h = scenario.integrator.h
-    n_steps = _n_steps(scenario.t_end, h)
-    rec = _record_steps(n_steps, scenario.sample_every)
-    rec_set = set(rec)
-    y = scenario.initial_sphere_pair()[0]
-    Yh = _sample_observer_sphere(rng, n, y)
-
-    def field(t, y_, Yh_):
-        uv = np.asarray(inp.eval(t), dtype=float)
-        dy = -cross(uv, y_)
-        dYh = -cross(uv, Yh_) + k * (y_[None, :] - Yh_ * (Yh_ @ y_)[:, None])
-        return dy, dYh
-
-    theta_rows = [_angle_rows(Yh, y)]
-    drift_rows = [np.abs(np.linalg.norm(Yh, axis=1) - 1.0)]
-    lie = scenario.integrator.method == "lie-euler"
-    for i in range(n_steps):
-        t = i * h
-        if lie:
-            uv = np.asarray(inp.eval(t), dtype=float)
-            inn = k * (y[None, :] - Yh * (Yh @ y)[:, None])
-            W = -uv[None, :] + cross(Yh, inn)
-            Yh = np.einsum("nij,nj->ni", _group_exp_batch(h * W), Yh)
-            y = group_exp(-h * uv) @ y
-        else:
-            k1y, k1Y = field(t, y, Yh)
-            k2y, k2Y = field(t + 0.5 * h, y + 0.5 * h * k1y, Yh + 0.5 * h * k1Y)
-            k3y, k3Y = field(t + 0.5 * h, y + 0.5 * h * k2y, Yh + 0.5 * h * k2Y)
-            k4y, k4Y = field(t + h, y + h * k3y, Yh + h * k3Y)
-            y = y + (h / 6.0) * (k1y + 2.0 * (k2y + k3y) + k4y)
-            Yh = Yh + (h / 6.0) * (k1Y + 2.0 * (k2Y + k3Y) + k4Y)
-        y = y / math.sqrt(float(y @ y))
-        Yh = Yh / np.linalg.norm(Yh, axis=1, keepdims=True)
-        if i + 1 in rec_set:
-            if not (np.all(np.isfinite(y)) and np.all(np.isfinite(Yh))):
-                raise SimulationAbort(f"non-finite state at t = {(i + 1) * h:.6g} s")
-            theta_rows.append(_angle_rows(Yh, y))
-            drift_rows.append(np.abs(np.linalg.norm(Yh, axis=1) - 1.0))
-    t_rec = np.array([j * h for j in rec])
-    return t_rec, np.array(theta_rows), np.array(drift_rows)
-
-
-def _mc_lifted(scenario, n, rng):
-    inp = scenario.input
-    k = scenario.k
-    y0v = scenario.y0_vec
-    h = scenario.integrator.h
-    n_steps = _n_steps(scenario.t_end, h)
-    rec = _record_steps(n_steps, scenario.sample_every)
-    rec_set = set(rec)
-    X = scenario.initial_group_pair()[0]
-    y_plant0 = act(X, y0v)
-    Xh = _sample_observer_group(rng, n, y0v, y_plant0)
-
-    def outputs(X_, Xh_):
-        y_ = X_.T @ y0v
-        y_ = y_ / math.sqrt(float(y_ @ y_))
-        Yh_ = np.einsum("nji,j->ni", Xh_, y0v)
-        Yh_ /= np.linalg.norm(Yh_, axis=1, keepdims=True)
-        return y_, Yh_
-
-    def field(t, X_, Xh_):
-        uv = np.asarray(inp.eval(t), dtype=float)
-        y_, Yh_ = outputs(X_, Xh_)
-        B = uv[None, :] + k * cross(y_, Yh_)
-        return X_ @ hat(uv), np.matmul(Xh_, _hat_batch(B))
-
-    def snapshot(X_, Xh_):
-        y_, Yh_ = outputs(X_, Xh_)
-        th = _angle_rows(Yh_, y_)
-        dr = np.linalg.norm(
-            np.matmul(np.transpose(Xh_, (0, 2, 1)), Xh_) - IDENTITY, axis=(1, 2)
-        )
-        return th, dr
-
-    th0, dr0 = snapshot(X, Xh)
-    theta_rows, drift_rows = [th0], [dr0]
-    lie = scenario.integrator.method == "lie-euler"
-    for i in range(n_steps):
-        t = i * h
-        if lie:
-            uv = np.asarray(inp.eval(t), dtype=float)
-            y_, Yh_ = outputs(X, Xh)
-            B = uv[None, :] + k * cross(y_, Yh_)
-            X = compose(X, group_exp(h * uv))
-            Xh = np.matmul(Xh, _group_exp_batch(h * B))
-            bad = np.linalg.norm(
-                np.matmul(np.transpose(Xh, (0, 2, 1)), Xh) - IDENTITY, axis=(1, 2)
-            ) > 1e-12
-            if np.any(bad):
-                Xh[bad] = _orthonormalize_batch(Xh[bad])
-        else:
-            k1x, k1X = field(t, X, Xh)
-            k2x, k2X = field(t + 0.5 * h, X + 0.5 * h * k1x, Xh + 0.5 * h * k1X)
-            k3x, k3X = field(t + 0.5 * h, X + 0.5 * h * k2x, Xh + 0.5 * h * k2X)
-            k4x, k4X = field(t + h, X + h * k3x, Xh + h * k3X)
-            X = orthonormalize(X + (h / 6.0) * (k1x + 2.0 * (k2x + k3x) + k4x))
-            Xh = _orthonormalize_batch(Xh + (h / 6.0) * (k1X + 2.0 * (k2X + k3X) + k4X))
-        if i + 1 in rec_set:
-            if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Xh))):
-                raise SimulationAbort(f"non-finite state at t = {(i + 1) * h:.6g} s")
-            th, dr = snapshot(X, Xh)
-            theta_rows.append(th)
-            drift_rows.append(dr)
-    t_rec = np.array([j * h for j in rec])
-    return t_rec, np.array(theta_rows), np.array(drift_rows)

@@ -22,15 +22,28 @@ DRIFT_TOL = 1e-12
 _ANTIPODAL_TOL = 1e-9
 _SMALL_ANGLE2 = 1e-8  # squared-norm switch to the series branch of group_exp
 
+# w @ _HAT_BASIS is hat(w) flattened row by row.
+_HAT_BASIS = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+    [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+])
+
 
 class AntipodalError(ValueError):
     """Raised where an operation is genuinely singular at antipodal inputs."""
 
 
 def hat(omega) -> np.ndarray:
-    """Antisymmetric matrix of a length-3 vector, so that hat(a) @ b = a x b."""
-    wx, wy, wz = omega
-    return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
+    """Antisymmetric matrix of a 3-vector, so that hat(a) @ b = a x b.
+
+    Leading axes are kept: an (n, 3) stack gives an (n, 3, 3) stack.
+    """
+    w = np.asarray(omega, dtype=float)
+    if w.ndim == 1:
+        wx, wy, wz = w.tolist()
+        return np.array((0.0, -wz, wy, wz, 0.0, -wx, -wy, wx, 0.0)).reshape(3, 3)
+    return (w @ _HAT_BASIS).reshape(w.shape[:-1] + (3, 3))
 
 
 def cross(a, b) -> np.ndarray:
@@ -66,63 +79,92 @@ def vee(A) -> np.ndarray:
 
 
 def group_exp(omega) -> np.ndarray:
-    """Matrix exponential of hat(omega) in closed Rodrigues form.
+    """Matrix exponential of hat(omega) in closed Rodrigues form, over
+    leading axes.
 
     Switches to a truncated series below ||omega|| ~ 1e-4 where sin(t)/t and
     (1-cos(t))/t^2 lose digits to cancellation.
     """
     omega = np.asarray(omega, dtype=float)
-    t2 = float(omega @ omega)
     K = hat(omega)
-    if t2 < _SMALL_ANGLE2:
-        a = 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0)
-        b = 0.5 * (1.0 - t2 / 12.0 * (1.0 - t2 / 30.0))
-    else:
-        theta = np.sqrt(t2)
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / t2
-    return IDENTITY + a * K + b * (K @ K)
+    if omega.ndim == 1:
+        t2 = float(omega @ omega)
+        if t2 < _SMALL_ANGLE2:
+            a = 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0)
+            b = 0.5 * (1.0 - t2 / 12.0 * (1.0 - t2 / 30.0))
+        else:
+            theta = np.sqrt(t2)
+            a = np.sin(theta) / theta
+            b = (1.0 - np.cos(theta)) / t2
+        return IDENTITY + a * K + b * (K @ K)
+    t2 = np.sum(omega * omega, axis=-1)
+    small = t2 < _SMALL_ANGLE2
+    t2_large = np.where(small, 1.0, t2)
+    theta = np.sqrt(t2_large)
+    a = np.where(small, 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0), np.sin(theta) / theta)
+    b = np.where(small, 0.5 * (1.0 - t2 / 12.0 * (1.0 - t2 / 30.0)),
+                 (1.0 - np.cos(theta)) / t2_large)
+    return IDENTITY + a[..., None, None] * K + b[..., None, None] * (K @ K)
 
 
-def drift(X) -> float:
-    """Frobenius distance of X^T X from the identity."""
+def drift(X):
+    """Frobenius distance of X^T X from the identity; an array for a stack."""
     X = np.asarray(X)
-    return float(np.linalg.norm(X.T @ X - IDENTITY))
+    D = X.swapaxes(-1, -2) @ X - IDENTITY
+    if X.ndim == 2:
+        return float(np.linalg.norm(D))
+    return np.linalg.norm(D, axis=(-2, -1))
 
 
 def orthonormalize(X) -> np.ndarray:
-    """Nearest rotation to X (polar projection via SVD, determinant +1)."""
+    """Nearest rotation to X (polar projection via SVD, determinant +1), over
+    leading axes."""
     U, _, Vt = np.linalg.svd(np.asarray(X, dtype=float))
-    if np.linalg.det(U @ Vt) < 0.0:
-        U = U.copy()
-        U[:, -1] *= -1.0
-    return U @ Vt
+    R = U @ Vt
+    flip = np.linalg.det(R) < 0.0
+    if flip.any():
+        U[..., -1] *= np.where(flip, -1.0, 1.0)[..., None]
+        R = U @ Vt
+    return R
 
 
 def compose(X, Y) -> np.ndarray:
-    """Group product X @ Y, re-orthonormalised whenever drift exceeds 1e-12."""
+    """Group product X @ Y, re-orthonormalised wherever drift exceeds 1e-12."""
     Z = np.asarray(X) @ np.asarray(Y)
-    if drift(Z) > DRIFT_TOL:
-        Z = orthonormalize(Z)
+    bad = drift(Z) > DRIFT_TOL
+    if Z.ndim == 2:
+        return orthonormalize(Z) if bad else Z
+    if bad.any():
+        Z[bad] = orthonormalize(Z[bad])
     return Z
 
 
 def unit(v) -> np.ndarray:
-    """v scaled to unit norm."""
+    """v scaled to unit norm along its last axis."""
     v = np.asarray(v, dtype=float)
-    n = math.sqrt(float(v @ v))
-    if n == 0.0:
+    if v.ndim == 1:
+        n = math.sqrt(float(v @ v))
+        zero = n == 0.0
+    else:
+        n = np.linalg.norm(v, axis=-1, keepdims=True)
+        zero = not n.all()
+    if zero:
         raise ValueError("cannot normalise the zero vector")
     return v / n
 
 
 def act(X, y) -> np.ndarray:
-    """Right action on the sphere: act(X, y) = X^T y, renormalised.
+    """Right action on the sphere: act(X, y) = X^T y, renormalised; either
+    argument may carry leading axes.
 
     Satisfies act(X, act(Y, y)) == act(Y @ X, y).
     """
-    r = np.asarray(X).T @ np.asarray(y, dtype=float)
-    return r / math.sqrt(float(r @ r))
+    X = np.asarray(X)
+    y = np.asarray(y, dtype=float)
+    if X.ndim == 2 and y.ndim == 1:
+        r = X.T @ y
+        return r / math.sqrt(float(r @ r))
+    return unit(np.einsum("...ji,...j->...i", X, y))
 
 
 def in_stabiliser(X, y0, tol: float = 1e-9) -> bool:

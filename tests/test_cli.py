@@ -145,6 +145,9 @@ def test_input_error_exit_codes(tmp_path):
     huge = tmp_path / "huge.json"
     huge.write_text('{"instance": "so3-s2", "seed": 100000000000000000000}')
     assert cli.main(["run", "--scenario", str(huge), "--out", str(tmp_path / "x")]) == 2
+    endless = tmp_path / "endless.json"
+    endless.write_text('{"instance": "so3-s2", "t_end": 1e30}')
+    assert cli.main(["run", "--scenario", str(endless), "--out", str(tmp_path / "x")]) == 2
     so2 = tmp_path / "so2.json"
     so2.write_text('{"instance": "so2-s1"}')
     assert cli.main(["sweep", "--scenario", str(so2), "--out", str(tmp_path / "x")]) == 2

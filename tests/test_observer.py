@@ -69,6 +69,17 @@ def test_grad1_examples():
     assert np.allclose(grad1_cost(SphereCost(1.0), E1, -E1).vec, np.zeros(3), atol=1e-15)
 
 
+def test_grad1_over_leading_axes(rng):
+    c = SphereCost(1.7)
+    Yh, Y, y = random_unit(rng, 20), random_unit(rng, 20), random_unit(rng)
+    for got, want in [
+        (c.grad1(Yh, y), [c.grad1(v, y) for v in Yh]),        # a sweep against one plant
+        (c.grad1(Yh, Y), [c.grad1(v, w) for v, w in zip(Yh, Y)]),
+        (c.grad1(Yh[:3], Y[:3]), [c.grad1(v, w) for v, w in zip(Yh[:3], Y[:3])]),
+    ]:
+        assert np.max(np.abs(got - np.array(want))) <= 1e-15
+
+
 def test_grad1_matches_finite_differences(rng):
     for _ in range(1000):
         c = SphereCost(float(rng.uniform(0.5, 2.0)))

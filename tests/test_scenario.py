@@ -65,10 +65,17 @@ def test_invalid_json_rejected():
     ({"instance": "so2-s1", "mode": "monte-carlo"}, "so3-s2"),
     ({"instance": "so2-s1", "y0": [1, 0, 0]}, "y0"),
     ({"instance": "so3-s2", "schema_version": 99}, "schema_version"),
+    ({"instance": "so3-s2", "t_end": 1e30}, "^t_end "),
+    ({"instance": "so3-s2", "t_end": 100001.0, "integrator": {"h": 1e-3}}, "^t_end "),
 ])
 def test_validation_errors_name_the_field(doc, fragment):
     with pytest.raises(ScenarioError, match=fragment):
         parse(doc)
+
+
+def test_step_count_limit():
+    # 10**8 steps of the default h parse; the run itself is not started.
+    assert parse({"instance": "so3-s2", "t_end": 1e5}).t_end == 1e5
 
 
 HUGE = 10 ** 30  # a JSON integer beyond every 64-bit type

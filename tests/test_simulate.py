@@ -44,6 +44,18 @@ def test_record_requires_increasing_time():
         TrajectoryRecord(t=t, y=y, yhat=y, theta=np.zeros(3), drift=np.zeros(3))
 
 
+@pytest.mark.parametrize("method", ["rk4-project", "lie-euler"])
+def test_records_every_stride_and_the_last_step(make_scenario, method):
+    integ = {"method": method, "h": 1e-3}
+    sc = make_scenario(mode="projected", input=SINUSOID, t_end=0.007, sample_every=3,
+                       integrator=integ)
+    want = np.array([0, 3, 6, 7]) * 1e-3
+    assert np.array_equal(simulate_projected(sc).t, want)
+    assert np.array_equal(simulate_lifted(dataclasses.replace(sc, mode="lifted")).t, want)
+    assert np.array_equal(simulate_circle(make_scenario(
+        "so2-s1", t_end=0.007, sample_every=3, integrator=integ)).t, want)
+
+
 def test_fit_rate_recovers_exact_exponential():
     t = np.linspace(0.0, 12.0, 1201)
     theta = 0.09 * np.exp(-1.7 * t)
@@ -285,7 +297,9 @@ def test_right_invariant_error_projects_to_canonical(rng):
 
 @pytest.mark.parametrize("method", ["rk4-project", "lie-euler"])
 def test_runs_bit_identical_with_numpy_cross(make_scenario, monkeypatch, method):
+    import invobs.observer
     import invobs.simulate
+    import invobs.so3
 
     integ = {"method": method, "h": 1e-3}
     init = {"observer": {"axis_angle": [1.7, -0.4, 0.3]}}
@@ -301,8 +315,18 @@ def test_runs_bit_identical_with_numpy_cross(make_scenario, monkeypatch, method)
                             integrator=dict(integ, h=1e-2), mc={"runs": 30, "space": space})
               for space in ("projected", "lifted")]
     ours = [fn(sc) for fn, sc in runs], [monte_carlo(sc) for sc in sweeps]
-    monkeypatch.setattr(invobs.simulate, "cross", np.cross)
+    calls = []
+
+    def numpy_cross(a, b):
+        calls.append(None)
+        return np.cross(a, b)
+
+    # Every module whose helpers a step may reach; the count shows the step
+    # path really went through np.cross.
+    for module in (invobs.simulate, invobs.observer, invobs.so3):
+        monkeypatch.setattr(module, "cross", numpy_cross)
     reference = [fn(sc) for fn, sc in runs], [monte_carlo(sc) for sc in sweeps]
+    assert len(calls) >= 4 * 200
     for got, want in zip(ours[0], reference[0]):
         for f in dataclasses.fields(got):
             a, b = getattr(got, f.name), getattr(want, f.name)

@@ -213,3 +213,78 @@ def test_riemannian_inner(rng):
         vs = TangentVector(moved, S.T @ v.vec)
         ws = TangentVector(moved, S.T @ w.vec)
         assert abs(riemannian_inner(vs, ws) - riemannian_inner(v, w)) <= 1e-12
+
+
+# --- leading axes: a stack gives the per-row results ---------------------------
+
+def _rows(fn, *stacks):
+    return np.array([fn(*row) for row in zip(*stacks)])
+
+
+def test_hat_over_leading_axes(rng):
+    W = rng.standard_normal((4, 5, 3))
+    H = hat(W)
+    assert H.shape == (4, 5, 3, 3)
+    assert np.array_equal(H.reshape(-1, 3, 3), _rows(hat, W.reshape(-1, 3)))
+    assert np.array_equal(hat([[1, 2, 3]]), [hat((1, 2, 3))])
+
+
+def test_group_exp_over_leading_axes_mixes_series_and_closed_form(rng):
+    W = rng.standard_normal((40, 3))
+    W[::3] *= 1e-6  # below the series switch
+    W[1::3] *= 3.0
+    W[5] = 0.0
+    G = group_exp(W)
+    assert G.shape == (40, 3, 3)
+    assert np.max(np.abs(G - _rows(group_exp, W))) <= 1e-15
+    assert np.array_equal(G[5], np.eye(3))
+    assert np.max(drift(G)) <= 1e-14
+
+
+def test_orthonormalize_over_leading_axes_fixes_reflections(rng):
+    R = random_rotation(rng, 12)
+    M = R + 1e-6 * rng.standard_normal((12, 3, 3))
+    M[4] = -M[4]  # det < 0 among det > 0 rows
+    Q = orthonormalize(M)
+    assert np.array_equal(Q, _rows(orthonormalize, M))
+    assert np.all(np.linalg.det(Q) > 0.0)
+    assert np.max(drift(Q)) <= 1e-14
+
+
+def test_compose_over_leading_axes_repairs_only_drifted_rows(rng):
+    X = random_rotation(rng, 10)
+    Y = random_rotation(rng, 10)
+    X[[2, 7]] += 1e-8 * rng.standard_normal((2, 3, 3))  # drifted rows
+    Z = compose(X, Y)
+    assert np.array_equal(Z, _rows(compose, X, Y))
+    clean = [i for i in range(10) if i not in (2, 7)]
+    assert np.array_equal(Z[clean], X[clean] @ Y[clean])
+    assert np.max(drift(Z)) <= 1e-12
+    # one factor may be shared by the whole stack
+    assert np.array_equal(compose(X, Y[0]), _rows(lambda x: compose(x, Y[0]), X))
+
+
+def test_drift_over_leading_axes(rng):
+    M = random_rotation(rng, 8) + 1e-9 * rng.standard_normal((8, 3, 3))
+    d = drift(M)
+    assert d.shape == (8,)
+    assert np.max(np.abs(d - _rows(drift, M))) <= 1e-15
+    assert isinstance(drift(M[0]), float)
+
+
+def test_unit_over_leading_axes(rng):
+    V = rng.standard_normal((6, 7, 3))
+    U = unit(V)
+    assert np.max(np.abs(U.reshape(-1, 3) - _rows(unit, V.reshape(-1, 3)))) <= 1e-15
+    V[2, 3] = 0.0
+    with pytest.raises(ValueError, match="zero vector"):
+        unit(V)
+
+
+def test_act_over_leading_axes(rng):
+    X = random_rotation(rng, 9)
+    Y = random_unit(rng, 9)
+    y = random_unit(rng)
+    assert np.max(np.abs(act(X, y) - _rows(lambda x: act(x, y), X))) <= 1e-15
+    assert np.max(np.abs(act(X[0], Y) - _rows(lambda v: act(X[0], v), Y))) <= 1e-15
+    assert np.max(np.abs(act(X, Y) - _rows(act, X, Y))) <= 1e-15
