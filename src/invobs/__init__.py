@@ -12,20 +12,16 @@ from .circle import error_closed_form, wrap
 from .observer import (
     AnisotropicCost,
     HorizontalSubspace,
+    SectionedCost,
     SphereCost,
     canonical_error_from_group,
     check_innovation_equivariance,
     check_synchrony,
-    cost,
     error_angle,
     error_angle_closed_form,
-    grad1_cost,
     grad1_lifted_cost,
-    horizontal_lift,
-    innovation_s2,
     lifted_cost,
     lifted_observer_field,
-    make_invariant_cost,
     omega_bar,
     projected_observer_field,
     right_invariant_error,
@@ -76,9 +72,7 @@ from .so3 import (
 )
 from .systems import (
     InputSignal,
-    eval_input,
     indistinguishable,
-    output,
     plant_vector_field,
     project_dynamics,
 )

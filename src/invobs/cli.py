@@ -21,6 +21,7 @@ from .scenario import (
     preset,
     preset_description,
     preset_names,
+    scenario_from_dict,
     scenario_to_dict,
 )
 from .simulate import SimulationAbort
@@ -66,10 +67,8 @@ def _load_scenario(args) -> Scenario:
         sc = parse_scenario('{"instance": "so3-s2", "mode": "verify"}')
     else:
         raise ScenarioError("one of --scenario or --preset is required")
-    if args.seed is not None:
-        if not 0 <= args.seed < 2 ** 64:
-            raise ScenarioError("seed must fit in an unsigned 64-bit integer")
-        sc = dc_replace(sc, seed=args.seed)
+    if args.seed is not None:  # validated as if the document had it
+        sc = scenario_from_dict(dict(scenario_to_dict(sc), seed=args.seed))
     return sc
 
 
@@ -88,10 +87,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             sc = dc_replace(sc, mode="verify")
         elif args.command == "sweep":
-            if sc.instance != "so3-s2":
-                raise ScenarioError("mode monte-carlo is only available for instance so3-s2")
-            from .scenario import McSpec
-            sc = dc_replace(sc, mode="monte-carlo", mc=sc.mc or McSpec())
+            # Parsed again as a sweep document, so the sweep bounds apply.
+            sc = scenario_from_dict(dict(scenario_to_dict(sc), mode="monte-carlo"))
         if args.command == "verify" and args.out is None:
             import tempfile
             with tempfile.TemporaryDirectory() as tmp:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sampling import random_rotation, random_unit
+from .systems import project_dynamics
 from .so3 import (
     TangentVector,
     act,
@@ -78,27 +79,10 @@ class AnisotropicCost:
         return tangent_project(yhat, p)
 
 
-def cost(c, yhat, y) -> float:
-    """Cost value; nonnegative, zero exactly on the diagonal."""
-    return c.value(yhat, y)
-
-
-def grad1_cost(c, yhat, y) -> TangentVector:
-    """Riemannian gradient of yhat -> cost(c, yhat, y), tangent at yhat."""
-    yhat = np.asarray(yhat, dtype=float)
-    return TangentVector(yhat, c.grad1(yhat, y))
-
-
-def innovation_s2(c, yhat, y) -> TangentVector:
-    """Correction term: minus the cost gradient, zero iff yhat = +/- y."""
-    yhat = np.asarray(yhat, dtype=float)
-    return TangentVector(yhat, -c.grad1(yhat, y))
-
-
-def projected_observer_field(c, yhat, y, u) -> TangentVector:
-    """Observer velocity on the sphere: internal model plus innovation."""
-    yhat = np.asarray(yhat, dtype=float)
-    return TangentVector(yhat, -cross(u, yhat) - c.grad1(yhat, y))
+def projected_observer_field(c, yhat, y, u) -> np.ndarray:
+    """Observer velocity on the sphere: the internal model (the projected plant
+    at yhat) plus the innovation -c.grad1, over leading axes where grad1 allows."""
+    return project_dynamics(yhat, u) - c.grad1(yhat, y)
 
 
 def omega_bar(v: TangentVector) -> np.ndarray:
@@ -138,18 +122,13 @@ class HorizontalSubspace:
         return abs(float(w @ act(Xhat, self.y0))) <= tol
 
 
-def horizontal_lift(H: HorizontalSubspace, Xhat, v: TangentVector) -> np.ndarray:
-    """Horizontal lift of an output tangent through the subspace H."""
-    return H.lift(Xhat, v)
-
-
 def lifted_observer_field(c, Xhat, y, u, y0) -> np.ndarray:
     """Body-frame velocity of the group observer.
 
     Advancing Xhat by group_exp(h * hat(.)) of the returned vector realises
     Xhat' = Xhat @ hat(u) minus the horizontal lift of the cost gradient.
     For the invariant cost this is u + k * (y x yhat), the proportional
-    complementary-filter form.
+    complementary-filter form.  Xhat, y and u may carry leading axes.
     """
     yhat = act(Xhat, y0)
     return np.asarray(u, dtype=float) - cross(c.grad1(yhat, y), yhat)
@@ -164,7 +143,7 @@ def grad1_lifted_cost(c: SphereCost, Xhat, X, y0) -> np.ndarray:
     """Gradient of the pulled-back invariant cost at Xhat.
 
     Computed from the closed form k * Xhat @ hat(yhat x y) under the
-    right-invariant half-trace metric, independently of ``horizontal_lift``;
+    right-invariant half-trace metric, independently of ``HorizontalSubspace.lift``;
     the two agree identically, which the verification suite checks.
     """
     yhat = act(Xhat, y0)
@@ -174,8 +153,8 @@ def grad1_lifted_cost(c: SphereCost, Xhat, X, y0) -> np.ndarray:
 
 def right_invariant_error(Xhat, X) -> np.ndarray:
     """Group error Xhat @ X^-1; unchanged under simultaneous right
-    translation of both states."""
-    return np.asarray(Xhat) @ np.asarray(X).T
+    translation of both states.  Either argument may carry leading axes."""
+    return np.asarray(Xhat) @ np.asarray(X).swapaxes(-1, -2)
 
 
 def canonical_error_from_group(Xhat, X, y0) -> np.ndarray:
@@ -185,8 +164,9 @@ def canonical_error_from_group(Xhat, X, y0) -> np.ndarray:
     return act(right_invariant_error(Xhat, X), y0)
 
 
-def error_angle(yhat, y) -> float:
-    """Geodesic angle between two unit directions, in [0, pi].
+def error_angle(yhat, y):
+    """Geodesic angle between two unit directions, in [0, pi]; a float for a
+    pair of vectors, an array over the leading axes otherwise.
 
     Evaluated as 2 atan2(||yhat - y||, ||yhat + y||), which equals
     arccos(<yhat, y>) clamped to [-1, 1] but stays fully conditioned at both
@@ -194,7 +174,9 @@ def error_angle(yhat, y) -> float:
     """
     yhat = np.asarray(yhat, dtype=float)
     y = np.asarray(y, dtype=float)
-    return 2.0 * float(np.arctan2(np.linalg.norm(yhat - y), np.linalg.norm(yhat + y)))
+    if yhat.ndim == 1 and y.ndim == 1:
+        return 2.0 * float(np.arctan2(np.linalg.norm(yhat - y), np.linalg.norm(yhat + y)))
+    return 2.0 * np.arctan2(np.linalg.norm(yhat - y, axis=-1), np.linalg.norm(yhat + y, axis=-1))
 
 
 def error_angle_closed_form(theta0: float, k: float, t):
@@ -247,7 +229,8 @@ class SectionedCost:
     point carried back to the reference through minimal-rotation section
     representatives.  The construction is exactly invariant when fhat is
     constant on stabiliser orbits (a function of the angle to y0 alone),
-    which is also what the convergence theory asks of a candidate.
+    which is also what the convergence theory asks of a candidate.  Reduces to
+    fhat when the second argument is the reference; an argument at -y0 raises AntipodalError.
     """
 
     def __init__(self, fhat, y0):
@@ -269,15 +252,6 @@ class SectionedCost:
             fm = self.value(unit(y1 - FD_EPS * w), y2)
             g += ((fp - fm) / (2.0 * FD_EPS)) * w
         return g
-
-
-def make_invariant_cost(fhat, y0) -> SectionedCost:
-    """Build an invariant two-argument cost from a candidate fhat on the sphere.
-
-    Reduces to fhat itself when the second argument is the reference.
-    Antipodal arguments propagate the section's degenerate-input error.
-    """
-    return SectionedCost(fhat, y0)
 
 
 def _tangent_basis(y) -> tuple[np.ndarray, np.ndarray]:

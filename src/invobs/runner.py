@@ -16,6 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
+from .observer import check_synchrony
 from .scenario import Scenario, scenario_to_dict
 from .simulate import (
     MonteCarloResult,
@@ -120,7 +121,7 @@ def run(sc: Scenario, out_dir: str, quiet: bool = False) -> int:
             payload["summary"]["consistency_max_residual"] = resid
             payload["summary"]["consistency_passed"] = resid <= COSIM_TOL
         if sc.mode == "synchrony":
-            delta = float(np.max(np.abs(rec.theta - rec.theta[0])))
+            delta = check_synchrony(rec)
             payload["summary"]["synchrony_max_delta"] = delta
             payload["summary"]["synchrony_passed"] = delta <= SYNCHRONY_TOL
         if sc.instance == "so2-s1" and sc.mode in ("projected", "lifted"):

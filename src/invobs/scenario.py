@@ -26,6 +26,10 @@ INSTANCES = ("so3-s2", "so2-s1")
 MODES = ("projected", "lifted", "co-sim", "synchrony", "monte-carlo", "verify")
 MC_SPACES = ("projected", "lifted")
 MAX_STEPS = 10 ** 8  # integrator steps in one run; far beyond any useful horizon
+MAX_MC_RUNS = 10 ** 5  # runs in one sweep; 100x the preset
+# Recorded values in one sweep (runs x samples per run); keeps its float64
+# angle and drift rows under 0.8 GB.  The preset records 1.5 * 10**6.
+MAX_MC_VALUES = 5 * 10 ** 7
 
 _TOP_KEYS = {
     "schema_version", "instance", "mode", "k", "y0", "input", "init",
@@ -121,6 +125,11 @@ def _check_keys(d: dict, allowed: set[str], path: str):
         raise ScenarioError(f"unknown key {where!r}")
 
 
+def _in_int_range(x) -> bool:
+    """False for a JSON integer outside every 64-bit type."""
+    return not isinstance(x, int) or -2 ** 63 <= x < 2 ** 64
+
+
 def _number(d: dict, key: str, default, path: str = "", positive=False, integer=False):
     label = f"{path}.{key}" if path else key
     if key not in d:
@@ -130,12 +139,14 @@ def _number(d: dict, key: str, default, path: str = "", positive=False, integer=
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ScenarioError(f"{label} must be a number")
-    if isinstance(v, int) and not -2 ** 63 <= v < 2 ** 64:
+    if integer and isinstance(v, float) and v.is_integer():
+        v = int(v)  # range-checked as the integer it stands for
+    if not _in_int_range(v):
         raise ScenarioError(f"{label} is out of the 64-bit integer range")
-    if integer and int(v) != v:
-        raise ScenarioError(f"{label} must be an integer")
     if not np.isfinite(v):
         raise ScenarioError(f"{label} must be finite")
+    if integer and int(v) != v:
+        raise ScenarioError(f"{label} must be an integer")
     if positive and v <= 0:
         raise ScenarioError(f"{label} must be positive")
     return int(v) if integer else float(v)
@@ -145,6 +156,8 @@ def _vector(value, length: int, label: str) -> np.ndarray:
     if (not isinstance(value, (list, tuple)) or len(value) != length
             or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value)):
         raise ScenarioError(f"{label} must be a list of {length} numbers")
+    if not all(map(_in_int_range, value)):
+        raise ScenarioError(f"{label} is out of the 64-bit integer range")
     v = np.array(value, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ScenarioError(f"{label} must be finite")
@@ -173,9 +186,9 @@ def _parse_input(spec, dim: int, path: str) -> InputSignal:
             if not isinstance(times, (list, tuple)):
                 raise ScenarioError(f"{path}.times must be a list of numbers")
             if not isinstance(values, (list, tuple)) or len(values) != len(times) + 1:
-                raise ScenarioError(f"{path}.values must hold len(times) + 1 segment values")
+                raise ScenarioError(f"{path}.values must hold len({path}.times) + 1 segment values")
             rows = [_vector(v, dim, f"{path}.values[{i}]") for i, v in enumerate(values)]
-            return InputSignal.piecewise(np.array(times, dtype=float), np.array(rows))
+            return InputSignal.piecewise(_vector(times, len(times), f"{path}.times"), np.array(rows))
         if kind == "sum":
             _check_keys(spec, {"kind", "terms"}, path)
             terms = spec.get("terms")
@@ -187,7 +200,8 @@ def _parse_input(spec, dim: int, path: str) -> InputSignal:
     except ValueError as exc:
         if isinstance(exc, ScenarioError):
             raise
-        raise ScenarioError(f"{path}: {exc}") from exc
+        # The signal's messages start with the name of the parameter at fault.
+        raise ScenarioError(f"{path}.{exc}") from exc
     raise ScenarioError(f"{path}.kind must be one of {list(InputSignal.KINDS)}")
 
 
@@ -215,7 +229,11 @@ def _parse_init(spec, instance: str, path: str) -> InitState:
             raise ScenarioError(f"{path}.rotation is not special-orthogonal")
         return InitState("rotation", R)
     if form == "axis_angle":
-        return InitState("rotation", group_exp(_vector(spec["axis_angle"], 3, f"{path}.axis_angle")))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            R = group_exp(_vector(spec["axis_angle"], 3, f"{path}.axis_angle"))
+        if not np.all(np.isfinite(R)):
+            raise ScenarioError(f"{path}.axis_angle does not give a finite rotation")
+        return InitState("rotation", R)
     d = _vector(spec["direction"], 3, f"{path}.direction")
     if abs(float(np.linalg.norm(d)) - 1.0) > 1e-9:
         raise ScenarioError(f"{path}.direction not unit norm")
@@ -278,19 +296,19 @@ def scenario_from_dict(d: dict) -> Scenario:
     try:
         spec = IntegratorSpec(method=method, h=h)
     except ValueError as exc:
-        raise ScenarioError(f"integrator: {exc}") from exc
+        raise ScenarioError(f"integrator.{exc}") from exc
 
     t_end = _number(d, "t_end", 10.0, positive=True)
     _require(t_end >= spec.h, "t_end must be at least one integrator step")
-    _require(t_end / spec.h <= MAX_STEPS, f"t_end must span at most {MAX_STEPS} integrator steps")
+    _require(t_end / spec.h <= MAX_STEPS, f"t_end must span at most {MAX_STEPS} steps of integrator.h")
     sample_every = _number(d, "sample_every", 10, integer=True, positive=True)
     seed = _number(d, "seed", 0, integer=True)
     _require(0 <= seed < 2 ** 64, "seed must fit in an unsigned 64-bit integer")
 
     mc = None
-    if "mc" in d:
+    if "mc" in d or mode == "monte-carlo":
         _require(mode == "monte-carlo", "mc settings are only valid in monte-carlo mode")
-        mspec = d["mc"]
+        mspec = d.get("mc", {})
         if not isinstance(mspec, dict):
             raise ScenarioError("mc must be an object")
         _check_keys(mspec, {"runs", "space", "threshold"}, "mc")
@@ -301,8 +319,10 @@ def scenario_from_dict(d: dict) -> Scenario:
             space=space,
             threshold=_number(mspec, "threshold", 1e-3, "mc", positive=True),
         )
-    elif mode == "monte-carlo":
-        mc = McSpec()
+        _require(mc.runs <= MAX_MC_RUNS, f"mc.runs must be at most {MAX_MC_RUNS}")
+        samples = round(t_end / spec.h) // sample_every + 1
+        _require(mc.runs * samples <= MAX_MC_VALUES, f"mc.runs x samples per run (set by t_end, "
+                 f"integrator.h and sample_every) must be at most {MAX_MC_VALUES}")
 
     return Scenario(
         instance=instance, mode=mode, k=k, y0=y0, input=inp,

@@ -21,17 +21,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circle
-from .observer import SphereCost, error_angle_closed_form
-from .so3 import act, compose, cross, drift, group_exp, hat, orthonormalize, unit
+from .observer import (
+    SphereCost,
+    canonical_error_from_group,
+    error_angle,
+    error_angle_closed_form,
+    lifted_observer_field,
+    projected_observer_field,
+)
+from .so3 import act, compose, cross, drift, group_exp, orthonormalize, unit
 from .sampling import random_rotation, random_unit
+from .systems import plant_vector_field, project_dynamics
 
 ANTIPODAL_EXCLUSION = 0.01  # rad; Monte Carlo cap around the antipode
 RATE_WINDOW = (1e-6, 0.1)   # rad; log-linear fit window for the decay rate
 MIN_RATE_SAMPLES = 10
-
-
-def _angle_rows(Y, y) -> np.ndarray:
-    return 2.0 * np.arctan2(np.linalg.norm(Y - y, axis=-1), np.linalg.norm(Y + y, axis=-1))
 
 
 class SimulationAbort(RuntimeError):
@@ -47,9 +51,9 @@ class IntegratorSpec:
 
     def __post_init__(self):
         if self.method not in ("rk4-project", "lie-euler"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
+            raise ValueError(f"method must be rk4-project or lie-euler, not {self.method!r}")
         if not (np.isfinite(self.h) and 0.0 < self.h <= 1e-2):
-            raise ValueError("integrator step h must lie in (0, 0.01] seconds")
+            raise ValueError("h must lie in (0, 0.01] seconds")
 
 
 @dataclass
@@ -89,6 +93,26 @@ class RunSummary:
     max_drift: float
 
 
+def _fit_rates(t, theta) -> np.ndarray:
+    """Decay rates of the rows of theta (samples along the last axis): minus the
+    least-squares slope of log(theta) over RATE_WINDOW, solved in closed form
+    about the window's mean; NaN where fit_rate gives None."""
+    mask = (theta > RATE_WINDOW[0]) & (theta < RATE_WINDOW[1])
+    count = mask.sum(axis=-1)
+    enough = count >= MIN_RATE_SAMPLES
+    n = np.maximum(count, 1)[..., None]
+    # One work array, zero outside the window: the centred times, then the centred logs.
+    work = np.where(mask, t, 0.0)
+    t_mean = work.sum(axis=-1, keepdims=True) / n
+    np.subtract(work, t_mean, out=work, where=mask)
+    var = np.einsum("...i,...i->...", work, work)
+    np.log(theta, out=work, where=mask)
+    np.subtract(work, work.sum(axis=-1, keepdims=True) / n, out=work, where=mask)
+    # sum(centred log x centred t) = sum(centred log x t) - t_mean sum(centred log)
+    cov = np.einsum("...i,i->...", work, t) - t_mean[..., 0] * work.sum(axis=-1)
+    return np.where(enough, -cov / np.where(enough, var, 1.0), np.nan)
+
+
 def fit_rate(t, theta) -> float | None:
     """Least-squares decay rate of log(theta) over the small-angle window.
 
@@ -96,28 +120,22 @@ def fit_rate(t, theta) -> float | None:
     arccos rounding noise and the log-fit would be meaningless.  Returns None
     with fewer than MIN_RATE_SAMPLES samples in the window.
     """
-    t = np.asarray(t, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    mask = (theta > RATE_WINDOW[0]) & (theta < RATE_WINDOW[1])
-    if int(mask.sum()) < MIN_RATE_SAMPLES:
-        return None
-    slope = np.polyfit(t[mask], np.log(theta[mask]), 1)[0]
-    return float(-slope)
+    rate = float(_fit_rates(np.asarray(t, dtype=float), np.asarray(theta, dtype=float)))
+    return None if np.isnan(rate) else rate
 
 
 def summarize(record: TrajectoryRecord, threshold: float = 1e-3) -> RunSummary:
-    return _summary(record.t, record.theta, record.drift, threshold)
+    return _summaries(record.t, record.theta[None], record.drift[None], threshold)[0]
 
 
-def _summary(t, theta, drift_, threshold) -> RunSummary:
+def _summaries(t, theta, drift_, threshold) -> list[RunSummary]:
+    """One summary per row of theta and drift_ (a run's samples along the
+    last axis)."""
     below = theta < threshold
-    t_conv = float(t[int(np.argmax(below))]) if bool(below.any()) else None
-    return RunSummary(
-        final_angle=float(theta[-1]),
-        t_converged=t_conv,
-        fitted_rate=fit_rate(t, theta),
-        max_drift=float(drift_.max()),
-    )
+    t_conv = np.where(below.any(axis=-1), t[np.argmax(below, axis=-1)], np.nan)
+    # Angles and drifts are finite (the stepping checks them); NaN marks "none".
+    columns = zip(theta[:, -1], t_conv, _fit_rates(t, theta), drift_.max(axis=-1))
+    return [RunSummary(*(None if np.isnan(v) else float(v) for v in row)) for row in columns]
 
 
 def closed_form_deviation(record: TrajectoryRecord, k: float) -> float | None:
@@ -205,24 +223,20 @@ def _samples(scenario, kinds, state, model, keep=lambda s: s):
 
 # --- models: a velocity field and a rates function per pair ------------------
 
-def _sphere_velocity(u, yh, y, cost):
-    """Internal model -u x yh plus innovation on the sphere; the plant when
-    cost is None."""
-    v = cross(yh, u)
-    return v if cost is None else v - cost.grad1(yh, y)
-
-
 def _sphere_rate(u, yh, y, cost):
-    """Rotation vector w with w x yh equal to the velocity above."""
+    """Rotation vector w with w x yh equal to the sphere velocity (the plant's without a cost)."""
     w = -np.asarray(u, dtype=float)
     return w if cost is None else w + cross(cost.grad1(yh, y), yh)
 
 
 def _projected_model(inp, cost):
-    """Plant y and sphere observer yhat; yhat may be an (n, 3) batch."""
+    """Plant y and sphere observer yhat (the internal model alone without a
+    cost); yhat may be an (n, 3) batch."""
     def field(t, s):
         u = inp.eval(t)
-        return [_sphere_velocity(u, s[0], None, None), _sphere_velocity(u, s[1], s[0], cost)]
+        yh_dot = (project_dynamics(s[1], u) if cost is None
+                  else projected_observer_field(cost, s[1], s[0], u))
+        return [project_dynamics(s[0], u), yh_dot]
 
     def rates(t, s):
         u = inp.eval(t)
@@ -241,13 +255,12 @@ def _group_model(inp, cost, y0v):
         if cost is None:
             return u, None, u
         y = act(s[0], y0v)
-        yh = act(s[1], y0v)
-        return u, y, u - cross(cost.grad1(yh, y), yh)
+        return u, y, lifted_observer_field(cost, s[1], y, u, y0v)
 
     def field(t, s):
         u, y, u_ob = body_rates(t, s)
-        out = [s[0] @ hat(u), s[1] @ hat(u_ob)]
-        return out if len(s) == 2 else out + [_sphere_velocity(u, s[2], y, cost)]
+        out = [plant_vector_field(s[0], u), plant_vector_field(s[1], u_ob)]
+        return out if len(s) == 2 else out + [projected_observer_field(cost, s[2], y, u)]
 
     def rates(t, s):
         u, y, u_ob = body_rates(t, s)
@@ -277,16 +290,15 @@ def simulate_projected(scenario, cost=None) -> TrajectoryRecord:
         np.abs(np.linalg.norm(y, axis=1) - 1.0),
         np.abs(np.linalg.norm(yhat, axis=1) - 1.0),
     )
-    return TrajectoryRecord(t=t, y=y, yhat=yhat, theta=_angle_rows(yhat, y), drift=dr)
+    return TrajectoryRecord(t=t, y=y, yhat=yhat, theta=error_angle(yhat, y), drift=dr)
 
 
 def _group_record(t, X, Xh, y0v, consistency=None) -> TrajectoryRecord:
     # Canonical-error angle from the right-invariant group error; identical to
     # the output error angle since the action is by orthogonal matrices.
-    err = np.einsum("nij,nkj,k->ni", X, Xh, y0v)
-    err /= np.linalg.norm(err, axis=1, keepdims=True)
+    theta = error_angle(canonical_error_from_group(Xh, X, y0v), y0v)
     return TrajectoryRecord(
-        t=t, y=act(X, y0v), yhat=act(Xh, y0v), theta=_angle_rows(err, y0v),
+        t=t, y=act(X, y0v), yhat=act(Xh, y0v), theta=theta,
         drift=np.maximum(drift(X), drift(Xh)), X=X, Xhat=Xh, consistency=consistency,
     )
 
@@ -405,23 +417,15 @@ class MonteCarloResult:
     seed: int
 
 
-def _sample_observer_sphere(rng, n, y_plant) -> np.ndarray:
-    """Uniform sphere points, redrawn while inside the antipodal cap."""
-    Y = random_unit(rng, n)
+def _sample_observers(rng, n, draw, output, y_plant) -> np.ndarray:
+    """n draws of draw(rng, k) (sphere points or rotations), each redrawn
+    while its output lies inside the antipodal cap around y_plant."""
+    S = draw(rng, n)
     while True:
-        bad = _angle_rows(Y, y_plant) > np.pi - ANTIPODAL_EXCLUSION
+        bad = error_angle(output(S), y_plant) > np.pi - ANTIPODAL_EXCLUSION
         if not np.any(bad):
-            return Y
-        Y[bad] = random_unit(rng, int(bad.sum()))
-
-
-def _sample_observer_group(rng, n, y0v, y_plant) -> np.ndarray:
-    X = random_rotation(rng, n)
-    while True:
-        bad = _angle_rows(act(X, y0v), y_plant) > np.pi - ANTIPODAL_EXCLUSION
-        if not np.any(bad):
-            return X
-        X[bad] = random_rotation(rng, int(bad.sum()))
+            return S
+        S[bad] = draw(rng, int(bad.sum()))
 
 
 def monte_carlo(scenario, n_runs: int | None = None, seed: int | None = None) -> MonteCarloResult:
@@ -442,21 +446,21 @@ def monte_carlo(scenario, n_runs: int | None = None, seed: int | None = None) ->
     y0v = scenario.y0_vec
     if space == "lifted":
         X = scenario.initial_group_pair()[0]
-        state = (X, _sample_observer_group(rng, n, y0v, act(X, y0v)))
+        state = (X, _sample_observers(rng, n, random_rotation, lambda S: act(S, y0v), act(X, y0v)))
         kinds, model = ("group", "group"), _group_model(scenario.input, cost, y0v)
 
         def keep(s):
-            return _angle_rows(act(s[1], y0v), act(s[0], y0v)), drift(s[1])
+            return error_angle(act(s[1], y0v), act(s[0], y0v)), drift(s[1])
     else:
         y = scenario.initial_sphere_pair()[0]
-        state = (y, _sample_observer_sphere(rng, n, y))
+        state = (y, _sample_observers(rng, n, random_unit, lambda S: S, y))
         kinds, model = ("sphere", "sphere"), _projected_model(scenario.input, cost)
 
         def keep(s):
-            return _angle_rows(s[1], s[0]), np.abs(np.linalg.norm(s[1], axis=1) - 1.0)
+            return error_angle(s[1], s[0]), np.abs(np.linalg.norm(s[1], axis=1) - 1.0)
 
     # Only the per-run angle and drift rows are kept at each sample, not the states.
     t_rec, theta, drift_rows = _samples(scenario, kinds, state, model, keep)
-    summaries = [_summary(t_rec, row, dr, threshold) for row, dr in zip(theta.T, drift_rows.T)]
+    summaries = _summaries(t_rec, theta.T, drift_rows.T, threshold)
     frac = float(np.mean([s.final_angle < threshold for s in summaries]))
     return MonteCarloResult(summaries, frac, threshold, n, seed)

@@ -12,23 +12,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .so3 import TangentVector, act, cross, hat, in_stabiliser
+from .so3 import cross, hat, in_stabiliser
 
 
 def plant_vector_field(X, u) -> np.ndarray:
-    """Group tangent X @ hat(u) of the left-invariant plant at X."""
+    """Group tangent X @ hat(u) of the left-invariant plant, over leading axes."""
     return np.asarray(X) @ hat(u)
 
 
-def output(X, y0) -> np.ndarray:
-    """Measured direction act(X, y0); left stabiliser factors drop out."""
-    return act(X, y0)
-
-
-def project_dynamics(y, u) -> TangentVector:
-    """Output-space velocity -hat(u) @ y induced by any representative of y."""
-    y = np.asarray(y, dtype=float)
-    return TangentVector(y, -cross(u, y))
+def project_dynamics(y, u) -> np.ndarray:
+    """Output-space velocity -hat(u) @ y = y x u induced by any representative
+    of y, over leading axes of either argument."""
+    return cross(y, u)
 
 
 def indistinguishable(X, Y, y0) -> bool:
@@ -70,7 +65,7 @@ class InputSignal:
             if self.values.ndim != 2 or len(self.values) != len(self.times) + 1:
                 raise ValueError("piecewise-constant needs len(times) + 1 segment values")
             if len(self.times) and (np.any(np.diff(self.times) <= 0.0) or self.times[0] < 0.0):
-                raise ValueError("switch times must be nonnegative and strictly increasing")
+                raise ValueError("times must be nonnegative and strictly increasing")
         if kind == "sum":
             if not self.terms:
                 raise ValueError("sum input needs at least one term")
@@ -138,10 +133,3 @@ class InputSignal:
         for term in self.terms[1:]:
             out += term.integral(t)
         return out
-
-
-def eval_input(signal: InputSignal, t: float) -> np.ndarray:
-    """Evaluate an input signal at t >= 0."""
-    if t < 0.0:
-        raise ValueError("input signals are defined for t >= 0")
-    return signal.eval(t)

@@ -16,20 +16,19 @@ from .observer import (
     AnisotropicCost,
     FD_EPS,
     HorizontalSubspace,
+    SectionedCost,
     SphereCost,
-    TangentVector,
     check_innovation_equivariance,
     check_synchrony,
     grad1_lifted_cost,
     lifted_cost,
     lifted_observer_field,
-    make_invariant_cost,
     omega_bar,
 )
 from .sampling import random_rotation, random_tangent, random_unit
 from .scenario import InitState
-from .simulate import simulate_cosim, simulate_lifted, simulate_projected, so2_oracle_run
-from .so3 import act, group_exp, hat, unit
+from .simulate import simulate_cosim, simulate_projected, so2_oracle_run
+from .so3 import TangentVector, act, group_exp, hat, unit
 from .systems import InputSignal, plant_vector_field
 
 N_SAMPLES = 1000
@@ -183,7 +182,7 @@ def invariant_cost_construction_residual(rng, y0, n=N_SAMPLES) -> float:
     """The section-generated cost from the candidate k(1 - <z, y0>) is
     invariant under simultaneous rotations and matches the direct cost."""
     k = 1.3
-    made = make_invariant_cost(lambda z: k * (1.0 - float(z @ y0)), y0)
+    made = SectionedCost(lambda z: k * (1.0 - float(z @ y0)), y0)
     direct = SphereCost(k)
     worst = 0.0
     for _ in range(n):
@@ -272,13 +271,6 @@ def antipodal_stationarity_residual(scenario) -> float:
     sc = dc_replace(sc, observer=InitState("direction", -y))
     rec = simulate_projected(sc)
     return float(np.max(np.abs(rec.theta - np.pi)))
-
-
-def group_error_convergence_residual(scenario) -> float:
-    """Final canonical-error angle of a lifted run (the right-invariant group
-    error settles into the stabiliser)."""
-    rec = simulate_lifted(dc_replace(scenario, mode="lifted"))
-    return float(rec.theta[-1])
 
 
 # --- suite ------------------------------------------------------------------

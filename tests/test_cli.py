@@ -151,6 +151,24 @@ def test_input_error_exit_codes(tmp_path):
     so2 = tmp_path / "so2.json"
     so2.write_text('{"instance": "so2-s1"}')
     assert cli.main(["sweep", "--scenario", str(so2), "--out", str(tmp_path / "x")]) == 2
+    piecewise = '"input": {"kind": "piecewise-constant", "times": %s, "values": [[0, 0, 0], [1, 0, 0]]}'
+    for i, doc in enumerate([
+        piecewise % "[null]",
+        piecewise % "[[0.01]]",
+        '"input": {"kind": "constant", "amplitude": [%s, 0, 0]}' % ("1" + "0" * 400),
+        '"y0": [0, 0, %s]' % ("1" + "0" * 400),
+        '"init": {"observer": {"axis_angle": [1e308, 1e308, 0]}}',
+        '"mode": "monte-carlo", "mc": {"runs": 1000000000, "space": "lifted"}',
+    ]):
+        bad = tmp_path / f"hole{i}.json"
+        bad.write_text('{"instance": "so3-s2", %s}' % doc)
+        assert cli.main(["run", "--scenario", str(bad), "--out", str(tmp_path / "x")]) == 2, doc
+    # A sweep of a run document is held to the sweep bounds too.
+    long_run = tmp_path / "long.json"
+    long_run.write_text('{"instance": "so3-s2", "t_end": 100000, "sample_every": 1}')
+    assert cli.main(["sweep", "--scenario", str(long_run), "--out", str(tmp_path / "x")]) == 2
+    huge_seed = ["--seed", str(2 ** 64), "--out", str(tmp_path / "x")]
+    assert cli.main(["run", "--preset", "metni-s2"] + huge_seed) == 2
 
 
 def test_runtime_abort_exit_code(tmp_path, monkeypatch):

@@ -8,25 +8,21 @@ from invobs import (
     AnisotropicCost,
     AntipodalError,
     HorizontalSubspace,
+    SectionedCost,
     SphereCost,
     TangentVector,
     act,
     canonical_error_from_group,
     check_innovation_equivariance,
     check_synchrony,
-    cost,
     error_angle,
     error_angle_closed_form,
-    grad1_cost,
     grad1_lifted_cost,
     group_exp,
     hat,
-    horizontal_lift,
     indistinguishable,
-    innovation_s2,
     lifted_cost,
     lifted_observer_field,
-    make_invariant_cost,
     omega_bar,
     projected_observer_field,
     riemannian_inner,
@@ -42,31 +38,31 @@ Y0 = E3
 
 
 def test_cost_values():
-    assert cost(SphereCost(1.0), E1, E1) == 0.0
-    assert cost(SphereCost(1.0), E1, E2) == 1.0
-    assert cost(SphereCost(2.0), E1, -E1) == 4.0
+    assert SphereCost(1.0).value(E1, E1) == 0.0
+    assert SphereCost(1.0).value(E1, E2) == 1.0
+    assert SphereCost(2.0).value(E1, -E1) == 4.0
 
 
 def test_cost_closed_forms_agree(rng):
     for _ in range(500):
         c = SphereCost(float(rng.uniform(0.5, 2.0)))
         yh, y = random_unit(rng), random_unit(rng)
-        assert cost(c, yh, y) >= -1e-15
-        assert abs(cost(c, yh, y) - 0.5 * c.k * np.sum((yh - y) ** 2)) <= 1e-12
+        assert c.value(yh, y) >= -1e-15
+        assert abs(c.value(yh, y) - 0.5 * c.k * np.sum((yh - y) ** 2)) <= 1e-12
 
 
 def test_cost_invariance(rng):
     c = SphereCost(1.3)
     for _ in range(500):
         yh, y, S = random_unit(rng), random_unit(rng), random_rotation(rng)
-        assert abs(cost(c, act(S, yh), act(S, y)) - cost(c, yh, y)) <= 1e-12
+        assert abs(c.value(act(S, yh), act(S, y)) - c.value(yh, y)) <= 1e-12
 
 
 def test_grad1_examples():
-    assert np.allclose(grad1_cost(SphereCost(1.0), E2, E2).vec, np.zeros(3), atol=1e-15)
-    assert np.allclose(grad1_cost(SphereCost(1.0), E1, E2).vec, [0, -1, 0], atol=1e-15)
+    assert np.allclose(SphereCost(1.0).grad1(E2, E2), np.zeros(3), atol=1e-15)
+    assert np.allclose(SphereCost(1.0).grad1(E1, E2), [0, -1, 0], atol=1e-15)
     # antipodal pair is a critical point
-    assert np.allclose(grad1_cost(SphereCost(1.0), E1, -E1).vec, np.zeros(3), atol=1e-15)
+    assert np.allclose(SphereCost(1.0).grad1(E1, -E1), np.zeros(3), atol=1e-15)
 
 
 def test_grad1_over_leading_axes(rng):
@@ -85,29 +81,42 @@ def test_grad1_matches_finite_differences(rng):
         c = SphereCost(float(rng.uniform(0.5, 2.0)))
         yh, y = random_unit(rng), random_unit(rng)
         w = random_tangent(rng, yh)
-        fd = (cost(c, unit(yh + FD_EPS * w), y) - cost(c, unit(yh - FD_EPS * w), y)) / (2 * FD_EPS)
-        assert abs(fd - float(grad1_cost(c, yh, y).vec @ w)) <= 1e-5
+        fd = (c.value(unit(yh + FD_EPS * w), y) - c.value(unit(yh - FD_EPS * w), y)) / (2 * FD_EPS)
+        assert abs(fd - float(c.grad1(yh, y) @ w)) <= 1e-5
 
 
 def test_innovation_examples(rng):
-    assert np.allclose(innovation_s2(SphereCost(1.0), E2, E2).vec, np.zeros(3), atol=1e-15)
-    assert np.allclose(innovation_s2(SphereCost(2.0), E1, E2).vec, [0, 2, 0], atol=1e-15)
+    # the innovation is minus the cost gradient
+    assert np.allclose(-SphereCost(1.0).grad1(E2, E2), np.zeros(3), atol=1e-15)
+    assert np.allclose(-SphereCost(2.0).grad1(E1, E2), [0, 2, 0], atol=1e-15)
     for _ in range(1000):
         c = SphereCost(float(rng.uniform(0.5, 2.0)))
         yh, y = random_unit(rng), random_unit(rng)
-        inn = innovation_s2(c, yh, y).vec
-        assert np.allclose(inn, -grad1_cost(c, yh, y).vec, atol=1e-15)
+        inn = -c.grad1(yh, y)
         assert np.allclose(inn, c.k * np.cross(np.cross(yh, y), yh), atol=1e-12)
 
 
 def test_projected_observer_field():
     u = np.array([0.7, -0.1, 0.4])
     on_diag = projected_observer_field(SphereCost(1.0), E2, E2, u)
-    assert np.allclose(on_diag.vec, -np.cross(u, E2), atol=1e-15)
+    assert np.allclose(on_diag, -np.cross(u, E2), atol=1e-15)
     pure_inn = projected_observer_field(SphereCost(1.0), E1, E2, np.zeros(3))
-    assert np.allclose(pure_inn.vec, [0, 1, 0], atol=1e-15)
+    assert np.allclose(pure_inn, [0, 1, 0], atol=1e-15)
     cancel = projected_observer_field(SphereCost(1.0), E1, E2, E3)
-    assert np.allclose(cancel.vec, np.zeros(3), atol=1e-15)
+    assert np.allclose(cancel, np.zeros(3), atol=1e-15)
+
+
+def test_fields_over_leading_axes(rng):
+    c = SphereCost(1.4)
+    Yh, y, u = random_unit(rng, 20), random_unit(rng), rng.uniform(-1.5, 1.5, 3)
+    Xh, X = random_rotation(rng, 20), random_rotation(rng)
+    for got, want in [
+        (projected_observer_field(c, Yh, y, u), [projected_observer_field(c, v, y, u) for v in Yh]),
+        (lifted_observer_field(c, Xh, y, u, Y0), [lifted_observer_field(c, R, y, u, Y0) for R in Xh]),
+        (canonical_error_from_group(Xh, X, Y0), [canonical_error_from_group(R, X, Y0) for R in Xh]),
+        (error_angle(Yh, y), [error_angle(v, y) for v in Yh]),
+    ]:
+        assert np.max(np.abs(got - np.array(want))) <= 1e-15
 
 
 def test_omega_bar(rng):
@@ -135,14 +144,14 @@ def test_metric_trace_identity(rng):
 
 def test_horizontal_lift_basics():
     H = HorizontalSubspace(Y0)
-    zero = horizontal_lift(H, np.eye(3), TangentVector(E3, np.zeros(3)))
+    zero = H.lift(np.eye(3), TangentVector(E3, np.zeros(3)))
     assert np.array_equal(zero, np.zeros((3, 3)))
     # identity base point, tangent e1 at e3: generator e1 x e3 = -e2
-    L = horizontal_lift(H, np.eye(3), TangentVector(E3, E1))
+    L = H.lift(np.eye(3), TangentVector(E3, E1))
     assert np.allclose(L, hat(-E2), atol=1e-15)
     assert H.contains(np.eye(3), L)
     with pytest.raises(ValueError, match="base"):
-        horizontal_lift(H, group_exp([1.0, 0, 0]), TangentVector(E3, E1))
+        H.lift(group_exp([1.0, 0, 0]), TangentVector(E3, E1))
 
 
 def test_horizontal_lift_round_trip(rng):
@@ -151,7 +160,7 @@ def test_horizontal_lift_round_trip(rng):
         Xh = random_rotation(rng)
         yh = act(Xh, Y0)
         v = TangentVector(yh, rng.uniform(0.1, 2.0) * random_tangent(rng, yh))
-        L = horizontal_lift(H, Xh, v)
+        L = H.lift(Xh, v)
         assert H.contains(Xh, L)
         w = np.cross(v.vec, v.base)
         fd = (act(Xh @ group_exp(FD_EPS * w), Y0) - act(Xh @ group_exp(-FD_EPS * w), Y0)) / (2 * FD_EPS)
@@ -180,7 +189,7 @@ def test_observer_two_forms_identity(rng):
         explicit = u + c.k * np.cross(y, yh)
         assert np.allclose(body, explicit, atol=1e-12)
         lhs = Xh @ hat(body)
-        rhs = Xh @ hat(u) - horizontal_lift(H, Xh, TangentVector(yh, c.grad1(yh, y)))
+        rhs = Xh @ hat(u) - H.lift(Xh, TangentVector(yh, c.grad1(yh, y)))
         assert np.linalg.norm(lhs - rhs) <= 1e-12
 
 
@@ -203,7 +212,7 @@ def test_grad1_lifted_cost_identity_and_fd(rng):
         Xh, X = random_rotation(rng), random_rotation(rng)
         yh, y = act(Xh, Y0), act(X, Y0)
         G = grad1_lifted_cost(c, Xh, X, Y0)
-        lifted = horizontal_lift(H, Xh, grad1_cost(c, yh, y))
+        lifted = H.lift(Xh, TangentVector(yh, c.grad1(yh, y)))
         assert np.linalg.norm(G - lifted) <= 1e-12
         assert H.contains(Xh, G, tol=1e-9)
     for _ in range(200):
@@ -287,7 +296,7 @@ def test_equivariance_and_negative_control():
 
 def test_make_invariant_cost(rng):
     k = 1.3
-    made = make_invariant_cost(lambda z: k * (1.0 - float(z @ Y0)), Y0)
+    made = SectionedCost(lambda z: k * (1.0 - float(z @ Y0)), Y0)
     direct = SphereCost(k)
     for _ in range(1000):
         y1, y2, S = random_unit(rng), random_unit(rng), random_rotation(rng)
@@ -303,7 +312,7 @@ def test_make_invariant_cost(rng):
 
 def test_make_invariant_cost_gradient_fd(rng):
     k = 0.8
-    made = make_invariant_cost(lambda z: k * (1.0 - float(z @ Y0)), Y0)
+    made = SectionedCost(lambda z: k * (1.0 - float(z @ Y0)), Y0)
     direct = SphereCost(k)
     for _ in range(50):
         y1, y2 = random_unit(rng), random_unit(rng)

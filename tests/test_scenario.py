@@ -1,10 +1,13 @@
 """Scenario parsing, validation messages, presets, and round-tripping."""
 
+import copy
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invobs import (
     ScenarioError,
@@ -14,6 +17,7 @@ from invobs import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from invobs.scenario import INSTANCES, MAX_MC_RUNS, MAX_MC_VALUES, MODES
 
 
 def parse(doc):
@@ -67,6 +71,22 @@ def test_invalid_json_rejected():
     ({"instance": "so3-s2", "schema_version": 99}, "schema_version"),
     ({"instance": "so3-s2", "t_end": 1e30}, "^t_end "),
     ({"instance": "so3-s2", "t_end": 100001.0, "integrator": {"h": 1e-3}}, "^t_end "),
+    ({"instance": "so3-s2", "input": {"kind": "piecewise-constant", "times": [None],
+                                      "values": [[0, 0, 0], [1, 0, 0]]}}, r"^input\.times "),
+    ({"instance": "so3-s2", "input": {"kind": "piecewise-constant", "times": [[0.01]],
+                                      "values": [[0, 0, 0], [1, 0, 0]]}}, r"^input\.times "),
+    ({"instance": "so3-s2", "input": {"kind": "constant", "amplitude": [10 ** 400, 0, 0]}},
+     r"^input\.amplitude "),
+    ({"instance": "so3-s2", "y0": [0, 0, 10 ** 400]}, "^y0 "),
+    ({"instance": "so3-s2", "init": {"observer": {"axis_angle": [1e308, 1e308, 0]}}},
+     r"^init\.observer\.axis_angle "),
+    ({"instance": "so3-s2", "mode": "monte-carlo", "mc": {"runs": 10 ** 9, "space": "lifted"}},
+     r"^mc\.runs "),
+    ({"instance": "so3-s2", "mode": "monte-carlo", "t_end": 1000.0, "sample_every": 1},
+     r"^mc\.runs "),
+    ({"instance": "so3-s2", "integrator": {"method": None}}, r"^integrator\.method "),
+    ({"instance": "so3-s2", "seed": float("inf")}, "^seed "),
+    ({"instance": "so3-s2", "sample_every": 2.0 ** 64}, "^sample_every "),
 ])
 def test_validation_errors_name_the_field(doc, fragment):
     with pytest.raises(ScenarioError, match=fragment):
@@ -76,6 +96,17 @@ def test_validation_errors_name_the_field(doc, fragment):
 def test_step_count_limit():
     # 10**8 steps of the default h parse; the run itself is not started.
     assert parse({"instance": "so3-s2", "t_end": 1e5}).t_end == 1e5
+
+
+def test_sweep_size_limits():
+    # Both sweep bounds reached exactly, then passed by one recorded sample;
+    # the sweeps themselves are not started.
+    doc = {"instance": "so3-s2", "mode": "monte-carlo", "mc": {"runs": MAX_MC_RUNS},
+           "t_end": 0.499, "sample_every": 1}
+    sc = parse(doc)
+    assert sc.mc.runs * (round(sc.t_end / sc.integrator.h) + 1) == MAX_MC_VALUES
+    with pytest.raises(ScenarioError, match=r"^mc\.runs "):
+        parse(dict(doc, t_end=0.5))
 
 
 HUGE = 10 ** 30  # a JSON integer beyond every 64-bit type
@@ -151,3 +182,82 @@ def test_presets():
     assert preset("explicit-complementary").mode == "lifted"
     with pytest.raises(ScenarioError, match="almost-global-sweep"):
         preset("nope")
+
+
+# --- fuzzing: one field of a preset document replaced by arbitrary JSON -----
+
+HUGE_INTS = st.sampled_from([2 ** 64, -2 ** 63 - 1, 10 ** 30, 10 ** 400, -10 ** 400])
+NUMBERS = st.integers() | HUGE_INTS | st.floats()  # floats include +-inf and nan
+SCALARS = st.none() | st.booleans() | st.text(max_size=8) | NUMBERS
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=3),
+    max_leaves=10,
+)
+# Shapes the parser reads as vectors and matrices, so that fuzzing reaches
+# the checks behind the shape checks.
+VALUES = (JSON | st.lists(NUMBERS, min_size=1, max_size=4)
+          | st.lists(st.lists(NUMBERS, min_size=3, max_size=3), min_size=1, max_size=4))
+
+EXTRA_DOCS = [
+    {"instance": "so3-s2", "mode": "co-sim", "y0": [0.0, 0.6, 0.8],
+     "input": {"kind": "piecewise-constant", "times": [0.5, 1.5],
+               "values": [[0.1, 0.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.3]]},
+     "init": {"plant": {"direction": [0.0, 0.0, 1.0]},
+              "observer": {"axis_angle": [0.4, -0.2, 0.1]}},
+     "integrator": {"method": "lie-euler", "h": 0.01}, "t_end": 2.0, "sample_every": 5},
+    {"instance": "so2-s1", "mode": "synchrony", "y0": 0.3,
+     "input": {"kind": "sinusoid", "amplitude": [0.5], "frequency": 0.2, "phase": 0.1},
+     "init": {"plant": {"angle": 0.1}, "observer": {"angle": 1.0}}},
+]
+BASE_DOCS = [scenario_to_dict(preset(name)) for name in preset_names()] + EXTRA_DOCS
+# Settable top-level fields, present in a base document or not.
+TOP_FIELDS = ("schema_version", "instance", "mode", "k", "y0", "input", "init", "integrator",
+              "t_end", "sample_every", "seed", "mc")
+
+
+def _field_paths(node, path=()):
+    """Paths of every field (object key) below node, lists indexed on the way."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(node, dict):
+            yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, path + (key,))
+
+
+FIELDS = [(i, path) for i, doc in enumerate(BASE_DOCS)
+          for path in sorted(set(_field_paths(doc)) | {(k,) for k in TOP_FIELDS}, key=str)]
+
+
+def _label(path) -> str:
+    """A field path as messages spell it: input.terms[1].times."""
+    out = ""
+    for key in path:
+        out += f"[{key}]" if isinstance(key, int) else (f".{key}" if out else key)
+    return out
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(field=st.sampled_from(FIELDS), value=VALUES)
+def test_fuzzed_field_parses_or_is_named(field, value):
+    i, path = field
+    doc = copy.deepcopy(BASE_DOCS[i])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        sc = scenario_from_dict(doc)
+    except ScenarioError as exc:
+        message = str(exc)
+        if path in (("instance",), ("mode",)) and value in INSTANCES + MODES:
+            # A valid instance or mode changes how the other fields are read;
+            # the message then names the field it made invalid.
+            assert any(_label(p) in message for p in _field_paths(doc)), message
+        else:
+            assert _label(path) in message, message
+        return
+    echo = scenario_to_dict(sc)
+    assert scenario_to_dict(scenario_from_dict(json.loads(json.dumps(echo)))) == echo

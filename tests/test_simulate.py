@@ -8,6 +8,7 @@ import pytest
 from invobs import (
     AnisotropicCost,
     IntegratorSpec,
+    RunSummary,
     SimulationAbort,
     TrajectoryRecord,
     closed_form_deviation,
@@ -20,6 +21,7 @@ from invobs import (
     so2_oracle_run,
     summarize,
 )
+from invobs.simulate import MIN_RATE_SAMPLES, RATE_WINDOW, _summaries
 
 E1, E2, E3 = np.eye(3)
 
@@ -62,6 +64,45 @@ def test_fit_rate_recovers_exact_exponential():
     rate = fit_rate(t, theta)
     assert rate == pytest.approx(1.7, rel=1e-6)
     assert fit_rate(t[:3], theta[:3]) is None  # too few samples in window
+
+
+def _per_row_summary(t, theta, drift, threshold):
+    """The per-run summary as it was computed one run at a time."""
+    below = theta < threshold
+    mask = (theta > RATE_WINDOW[0]) & (theta < RATE_WINDOW[1])
+    rate = (None if int(mask.sum()) < MIN_RATE_SAMPLES
+            else float(-np.polyfit(t[mask], np.log(theta[mask]), 1)[0]))
+    return RunSummary(float(theta[-1]), float(t[int(np.argmax(below))]) if below.any() else None,
+                      rate, float(drift.max()))
+
+
+def test_summaries_match_per_row_fit(rng):
+    t = np.linspace(0.0, 15.0, 1501)
+    k = rng.uniform(0.3, 2.5, (40, 1))
+    theta = 2.0 * np.arctan(np.tan(0.5 * rng.uniform(0.05, 3.0, (40, 1))) * np.exp(-k * t))
+    theta *= 1.0 + 1e-3 * rng.standard_normal(theta.shape)  # not an exact line in log
+    theta[0] = 0.5                                  # never crosses, nothing in the window
+    theta[1] = np.where(t < 3.0, 0.5, 1e-9)         # crosses, nothing in the window
+    theta[2] = 0.09 * np.exp(-0.1 * t)              # never crosses, all in the window
+    theta[3, 300:] = 1e-9                           # jumps out of the window
+    for row, n in ((4, MIN_RATE_SAMPLES - 1), (5, MIN_RATE_SAMPLES)):
+        theta[row] = np.where(t < 1.0, 0.5, 1e-9)   # exactly n samples in the window
+        theta[row, 100:100 + n] = 0.05 * np.exp(-t[100:100 + n])
+    drift = rng.uniform(0.0, 1e-12, theta.shape)
+    got = _summaries(t, theta, drift, 1e-3)
+    rates = 0
+    for row, summary in enumerate(got):
+        want = _per_row_summary(t, theta[row], drift[row], 1e-3)
+        assert (summary.final_angle, summary.t_converged, summary.max_drift) == \
+            (want.final_angle, want.t_converged, want.max_drift)
+        assert (summary.fitted_rate is None) == (want.fitted_rate is None), row
+        assert fit_rate(t, theta[row]) == summary.fitted_rate
+        if want.fitted_rate is not None:
+            assert summary.fitted_rate == pytest.approx(want.fitted_rate, rel=1e-12, abs=0.0)
+            rates += 1
+    assert got[0].t_converged is None and got[1].t_converged is not None
+    assert got[4].fitted_rate is None and got[5].fitted_rate is not None
+    assert rates >= 30
 
 
 def test_summarize_thresholds(make_scenario):
@@ -269,13 +310,15 @@ def test_near_antipodal_perturbation_escapes(make_scenario):
 
 
 def test_monte_carlo_exclusion_cap(rng):
-    from invobs.simulate import ANTIPODAL_EXCLUSION, _sample_observer_group, _sample_observer_sphere
+    from invobs.sampling import random_rotation, random_unit
+    from invobs.simulate import ANTIPODAL_EXCLUSION, _sample_observers
+    from invobs.so3 import act
 
     y = np.array([0.0, 0.0, 1.0])
-    Y = _sample_observer_sphere(rng, 4000, y)
+    Y = _sample_observers(rng, 4000, random_unit, lambda S: S, y)
     angles = 2.0 * np.arctan2(np.linalg.norm(Y - y, axis=1), np.linalg.norm(Y + y, axis=1))
     assert np.max(angles) <= np.pi - ANTIPODAL_EXCLUSION
-    X = _sample_observer_group(rng, 500, y, y)
+    X = _sample_observers(rng, 500, random_rotation, lambda S: act(S, y), y)
     out = np.einsum("nji,j->ni", X, y)
     angles = 2.0 * np.arctan2(np.linalg.norm(out - y, axis=1), np.linalg.norm(out + y, axis=1))
     assert np.max(angles) <= np.pi - ANTIPODAL_EXCLUSION
@@ -300,6 +343,7 @@ def test_runs_bit_identical_with_numpy_cross(make_scenario, monkeypatch, method)
     import invobs.observer
     import invobs.simulate
     import invobs.so3
+    import invobs.systems
 
     integ = {"method": method, "h": 1e-3}
     init = {"observer": {"axis_angle": [1.7, -0.4, 0.3]}}
@@ -323,7 +367,7 @@ def test_runs_bit_identical_with_numpy_cross(make_scenario, monkeypatch, method)
 
     # Every module whose helpers a step may reach; the count shows the step
     # path really went through np.cross.
-    for module in (invobs.simulate, invobs.observer, invobs.so3):
+    for module in (invobs.simulate, invobs.observer, invobs.systems, invobs.so3):
         monkeypatch.setattr(module, "cross", numpy_cross)
     reference = [fn(sc) for fn, sc in runs], [monte_carlo(sc) for sc in sweeps]
     assert len(calls) >= 4 * 200
@@ -333,3 +377,43 @@ def test_runs_bit_identical_with_numpy_cross(make_scenario, monkeypatch, method)
             assert (a is None and b is None) or np.array_equal(a, b), f.name
     for got, want in zip(ours[1], reference[1]):
         assert got.summaries == want.summaries
+
+
+def test_runs_step_the_public_fields(make_scenario, monkeypatch):
+    """The models call the field functions that verify and the field tests
+    check; a private copy of a field in the simulator fails here."""
+    import invobs.simulate
+
+    names = ("project_dynamics", "projected_observer_field", "plant_vector_field",
+             "lifted_observer_field")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(invobs.simulate, name, counted(name, getattr(invobs.simulate, name)))
+    steps = 20  # rk4-project: four field evaluations per step
+    single = dict(input=SINUSOID, t_end=steps * 1e-3,
+                  init={"observer": {"axis_angle": [1.7, -0.4, 0.3]}})
+    sweep = dict(mode="monte-carlo", input=SINUSOID, t_end=steps * 1e-2, integrator={"h": 1e-2})
+    runs = [
+        (simulate_projected, make_scenario(mode="projected", **single),
+         {"project_dynamics": 4, "projected_observer_field": 4}),
+        (simulate_projected, make_scenario(mode="synchrony", **single), {"project_dynamics": 8}),
+        (simulate_lifted, make_scenario(mode="lifted", **single),
+         {"plant_vector_field": 8, "lifted_observer_field": 4}),
+        (simulate_cosim, make_scenario(mode="co-sim", **single),
+         {"plant_vector_field": 8, "lifted_observer_field": 4, "projected_observer_field": 4}),
+        (monte_carlo, make_scenario(**sweep, mc={"runs": 5, "space": "projected"}),
+         {"project_dynamics": 4, "projected_observer_field": 4}),
+        (monte_carlo, make_scenario(**sweep, mc={"runs": 5, "space": "lifted"}),
+         {"plant_vector_field": 8, "lifted_observer_field": 4}),
+    ]
+    for fn, sc, per_step in runs:
+        calls.update(dict.fromkeys(names, 0))
+        fn(sc)
+        assert calls == {name: per_step.get(name, 0) * steps for name in names}, sc.mode

@@ -6,11 +6,9 @@ import pytest
 from invobs import (
     InputSignal,
     act,
-    eval_input,
     group_exp,
     hat,
     indistinguishable,
-    output,
     plant_vector_field,
     project_dynamics,
     section,
@@ -31,31 +29,41 @@ def test_plant_vector_field():
 
 
 def test_output_matches_action():
-    assert np.allclose(output(np.eye(3), E3), E3, atol=1e-15)
+    assert np.allclose(act(np.eye(3), E3), E3, atol=1e-15)
     Rx = group_exp([np.pi / 2, 0, 0])
-    assert np.allclose(output(Rx, E3), Rx.T @ E3, atol=1e-15)
-    assert np.allclose(output(Rx, E3), [0, 1, 0], atol=1e-15)
+    assert np.allclose(act(Rx, E3), Rx.T @ E3, atol=1e-15)
+    assert np.allclose(act(Rx, E3), [0, 1, 0], atol=1e-15)
 
 
 def test_output_invariant_under_left_stabiliser_only(rng):
     for _ in range(100):
         X = random_rotation(rng)
         Z = group_exp(float(rng.uniform(0.1, 3.0)) * E3)  # fixes e3
-        assert np.allclose(output(Z @ X, E3), output(X, E3), atol=1e-12)
+        assert np.allclose(act(Z @ X, E3), act(X, E3), atol=1e-12)
     # generic right multiplication by a stabiliser element moves the output
     X = group_exp([0.9, 0.2, -0.4])
     Z = group_exp(1.1 * E3)
-    assert np.linalg.norm(output(X @ Z, E3) - output(X, E3)) > 1e-3
+    assert np.linalg.norm(act(X @ Z, E3) - act(X, E3)) > 1e-3
 
 
 def test_project_dynamics_examples():
     v = project_dynamics(E1, E3)
-    assert np.allclose(v.vec, [0, -1, 0], atol=1e-15)
-    assert np.allclose(v.vec, -np.cross(E3, E1), atol=1e-15)
+    assert np.allclose(v, [0, -1, 0], atol=1e-15)
+    assert np.allclose(v, -np.cross(E3, E1), atol=1e-15)
     # velocity along the measured direction is invisible
     parallel = project_dynamics(E3, 2.3 * E3)
-    assert np.allclose(parallel.vec, np.zeros(3), atol=1e-15)
-    assert abs(v.vec @ v.base) <= 1e-15
+    assert np.allclose(parallel, np.zeros(3), atol=1e-15)
+    assert abs(v @ E1) <= 1e-15
+
+
+def test_fields_over_leading_axes(rng):
+    Y, U, u = random_unit(rng, 20), rng.uniform(-2, 2, (20, 3)), rng.uniform(-2, 2, 3)
+    X = random_rotation(rng, 20)
+    V = project_dynamics(Y, U)
+    assert np.array_equal(V, [project_dynamics(y, w) for y, w in zip(Y, U)])
+    assert np.array_equal(V, -np.cross(U, Y))
+    assert np.max(np.abs(np.einsum("ni,ni->n", V, Y))) <= 1e-14  # tangent at each row
+    assert np.array_equal(plant_vector_field(X, u), [plant_vector_field(R, u) for R in X])
 
 
 def test_project_dynamics_finite_difference_oracle(rng):
@@ -67,7 +75,7 @@ def test_project_dynamics_finite_difference_oracle(rng):
         plus = act(X @ group_exp(EPS * u), y0)
         minus = act(X @ group_exp(-EPS * u), y0)
         fd = (plus - minus) / (2 * EPS)
-        assert np.linalg.norm(fd - project_dynamics(y, u).vec) <= 1e-6
+        assert np.linalg.norm(fd - project_dynamics(y, u)) <= 1e-6
 
 
 def test_projected_velocity_is_representative_independent(rng):
@@ -111,17 +119,15 @@ def test_indistinguishable_is_equivalence(rng):
 
 def test_eval_input_examples():
     const = InputSignal.constant([0, 0, 1])
-    assert np.array_equal(eval_input(const, 5.0), [0, 0, 1])
+    assert np.array_equal(const.eval(5.0), [0, 0, 1])
     sin = InputSignal.sinusoid([1, 0, 0], frequency=0.5)
-    assert np.allclose(eval_input(sin, 0.0), np.zeros(3), atol=1e-15)
+    assert np.allclose(sin.eval(0.0), np.zeros(3), atol=1e-15)
     pw = InputSignal.piecewise([1.0], [[1, 0, 0], [0, 2, 0]])
-    assert np.array_equal(eval_input(pw, 0.5), [1, 0, 0])
-    assert np.array_equal(eval_input(pw, 1.0), [0, 2, 0])  # right-continuous
-    assert np.array_equal(eval_input(pw, 9.0), [0, 2, 0])
+    assert np.array_equal(pw.eval(0.5), [1, 0, 0])
+    assert np.array_equal(pw.eval(1.0), [0, 2, 0])  # right-continuous
+    assert np.array_equal(pw.eval(9.0), [0, 2, 0])
     total = InputSignal.sum_of(const, pw)
-    assert np.array_equal(eval_input(total, 1.0), [0, 2, 1])
-    with pytest.raises(ValueError):
-        eval_input(const, -0.1)
+    assert np.array_equal(total.eval(1.0), [0, 2, 1])
 
 
 def test_input_validation():
