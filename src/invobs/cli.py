@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace as dc_replace
 
 from . import runner
 from .scenario import (
@@ -85,7 +84,9 @@ def main(argv=None) -> int:
 
         sc = _load_scenario(args)
         if args.command == "verify":
-            sc = dc_replace(sc, mode="verify")
+            # Parsed again as a verify document, which has no sweep settings.
+            doc = {key: v for key, v in scenario_to_dict(sc).items() if key != "mc"}
+            sc = scenario_from_dict(dict(doc, mode="verify"))
         elif args.command == "sweep":
             # Parsed again as a sweep document, so the sweep bounds apply.
             sc = scenario_from_dict(dict(scenario_to_dict(sc), mode="monte-carlo"))

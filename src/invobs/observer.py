@@ -122,16 +122,23 @@ class HorizontalSubspace:
         return abs(float(w @ act(Xhat, self.y0))) <= tol
 
 
+def observer_body_rate(c, yhat, y, u) -> np.ndarray:
+    """Body rate u - (c.grad1(yhat, y) x yhat) of the observer at output yhat,
+    over leading axes: the sphere observer moves by act(group_exp(h * .), yhat).
+    For the invariant cost this is u + k * (y x yhat), the proportional
+    complementary-filter form."""
+    return np.asarray(u, dtype=float) - cross(c.grad1(yhat, y), yhat)
+
+
 def lifted_observer_field(c, Xhat, y, u, y0) -> np.ndarray:
-    """Body-frame velocity of the group observer.
+    """Body-frame velocity of the group observer: observer_body_rate at
+    act(Xhat, y0).
 
     Advancing Xhat by group_exp(h * hat(.)) of the returned vector realises
     Xhat' = Xhat @ hat(u) minus the horizontal lift of the cost gradient.
-    For the invariant cost this is u + k * (y x yhat), the proportional
-    complementary-filter form.  Xhat, y and u may carry leading axes.
+    Xhat, y and u may carry leading axes.
     """
-    yhat = act(Xhat, y0)
-    return np.asarray(u, dtype=float) - cross(c.grad1(yhat, y), yhat)
+    return observer_body_rate(c, act(Xhat, y0), y, u)
 
 
 def lifted_cost(c, Xhat, X, y0) -> float:
@@ -203,6 +210,12 @@ def check_synchrony(record) -> float:
     return float(np.max(np.abs(theta - theta[0])))
 
 
+def worst_residual(residuals) -> float:
+    """Largest of the residuals (floats or tuples of floats), 0.0 for none;
+    NaN if one is NaN, where a running max(worst, r) would skip it."""
+    return float(np.max(list(residuals), initial=0.0))
+
+
 def check_innovation_equivariance(c, samples: int = 1000, seed: int = 0) -> float:
     """Worst-case equivariance defect of the cost gradient over random
     (rotation, yhat, y) triples.
@@ -211,15 +224,16 @@ def check_innovation_equivariance(c, samples: int = 1000, seed: int = 0) -> floa
     anisotropic negative control.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
+
+    def residual():
         S = random_rotation(rng)
         yhat = random_unit(rng)
         y = random_unit(rng)
         lhs = S.T @ c.grad1(yhat, y)
         rhs = c.grad1(act(S, yhat), act(S, y))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+        return float(np.linalg.norm(lhs - rhs))
+
+    return worst_residual(residual() for _ in range(samples))
 
 
 class SectionedCost:

@@ -109,8 +109,11 @@ def run(sc: Scenario, out_dir: str, quiet: bool = False) -> int:
         say(f"monte carlo: {result.convergence_fraction:.4f} of {result.n_runs} runs "
             f"below {result.threshold:g} rad")
     else:
-        rec = _simulate(sc)
-        summary = summarize(rec, sc.mc.threshold if sc.mc else 1e-3)
+        # The circle oracle steps the pair itself; its record is the run's.
+        so2_oracle = sc.instance == "so2-s1" and sc.mode in ("projected", "lifted")
+        oracle = so2_oracle_run(sc) if so2_oracle else None
+        rec = oracle.record if oracle else _simulate(sc)
+        summary = summarize(rec)
         payload["summary"] = asdict(summary)
         if sc.mode in ("projected", "lifted"):
             payload["summary"]["closed_form_max_deviation"] = (
@@ -124,8 +127,7 @@ def run(sc: Scenario, out_dir: str, quiet: bool = False) -> int:
             delta = check_synchrony(rec)
             payload["summary"]["synchrony_max_delta"] = delta
             payload["summary"]["synchrony_passed"] = delta <= SYNCHRONY_TOL
-        if sc.instance == "so2-s1" and sc.mode in ("projected", "lifted"):
-            oracle = so2_oracle_run(sc)
+        if oracle:
             payload["summary"]["oracle_max_deviation"] = oracle.max_deviation
             payload["summary"]["final_state_error"] = oracle.final_state_error
         write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), rec)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circle
-from .simulate import IntegratorSpec
+from .simulate import CONVERGENCE_THRESHOLD, IntegratorSpec
 from .so3 import AntipodalError, act, drift, group_exp, section
 from .systems import InputSignal
 
@@ -48,7 +48,7 @@ class McSpec:
 
     runs: int = 1000
     space: str = "projected"
-    threshold: float = 1e-3
+    threshold: float = CONVERGENCE_THRESHOLD
 
 
 @dataclass
@@ -312,12 +312,12 @@ def scenario_from_dict(d: dict) -> Scenario:
         if not isinstance(mspec, dict):
             raise ScenarioError("mc must be an object")
         _check_keys(mspec, {"runs", "space", "threshold"}, "mc")
-        space = mspec.get("space", "projected")
+        space = mspec.get("space", McSpec.space)
         _require(space in MC_SPACES, f"mc.space must be one of {list(MC_SPACES)}")
         mc = McSpec(
-            runs=_number(mspec, "runs", 1000, "mc", integer=True, positive=True),
+            runs=_number(mspec, "runs", McSpec.runs, "mc", integer=True, positive=True),
             space=space,
-            threshold=_number(mspec, "threshold", 1e-3, "mc", positive=True),
+            threshold=_number(mspec, "threshold", McSpec.threshold, "mc", positive=True),
         )
         _require(mc.runs <= MAX_MC_RUNS, f"mc.runs must be at most {MAX_MC_RUNS}")
         samples = round(t_end / spec.h) // sample_every + 1

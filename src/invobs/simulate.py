@@ -9,13 +9,15 @@ since the continuous-time theory says nothing about discretisation and fourth
 order keeps the integrator far below every property tolerance.
 
 Both integrators live in one time loop, ``_integrate``.  Every run (projected,
-lifted, co-simulation, circle, and each Monte Carlo sweep) is a model on it: a
-velocity field and a rates function over a list of sphere, group or angle
-components, where a sweep's observer component carries the batch axis.
+lifted, co-simulation, circle, and each Monte Carlo sweep) is a pair on it: a
+velocity field, a rates function and an observation over a list of sphere,
+group or angle components, where a sweep's observer component carries the
+batch axis.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +29,16 @@ from .observer import (
     error_angle,
     error_angle_closed_form,
     lifted_observer_field,
+    observer_body_rate,
     projected_observer_field,
 )
-from .so3 import act, compose, cross, drift, group_exp, orthonormalize, unit
+from .so3 import act, compose, drift, group_exp, orthonormalize, unit
 from .sampling import random_rotation, random_unit
 from .systems import plant_vector_field, project_dynamics
 
 ANTIPODAL_EXCLUSION = 0.01  # rad; Monte Carlo cap around the antipode
 RATE_WINDOW = (1e-6, 0.1)   # rad; log-linear fit window for the decay rate
+CONVERGENCE_THRESHOLD = 1e-3  # rad; default final-angle threshold of runs and sweeps
 MIN_RATE_SAMPLES = 10
 
 
@@ -124,7 +128,7 @@ def fit_rate(t, theta) -> float | None:
     return None if np.isnan(rate) else rate
 
 
-def summarize(record: TrajectoryRecord, threshold: float = 1e-3) -> RunSummary:
+def summarize(record: TrajectoryRecord, threshold: float = CONVERGENCE_THRESHOLD) -> RunSummary:
     return _summaries(record.t, record.theta[None], record.drift[None], threshold)[0]
 
 
@@ -160,37 +164,43 @@ def _check_finite(t: float, state):
 
 
 # Per component kind: the retraction after an RK4 step, and the Lie-Euler
-# update by the step-scaled rate hw.  A sphere point moves to exp(hw) y,
-# written as the action of the transposed exponential.  The primitives are
-# looked up per call, so a replaced module attribute takes effect.
+# update by the step-scaled rate hw: a body rate moves a group state to
+# X exp(hw) and a sphere state to act(exp(hw), y).  The primitives are looked
+# up per call, so a replaced module attribute takes effect.
 _RETRACT = {
     "sphere": lambda v: unit(v),
     "group": lambda X: orthonormalize(X),
     "angle": lambda s: s,
 }
 _LIE_STEP = {
-    "sphere": lambda y, hw: act(group_exp(hw).swapaxes(-1, -2), y),
+    "sphere": lambda y, hw: act(group_exp(hw), y),
     "group": lambda X, hw: compose(X, group_exp(hw)),
     "angle": lambda s, hw: s + hw,
 }
 
 
-def _integrate(scenario, kinds, state, rk4_field, lie_rates, record):
-    """Advance a list of state components over the scenario's horizon.
+# A plant-observer pair on the stepping engine (see _integrate); ``observe``
+# maps a state to its error angle and drift, over leading axes.
+_Pair = namedtuple("_Pair", "kinds field rates observe", defaults=(None,))
 
-    ``kinds`` names each component's space: "sphere" (unit vectors), "group"
-    (rotation matrices) or "angle" (circle angles).  A component may carry
-    leading batch axes; the primitives broadcast over them.
-    ``rk4_field(t, state)`` gives each component's velocity in the embedding,
-    ``lie_rates(t, state)`` each component's rate for one Lie-Euler step
-    (body rate on the group, rotation vector on the sphere, angular rate on
-    the circle).  ``record(t, state)`` sees the initial state, every
-    ``sample_every``-th step and the last step, each checked finite first.
+
+def _integrate(scenario, pair, state, record):
+    """Advance a pair's list of state components over the scenario's horizon.
+
+    ``pair.kinds`` names each component's space: "sphere" (unit vectors),
+    "group" (rotation matrices) or "angle" (circle angles).  A component may
+    carry leading batch axes; the primitives broadcast over them.
+    ``pair.field(t, state)`` gives each component's velocity in the embedding,
+    ``pair.rates(t, state)`` each component's rate for one Lie-Euler step
+    (body rate on the group and the sphere, angular rate on the circle).
+    ``record(t, state)`` sees the initial state, every ``sample_every``-th
+    step and the last step, each checked finite first.
     """
     h = scenario.integrator.h
     n = _n_steps(scenario.t_end, h)
     every = scenario.sample_every
     rk4 = scenario.integrator.method == "rk4-project"
+    kinds, rk4_field, lie_rates, _ = pair
     retract = [_RETRACT[k] for k in kinds]
     lie_step = [_LIE_STEP[k] for k in kinds]
     state = list(state)
@@ -213,23 +223,17 @@ def _integrate(scenario, kinds, state, rk4_field, lie_rates, record):
             record(t, state)
 
 
-def _samples(scenario, kinds, state, model, keep=lambda s: s):
+def _samples(scenario, pair, state, keep=lambda s: s):
     """Integrate and return the recorded times and the samples of each
     quantity ``keep`` takes from the state (by default every component)."""
     rows = []
-    _integrate(scenario, kinds, state, *model, lambda t, s: rows.append((t, *keep(s))))
+    _integrate(scenario, pair, state, lambda t, s: rows.append((t, *keep(s))))
     return [np.array(col) for col in zip(*rows)]
 
 
-# --- models: a velocity field and a rates function per pair ------------------
+# --- pairs: y and yhat on the sphere, X and Xhat on the group ----------------
 
-def _sphere_rate(u, yh, y, cost):
-    """Rotation vector w with w x yh equal to the sphere velocity (the plant's without a cost)."""
-    w = -np.asarray(u, dtype=float)
-    return w if cost is None else w + cross(cost.grad1(yh, y), yh)
-
-
-def _projected_model(inp, cost):
+def _sphere_pair(inp, cost) -> _Pair:
     """Plant y and sphere observer yhat (the internal model alone without a
     cost); yhat may be an (n, 3) batch."""
     def field(t, s):
@@ -239,42 +243,43 @@ def _projected_model(inp, cost):
         return [project_dynamics(s[0], u), yh_dot]
 
     def rates(t, s):
-        u = inp.eval(t)
-        return [_sphere_rate(u, s[0], None, None), _sphere_rate(u, s[1], s[0], cost)]
+        u = np.asarray(inp.eval(t), dtype=float)
+        return [u, u if cost is None else observer_body_rate(cost, s[1], s[0], u)]
 
-    return field, rates
+    def observe(s):
+        y_defect, yh_defect = (np.abs(np.linalg.norm(c, axis=-1) - 1.0) for c in s)
+        return error_angle(s[1], s[0]), np.maximum(y_defect, yh_defect)
+
+    return _Pair(("sphere", "sphere"), field, rates, observe)
 
 
-def _group_model(inp, cost, y0v):
+def _group_pair(inp, cost, y0v, cosim=False) -> _Pair:
     """Plant X and lifted observer Xhat, whose body rate is the input minus the
-    horizontal lift of the cost gradient; Xhat may be an (n, 3, 3) batch.  A
-    third component, if present, is a sphere observer driven by the plant
+    horizontal lift of the cost gradient; Xhat may be an (n, 3, 3) batch.  With
+    ``cosim`` a third component is a sphere observer driven by the plant
     output (co-simulation)."""
     def body_rates(t, s):
         u = np.asarray(inp.eval(t), dtype=float)
-        if cost is None:
-            return u, None, u
         y = act(s[0], y0v)
         return u, y, lifted_observer_field(cost, s[1], y, u, y0v)
 
     def field(t, s):
         u, y, u_ob = body_rates(t, s)
         out = [plant_vector_field(s[0], u), plant_vector_field(s[1], u_ob)]
-        return out if len(s) == 2 else out + [projected_observer_field(cost, s[2], y, u)]
+        return out + [projected_observer_field(cost, s[2], y, u)] if cosim else out
 
     def rates(t, s):
         u, y, u_ob = body_rates(t, s)
-        return [u, u_ob] if len(s) == 2 else [u, u_ob, _sphere_rate(u, s[2], y, cost)]
+        out = [u, u_ob]
+        return out + [observer_body_rate(cost, s[2], y, u)] if cosim else out
 
-    return field, rates
+    def observe(s):
+        # Canonical-error angle from the right-invariant group error; equal to
+        # the output error angle since the action is by orthogonal matrices.
+        theta = error_angle(canonical_error_from_group(s[1], s[0], y0v), y0v)
+        return theta, np.maximum(drift(s[0]), drift(s[1]))
 
-
-def _resolve_cost(scenario, cost):
-    if cost is not None:
-        return cost
-    if scenario.mode == "synchrony":
-        return None  # internal model only
-    return SphereCost(scenario.k)
+    return _Pair(("group", "group") + ("sphere",) * cosim, field, rates, observe)
 
 
 def simulate_projected(scenario, cost=None) -> TrajectoryRecord:
@@ -284,47 +289,34 @@ def simulate_projected(scenario, cost=None) -> TrajectoryRecord:
     default the invariant cost with the scenario gain is used, and synchrony
     mode disables the innovation entirely.
     """
-    model = _projected_model(scenario.input, _resolve_cost(scenario, cost))
-    t, y, yhat = _samples(scenario, ("sphere", "sphere"), scenario.initial_sphere_pair(), model)
-    dr = np.maximum(
-        np.abs(np.linalg.norm(y, axis=1) - 1.0),
-        np.abs(np.linalg.norm(yhat, axis=1) - 1.0),
-    )
-    return TrajectoryRecord(t=t, y=y, yhat=yhat, theta=error_angle(yhat, y), drift=dr)
+    if cost is None and scenario.mode != "synchrony":
+        cost = SphereCost(scenario.k)
+    pair = _sphere_pair(scenario.input, cost)
+    t, y, yhat = _samples(scenario, pair, scenario.initial_sphere_pair())
+    return TrajectoryRecord(t, y, yhat, *pair.observe((y, yhat)))
 
 
-def _group_record(t, X, Xh, y0v, consistency=None) -> TrajectoryRecord:
-    # Canonical-error angle from the right-invariant group error; identical to
-    # the output error angle since the action is by orthogonal matrices.
-    theta = error_angle(canonical_error_from_group(Xh, X, y0v), y0v)
-    return TrajectoryRecord(
-        t=t, y=act(X, y0v), yhat=act(Xh, y0v), theta=theta,
-        drift=np.maximum(drift(X), drift(Xh)), X=X, Xhat=Xh, consistency=consistency,
-    )
-
-
-def simulate_lifted(scenario, cost=None) -> TrajectoryRecord:
+def simulate_lifted(scenario) -> TrajectoryRecord:
     """Integrate plant and observer on the group; the error angle is derived
     from the right-invariant group error."""
     y0v = scenario.y0_vec
-    model = _group_model(scenario.input, _resolve_cost(scenario, cost), y0v)
-    t, X, Xh = _samples(scenario, ("group", "group"), scenario.initial_group_pair(), model)
-    return _group_record(t, X, Xh, y0v)
+    pair = _group_pair(scenario.input, SphereCost(scenario.k), y0v)
+    t, X, Xh = _samples(scenario, pair, scenario.initial_group_pair())
+    return TrajectoryRecord(t, act(X, y0v), act(Xh, y0v), *pair.observe((X, Xh)), X=X, Xhat=Xh)
 
 
-def simulate_cosim(scenario, cost=None) -> TrajectoryRecord:
+def simulate_cosim(scenario) -> TrajectoryRecord:
     """Run the group observer and the sphere observer side by side from
     matching initial conditions and record how far the group observer's output
     strays from the directly integrated sphere observer."""
     y0v = scenario.y0_vec
-    cost = _resolve_cost(scenario, cost) or SphereCost(scenario.k)
+    pair = _group_pair(scenario.input, SphereCost(scenario.k), y0v, cosim=True)
     X, Xhat = scenario.initial_group_pair()
     # The sphere observer starts on the group observer's output.
-    state = (X, Xhat, act(Xhat, y0v))
-    t, X, Xh, yp = _samples(scenario, ("group", "group", "sphere"), state,
-                            _group_model(scenario.input, cost, y0v))
-    return _group_record(t, X, Xh, y0v,
-                         consistency=np.linalg.norm(act(Xh, y0v) - yp, axis=1))
+    t, X, Xh, yp = _samples(scenario, pair, (X, Xhat, act(Xhat, y0v)))
+    yhat = act(Xh, y0v)
+    return TrajectoryRecord(t, act(X, y0v), yhat, *pair.observe((X, Xh)), X=X, Xhat=Xh,
+                            consistency=np.linalg.norm(yhat - yp, axis=1))
 
 
 # --- circle instance -------------------------------------------------------
@@ -356,7 +348,7 @@ def _circle_samples(scenario, innovation: bool, output_angle: bool = False):
         out = [u, u + k * np.sin(s[0] - s[1])]
         return out if len(s) == 2 else out + [-u, -u - k * np.sin(s[3] - s[2])]
 
-    return _samples(scenario, ("angle",) * len(state), state, (rates, rates))
+    return _samples(scenario, _Pair(("angle",) * len(state), rates, rates), state)
 
 
 def _circle_record(ts, phis, phihats, y0_angle) -> TrajectoryRecord:
@@ -428,39 +420,27 @@ def _sample_observers(rng, n, draw, output, y_plant) -> np.ndarray:
         S[bad] = draw(rng, int(bad.sum()))
 
 
-def monte_carlo(scenario, n_runs: int | None = None, seed: int | None = None) -> MonteCarloResult:
+def monte_carlo(scenario) -> MonteCarloResult:
     """Sweep random observer initialisations (uniform on the sphere, or
     Haar-uniform on the group for lifted sweeps) under a shared plant and
-    input.  The runs are one batch axis of the observer state, stepped by the
-    same model as a single run; summaries are ordered by run index and replay
-    bit-identically from the seed."""
+    input.  The runs are one batch axis of the observer state, stepped and
+    observed by the same pair as a single run; summaries are ordered by run
+    index and replay bit-identically from the seed."""
     mc = scenario.mc
-    n = int(n_runs if n_runs is not None else (mc.runs if mc else 1000))
-    if n < 1:
-        raise ValueError("monte carlo needs n_runs >= 1")
-    seed = int(seed if seed is not None else scenario.seed)
-    threshold = float(mc.threshold) if mc else 1e-3
-    space = mc.space if mc else "projected"
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(scenario.seed)
     cost = SphereCost(scenario.k)
     y0v = scenario.y0_vec
-    if space == "lifted":
+    if mc.space == "lifted":
         X = scenario.initial_group_pair()[0]
-        state = (X, _sample_observers(rng, n, random_rotation, lambda S: act(S, y0v), act(X, y0v)))
-        kinds, model = ("group", "group"), _group_model(scenario.input, cost, y0v)
-
-        def keep(s):
-            return error_angle(act(s[1], y0v), act(s[0], y0v)), drift(s[1])
+        state = (X, _sample_observers(rng, mc.runs, random_rotation, lambda S: act(S, y0v),
+                                      act(X, y0v)))
+        pair = _group_pair(scenario.input, cost, y0v)
     else:
         y = scenario.initial_sphere_pair()[0]
-        state = (y, _sample_observers(rng, n, random_unit, lambda S: S, y))
-        kinds, model = ("sphere", "sphere"), _projected_model(scenario.input, cost)
-
-        def keep(s):
-            return error_angle(s[1], s[0]), np.abs(np.linalg.norm(s[1], axis=1) - 1.0)
-
+        state = (y, _sample_observers(rng, mc.runs, random_unit, lambda S: S, y))
+        pair = _sphere_pair(scenario.input, cost)
     # Only the per-run angle and drift rows are kept at each sample, not the states.
-    t_rec, theta, drift_rows = _samples(scenario, kinds, state, model, keep)
-    summaries = _summaries(t_rec, theta.T, drift_rows.T, threshold)
-    frac = float(np.mean([s.final_angle < threshold for s in summaries]))
-    return MonteCarloResult(summaries, frac, threshold, n, seed)
+    t_rec, theta, drift_rows = _samples(scenario, pair, state, pair.observe)
+    summaries = _summaries(t_rec, theta.T, drift_rows.T, mc.threshold)
+    frac = float(np.mean([s.final_angle < mc.threshold for s in summaries]))
+    return MonteCarloResult(summaries, frac, mc.threshold, mc.runs, scenario.seed)

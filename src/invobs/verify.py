@@ -24,6 +24,7 @@ from .observer import (
     lifted_cost,
     lifted_observer_field,
     omega_bar,
+    worst_residual,
 )
 from .sampling import random_rotation, random_tangent, random_unit
 from .scenario import InitState
@@ -66,76 +67,78 @@ def _lower(name, residual, tol) -> PropertyCheck:
 # --- algebraic identities ---------------------------------------------------
 
 def cost_closed_forms_residual(rng, n=N_SAMPLES) -> float:
-    worst = 0.0
-    for _ in range(n):
+    def residual():
         c = SphereCost(float(rng.uniform(0.5, 2.0)))
         yh, y = random_unit(rng), random_unit(rng)
         a = c.value(yh, y)
         b = 0.5 * c.k * float(np.sum((yh - y) ** 2))
-        worst = max(worst, abs(a - b))
-    return worst
+        return abs(a - b)
+
+    return worst_residual(residual() for _ in range(n))
 
 
 def innovation_cross_form_residual(rng, n=N_SAMPLES) -> float:
-    worst = 0.0
-    for _ in range(n):
+    def residual():
         c = SphereCost(float(rng.uniform(0.5, 2.0)))
         yh, y = random_unit(rng), random_unit(rng)
         direct = -c.grad1(yh, y)
         cross = c.k * np.cross(np.cross(yh, y), yh)
-        worst = max(worst, float(np.linalg.norm(direct - cross)))
-    return worst
+        return float(np.linalg.norm(direct - cross))
+
+    return worst_residual(residual() for _ in range(n))
 
 
 def metric_identity_residual(rng, n=N_SAMPLES) -> float:
-    worst = 0.0
-    for _ in range(n):
+    def residual():
         base = random_unit(rng)
         v = TangentVector(base, rng.uniform(0.2, 2.0) * random_tangent(rng, base))
         w = TangentVector(base, rng.uniform(0.2, 2.0) * random_tangent(rng, base))
         lhs = float(v.vec @ w.vec)
         rhs = 0.5 * float(np.trace(hat(omega_bar(v)).T @ hat(omega_bar(w))))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        return abs(lhs - rhs)
+
+    return worst_residual(residual() for _ in range(n))
 
 
 def lift_round_trip_residual(rng, y0, n=N_SAMPLES) -> float:
     """Finite differences of the output along the lifted direction recover the
     original tangent vector."""
     H = HorizontalSubspace(y0)
-    worst = 0.0
-    for _ in range(n):
+
+    def residual():
         Xh = random_rotation(rng)
         yh = act(Xh, y0)
         v = TangentVector(yh, rng.uniform(0.2, 2.0) * random_tangent(rng, yh))
         w = np.cross(v.vec, v.base)  # body generator of the lift
         assert H.contains(Xh, H.lift(Xh, v))
         fd = (act(Xh @ group_exp(FD_EPS * w), y0) - act(Xh @ group_exp(-FD_EPS * w), y0)) / (2 * FD_EPS)
-        worst = max(worst, float(np.linalg.norm(fd - v.vec)))
-    return worst
+        return float(np.linalg.norm(fd - v.vec))
+
+    return worst_residual(residual() for _ in range(n))
 
 
 def lifted_gradient_identity_residual(rng, y0, n=N_SAMPLES) -> float:
     """Closed-form gradient of the pulled-back cost vs. the horizontal lift of
     the sphere gradient."""
     H = HorizontalSubspace(y0)
-    worst = 0.0
-    for _ in range(n):
+
+    def residual():
         c = SphereCost(float(rng.uniform(0.5, 2.0)))
         Xh, X = random_rotation(rng), random_rotation(rng)
         yh, y = act(Xh, y0), act(X, y0)
         direct = grad1_lifted_cost(c, Xh, X, y0)
         lifted = H.lift(Xh, TangentVector(yh, c.grad1(yh, y)))
-        worst = max(worst, float(np.linalg.norm(direct - lifted)))
-    return worst
+        return float(np.linalg.norm(direct - lifted))
+
+    return worst_residual(residual() for _ in range(n))
 
 
 def observer_two_forms_residual(rng, y0, n=N_SAMPLES) -> float:
     """Complementary-filter form of the group observer vs. internal model
     minus lifted gradient."""
     H = HorizontalSubspace(y0)
-    worst = 0.0
-    for _ in range(n):
+
+    def residual():
         c = SphereCost(float(rng.uniform(0.5, 2.0)))
         Xh, X = random_rotation(rng), random_rotation(rng)
         yh, y = act(Xh, y0), act(X, y0)
@@ -143,29 +146,28 @@ def observer_two_forms_residual(rng, y0, n=N_SAMPLES) -> float:
         explicit = np.asarray(Xh) @ hat(np.asarray(u) + c.k * np.cross(y, yh))
         body = lifted_observer_field(c, Xh, y, u, y0)
         via_lift = plant_vector_field(Xh, u) - H.lift(Xh, TangentVector(yh, c.grad1(yh, y)))
-        worst = max(worst,
-                    float(np.linalg.norm(np.asarray(Xh) @ hat(body) - via_lift)),
-                    float(np.linalg.norm(explicit - via_lift)))
-    return worst
+        return (float(np.linalg.norm(np.asarray(Xh) @ hat(body) - via_lift)),
+                float(np.linalg.norm(explicit - via_lift)))
+
+    return worst_residual(residual() for _ in range(n))
 
 
 def gradient_fd_residual(rng, cost_factory, n=N_SAMPLES) -> float:
     """Directional derivatives of the cost match the gradient pairing."""
-    worst = 0.0
-    for _ in range(n):
+    def residual():
         c = cost_factory(rng)
         yh, y = random_unit(rng), random_unit(rng)
         w = random_tangent(rng, yh)
         fd = (c.value(unit(yh + FD_EPS * w), y) - c.value(unit(yh - FD_EPS * w), y)) / (2 * FD_EPS)
-        worst = max(worst, abs(fd - float(c.grad1(yh, y) @ w)))
-    return worst
+        return abs(fd - float(c.grad1(yh, y) @ w))
+
+    return worst_residual(residual() for _ in range(n))
 
 
 def lifted_gradient_fd_residual(rng, y0, n=N_SAMPLES) -> float:
     """Derivative of the pulled-back cost along group directions matches the
     half-trace metric pairing with its gradient."""
-    worst = 0.0
-    for _ in range(n):
+    def residual():
         c = SphereCost(float(rng.uniform(0.5, 2.0)))
         Xh, X = random_rotation(rng), random_rotation(rng)
         Om = rng.uniform(-1.0, 1.0, 3)
@@ -174,8 +176,9 @@ def lifted_gradient_fd_residual(rng, y0, n=N_SAMPLES) -> float:
         fd = (fp - fm) / (2 * FD_EPS)
         G = grad1_lifted_cost(c, Xh, X, y0)
         pairing = 0.5 * float(np.trace((np.asarray(Xh).T @ G).T @ hat(Om)))
-        worst = max(worst, abs(fd - pairing))
-    return worst
+        return abs(fd - pairing)
+
+    return worst_residual(residual() for _ in range(n))
 
 
 def invariant_cost_construction_residual(rng, y0, n=N_SAMPLES) -> float:
@@ -184,17 +187,15 @@ def invariant_cost_construction_residual(rng, y0, n=N_SAMPLES) -> float:
     k = 1.3
     made = SectionedCost(lambda z: k * (1.0 - float(z @ y0)), y0)
     direct = SphereCost(k)
-    worst = 0.0
-    for _ in range(n):
+
+    def residual():
         y1, y2 = random_unit(rng), random_unit(rng)
         S = random_rotation(rng)
         base = made.value(y1, y2)
-        worst = max(
-            worst,
-            abs(base - made.value(act(S, y1), act(S, y2))),
-            abs(base - direct.value(y1, y2)),
-        )
-    return worst
+        return (abs(base - made.value(act(S, y1), act(S, y2))),
+                abs(base - direct.value(y1, y2)))
+
+    return worst_residual(residual() for _ in range(n))
 
 
 # --- simulation properties --------------------------------------------------
@@ -252,11 +253,8 @@ def autonomy_spread(scenario, inputs, cost=None) -> float:
 
 
 def synchrony_residual(scenario, inputs) -> float:
-    worst = 0.0
-    for sig in inputs:
-        rec = simulate_projected(dc_replace(scenario, input=sig, mode="synchrony"))
-        worst = max(worst, check_synchrony(rec))
-    return worst
+    return worst_residual(check_synchrony(simulate_projected(
+        dc_replace(scenario, input=sig, mode="synchrony"))) for sig in inputs)
 
 
 def cosim_residual(scenario) -> float:
@@ -321,7 +319,7 @@ def _run_verification_sphere(scenario) -> list[PropertyCheck]:
                      integrator=dc_replace(scenario.integrator, method="lie-euler"))
     sync_runs.append((_random_piecewise(rng, h), lie))
     checks.append(_upper("synchrony_constancy",
-                         max(synchrony_residual(s, [sig]) for sig, s in sync_runs), 1e-8))
+                         worst_residual(synchrony_residual(s, [sig]) for sig, s in sync_runs), 1e-8))
     checks.append(_upper("autonomy_spread", autonomy_spread(scenario, inputs), 1e-6))
     checks.append(_lower("autonomy_negative_control",
                          autonomy_spread(scenario, inputs[:2], cost=AnisotropicCost()), 1e-3))

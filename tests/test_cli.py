@@ -121,6 +121,21 @@ def test_verify_subcommand_so2(tmp_path):
         assert p["passed"] is True
 
 
+def test_verify_of_a_sweep_document_echoes_a_verify_document(tmp_path):
+    """A monte-carlo document verified as such drops its sweep settings, so
+    the summary's echo parses and reproduces the verify run."""
+    from invobs import scenario_from_dict
+
+    doc = {"instance": "so3-s2", "mode": "monte-carlo", "t_end": 0.3, "seed": 4,
+           "mc": {"runs": 10, "space": "lifted"}}
+    code = cli.main(["verify", "--scenario", write_scenario(tmp_path, doc),
+                     "--out", str(tmp_path / "v"), "--quiet"])
+    assert code == 0
+    echo = json.loads((tmp_path / "v" / "summary.json").read_text())["scenario"]
+    assert echo["mode"] == "verify" and "mc" not in echo
+    assert scenario_from_dict(echo).seed == 4
+
+
 def test_verify_failure_exit_code(tmp_path, monkeypatch):
     import invobs.runner as runner_mod
 

@@ -261,3 +261,30 @@ def test_fuzzed_field_parses_or_is_named(field, value):
         return
     echo = scenario_to_dict(sc)
     assert scenario_to_dict(scenario_from_dict(json.loads(json.dumps(echo)))) == echo
+
+
+PIECEWISE_TIMES = st.lists(st.floats(0.0, 50.0), min_size=1, max_size=4, unique=True).map(sorted)
+SEGMENT = st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(times=PIECEWISE_TIMES, data=st.data())
+def test_piecewise_input_at_switch_times(times, data):
+    """A piecewise-constant input parsed with h on the 0.01 bound takes the
+    next segment's value at each switch time and the previous one just below
+    it, and its exact integral is continuous across the switch; h one ulp
+    above the bound is a ScenarioError naming integrator.h."""
+    values = data.draw(st.lists(SEGMENT, min_size=len(times) + 1, max_size=len(times) + 1))
+    doc = {"instance": "so3-s2", "integrator": {"h": 0.01},
+           "input": {"kind": "piecewise-constant", "times": times, "values": values}}
+    sig = parse(doc).input
+    scale = 1.0 + 5.0 * np.sqrt(3.0) * max(times)
+    for i, switch in enumerate(times):
+        below = np.nextafter(switch, -np.inf)
+        assert np.array_equal(sig.eval(switch), values[i + 1])
+        assert np.array_equal(sig.eval(below), values[i])
+        gap = np.linalg.norm(sig.integral(switch) - sig.integral(below))
+        assert gap <= 1e-13 * scale, (switch, gap)
+    too_long = dict(doc, integrator={"h": float(np.nextafter(0.01, 1.0))})
+    with pytest.raises(ScenarioError, match=r"^integrator\.h "):
+        parse(too_long)

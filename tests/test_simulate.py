@@ -250,12 +250,6 @@ def test_monte_carlo_group_space(make_scenario):
     assert max(s.max_drift for s in res.summaries) <= 1e-9
 
 
-def test_monte_carlo_rejects_bad_run_count(make_scenario):
-    sc = make_scenario(mode="monte-carlo", input=ZERO, t_end=1.0)
-    with pytest.raises(ValueError):
-        monte_carlo(sc, n_runs=0)
-
-
 SO2_BASE = {
     "instance": "so2-s1", "k": 1.0,
     "input": {"kind": "sinusoid", "amplitude": [0.8], "frequency": 0.4, "phase": 0.2},
@@ -341,7 +335,6 @@ def test_right_invariant_error_projects_to_canonical(rng):
 @pytest.mark.parametrize("method", ["rk4-project", "lie-euler"])
 def test_runs_bit_identical_with_numpy_cross(make_scenario, monkeypatch, method):
     import invobs.observer
-    import invobs.simulate
     import invobs.so3
     import invobs.systems
 
@@ -367,7 +360,7 @@ def test_runs_bit_identical_with_numpy_cross(make_scenario, monkeypatch, method)
 
     # Every module whose helpers a step may reach; the count shows the step
     # path really went through np.cross.
-    for module in (invobs.simulate, invobs.observer, invobs.systems, invobs.so3):
+    for module in (invobs.observer, invobs.systems, invobs.so3):
         monkeypatch.setattr(module, "cross", numpy_cross)
     reference = [fn(sc) for fn, sc in runs], [monte_carlo(sc) for sc in sweeps]
     assert len(calls) >= 4 * 200
@@ -380,12 +373,13 @@ def test_runs_bit_identical_with_numpy_cross(make_scenario, monkeypatch, method)
 
 
 def test_runs_step_the_public_fields(make_scenario, monkeypatch):
-    """The models call the field functions that verify and the field tests
-    check; a private copy of a field in the simulator fails here."""
+    """The pairs call the field and rate functions that verify and the field
+    tests check, under both integrators; a private copy of a field or of the
+    observer body rate in the simulator fails here."""
     import invobs.simulate
 
     names = ("project_dynamics", "projected_observer_field", "plant_vector_field",
-             "lifted_observer_field")
+             "lifted_observer_field", "observer_body_rate")
     calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -396,24 +390,56 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
 
     for name in names:
         monkeypatch.setattr(invobs.simulate, name, counted(name, getattr(invobs.simulate, name)))
-    steps = 20  # rk4-project: four field evaluations per step
+    steps = 20  # rk4-project: four field evaluations per step; lie-euler: one rate
     single = dict(input=SINUSOID, t_end=steps * 1e-3,
                   init={"observer": {"axis_angle": [1.7, -0.4, 0.3]}})
-    sweep = dict(mode="monte-carlo", input=SINUSOID, t_end=steps * 1e-2, integrator={"h": 1e-2})
+    sweep = dict(mode="monte-carlo", input=SINUSOID, t_end=steps * 1e-2)
+    # (entry point, document, step size, calls per rk4-project step, per lie-euler step)
     runs = [
-        (simulate_projected, make_scenario(mode="projected", **single),
-         {"project_dynamics": 4, "projected_observer_field": 4}),
-        (simulate_projected, make_scenario(mode="synchrony", **single), {"project_dynamics": 8}),
-        (simulate_lifted, make_scenario(mode="lifted", **single),
-         {"plant_vector_field": 8, "lifted_observer_field": 4}),
-        (simulate_cosim, make_scenario(mode="co-sim", **single),
-         {"plant_vector_field": 8, "lifted_observer_field": 4, "projected_observer_field": 4}),
-        (monte_carlo, make_scenario(**sweep, mc={"runs": 5, "space": "projected"}),
-         {"project_dynamics": 4, "projected_observer_field": 4}),
-        (monte_carlo, make_scenario(**sweep, mc={"runs": 5, "space": "lifted"}),
-         {"plant_vector_field": 8, "lifted_observer_field": 4}),
+        (simulate_projected, dict(mode="projected", **single), 1e-3,
+         {"project_dynamics": 4, "projected_observer_field": 4}, {"observer_body_rate": 1}),
+        (simulate_projected, dict(mode="synchrony", **single), 1e-3,
+         {"project_dynamics": 8}, {}),
+        (simulate_lifted, dict(mode="lifted", **single), 1e-3,
+         {"plant_vector_field": 8, "lifted_observer_field": 4}, {"lifted_observer_field": 1}),
+        (simulate_cosim, dict(mode="co-sim", **single), 1e-3,
+         {"plant_vector_field": 8, "lifted_observer_field": 4, "projected_observer_field": 4},
+         {"lifted_observer_field": 1, "observer_body_rate": 1}),
+        (monte_carlo, dict(sweep, mc={"runs": 5, "space": "projected"}), 1e-2,
+         {"project_dynamics": 4, "projected_observer_field": 4}, {"observer_body_rate": 1}),
+        (monte_carlo, dict(sweep, mc={"runs": 5, "space": "lifted"}), 1e-2,
+         {"plant_vector_field": 8, "lifted_observer_field": 4}, {"lifted_observer_field": 1}),
     ]
-    for fn, sc, per_step in runs:
-        calls.update(dict.fromkeys(names, 0))
-        fn(sc)
-        assert calls == {name: per_step.get(name, 0) * steps for name in names}, sc.mode
+    for fn, doc, h, rk4, lie in runs:
+        for method, per_step in (("rk4-project", rk4), ("lie-euler", lie)):
+            calls.update(dict.fromkeys(names, 0))
+            fn(make_scenario(**doc, integrator={"method": method, "h": h}))
+            assert calls == {name: per_step.get(name, 0) * steps for name in names}, \
+                (doc["mode"], method)
+
+
+SO2_RUN = {"instance": "so2-s1", "t_end": 0.05}
+SO3_RUN = {"instance": "so3-s2", "input": SINUSOID, "t_end": 0.05}
+
+
+@pytest.mark.parametrize("doc", [
+    dict(SO2_RUN, mode="projected"), dict(SO2_RUN, mode="lifted"), dict(SO2_RUN, mode="co-sim"),
+    dict(SO2_RUN, mode="synchrony"), dict(SO3_RUN, mode="projected"), dict(SO3_RUN, mode="lifted"),
+    dict(SO3_RUN, mode="co-sim"), dict(SO3_RUN, mode="monte-carlo", mc={"runs": 3}),
+], ids=lambda d: f"{d['instance']}-{d['mode']}")
+def test_run_integrates_once(make_scenario, monkeypatch, tmp_path, doc):
+    """runner.run steps a scenario's pair once; an so2-s1 run takes its
+    trajectory from the circle oracle rather than stepping the pair again."""
+    import invobs.simulate
+    from invobs import runner
+
+    integrate = invobs.simulate._integrate
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return integrate(*args)
+
+    monkeypatch.setattr(invobs.simulate, "_integrate", counted)
+    assert runner.run(make_scenario(**doc), str(tmp_path), quiet=True) == 0
+    assert len(calls) == 1

@@ -15,7 +15,7 @@ from invobs.verify import (
     metric_identity_residual,
     observer_two_forms_residual,
 )
-from invobs.observer import SphereCost
+from invobs.observer import SphereCost, check_innovation_equivariance, worst_residual
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -46,3 +46,24 @@ def test_run_verification_circle(make_scenario):
     checks = run_verification(sc)
     assert {c.name for c in checks} == {"so2_oracle_deviation", "so2_state_convergence"}
     assert all(c.passed for c in checks)
+
+
+def test_worst_residual_propagates_nan():
+    assert worst_residual([]) == 0.0
+    assert worst_residual([1e-13, 3e-13, 2e-13]) == 3e-13
+    assert worst_residual([(1e-13, 4e-13), (2e-13, 0.0)]) == 4e-13
+    assert np.isnan(worst_residual([1e-13, np.nan, 2e-13]))
+    assert np.isnan(worst_residual([np.nan, 1e-13]))
+
+
+def test_nan_gradient_fails_the_innovation_properties(rng, monkeypatch):
+    """A cost whose gradient is NaN must fail both the cross-form and the
+    equivariance property rather than pass with a residual of zero."""
+    monkeypatch.setattr(SphereCost, "grad1", lambda self, yhat, y: np.full(3, np.nan))
+    checks = [
+        PropertyCheck("innovation_cross_form", innovation_cross_form_residual(rng, 20), 1e-12),
+        PropertyCheck("innovation_equivariance",
+                      check_innovation_equivariance(SphereCost(1.0), 20), 1e-12),
+    ]
+    for check in checks:
+        assert np.isnan(check.residual) and not check.passed, check.name
