@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .so3 import cross
+
 
 def random_unit(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Uniform point(s) on the unit sphere, shape (3,) or (n, 3)."""
@@ -22,7 +24,7 @@ def random_rotation(rng: np.random.Generator, n: int | None = None) -> np.ndarra
     shape = (3, 3) if n is None else (n, 3, 3)
     Q, R = np.linalg.qr(rng.standard_normal(shape))
     Q = Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
-    det = np.linalg.det(Q)
+    det = np.sum(cross(Q[..., 0], Q[..., 1]) * Q[..., 2], axis=-1)  # columns' triple product
     if n is None:
         if det < 0.0:
             Q[:, 0] *= -1.0

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import circle
 from .simulate import CONVERGENCE_THRESHOLD, IntegratorSpec
-from .so3 import AntipodalError, act, drift, group_exp, section
+from .so3 import AntipodalError, act, cross, drift, group_exp, section
 from .systems import InputSignal
 
 SCHEMA_VERSION = 1
@@ -225,7 +225,7 @@ def _parse_init(spec, instance: str, path: str) -> InitState:
         if not isinstance(rows, (list, tuple)) or len(rows) != 3:
             raise ScenarioError(f"{path}.rotation must be a 3x3 matrix")
         R = np.array([_vector(r, 3, f"{path}.rotation[{i}]") for i, r in enumerate(rows)])
-        if drift(R) > 1e-9 or np.linalg.det(R) < 0.0:
+        if drift(R) > 1e-9 or float(cross(R[0], R[1]) @ R[2]) < 0.0:  # det < 0
             raise ScenarioError(f"{path}.rotation is not special-orthogonal")
         return InitState("rotation", R)
     if form == "axis_angle":

@@ -4,7 +4,7 @@ Two integrators are provided.  ``lie-euler`` advances group states by
 ``X <- X @ group_exp(h * A)`` (and sphere states by the induced exact
 rotation), so states never leave the manifold beyond exponential accuracy.
 ``rk4-project`` is classical four-stage stepping in the embedding followed by
-re-orthonormalisation (group) or renormalisation (sphere); it is the default
+one Björck retraction step (group) or renormalisation (sphere); it is the default
 since the continuous-time theory says nothing about discretisation and fourth
 order keeps the integrator far below every property tolerance.
 
@@ -40,10 +40,11 @@ ANTIPODAL_EXCLUSION = 0.01  # rad; Monte Carlo cap around the antipode
 RATE_WINDOW = (1e-6, 0.1)   # rad; log-linear fit window for the decay rate
 CONVERGENCE_THRESHOLD = 1e-3  # rad; default final-angle threshold of runs and sweeps
 MIN_RATE_SAMPLES = 10
+ORTHOGONALITY_TOL = 1e-9  # drift beyond which a group state has left SO(3)
 
 
 class SimulationAbort(RuntimeError):
-    """A trajectory produced a non-finite state."""
+    """A trajectory produced a non-finite state or a rotation off SO(3)."""
 
 
 @dataclass(frozen=True)
@@ -157,10 +158,13 @@ def _n_steps(t_end: float, h: float) -> int:
     return max(1, int(round(t_end / h)))
 
 
-def _check_finite(t: float, state):
-    for a in state:
+def _check_state(t: float, kinds, state):
+    for kind, a in zip(kinds, state):
         if not np.all(np.isfinite(a)):
             raise SimulationAbort(f"non-finite state at t = {t:.6g} s")
+        worst = np.max(drift(a)) if kind == "group" else 0.0
+        if worst > ORTHOGONALITY_TOL:
+            raise SimulationAbort(f"rotation state left SO(3) (drift {worst:.3g}) at t = {t:.6g} s")
 
 
 # Per component kind: the retraction after an RK4 step, and the Lie-Euler
@@ -194,7 +198,9 @@ def _integrate(scenario, pair, state, record):
     ``pair.rates(t, state)`` each component's rate for one Lie-Euler step
     (body rate on the group and the sphere, angular rate on the circle).
     ``record(t, state)`` sees the initial state, every ``sample_every``-th
-    step and the last step, each checked finite first.
+    step and the last step, each checked first: finite, and each group
+    component within ORTHOGONALITY_TOL of SO(3), which the retraction after
+    a step can only keep, not restore.
     """
     h = scenario.integrator.h
     n = _n_steps(scenario.t_end, h)
@@ -204,7 +210,7 @@ def _integrate(scenario, pair, state, record):
     retract = [_RETRACT[k] for k in kinds]
     lie_step = [_LIE_STEP[k] for k in kinds]
     state = list(state)
-    _check_finite(0.0, state)
+    _check_state(0.0, kinds, state)
     record(0.0, state)
     for i in range(n):
         t = i * h
@@ -219,7 +225,7 @@ def _integrate(scenario, pair, state, record):
             state = [f(s, h * w) for f, s, w in zip(lie_step, state, lie_rates(t, state))]
         if (i + 1) % every == 0 or i + 1 == n:
             t = (i + 1) * h
-            _check_finite(t, state)
+            _check_state(t, kinds, state)
             record(t, state)
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: artifacts, determinism, exit codes."""
 
 import json
+import re
 
 import numpy as np
 
@@ -196,6 +197,26 @@ def test_runtime_abort_exit_code(tmp_path, monkeypatch):
     code = cli.main(["run", "--scenario", write_scenario(tmp_path, FAST_RUN),
                      "--out", str(tmp_path / "boom"), "--quiet"])
     assert code == 3
+
+
+# Lifted RK4 at k h = 3 is unstable: the states leave SO(3) faster than the
+# retraction after each step can bring them back.
+UNSTABLE_LIFTED = {
+    "instance": "so3-s2", "mode": "lifted", "k": 300, "t_end": 1, "integrator": {"h": 0.01},
+    "input": {"kind": "sinusoid", "amplitude": [1, 0.5, 0.8], "frequency": 0.5},
+}
+
+
+def test_rotation_leaving_so3_aborts(tmp_path, capsys):
+    code = cli.main(["run", "--scenario", write_scenario(tmp_path, UNSTABLE_LIFTED),
+                     "--out", str(tmp_path / "unstable"), "--quiet"])
+    assert code == 3
+    assert re.search(r"SO\(3\).* at t = \S+ s", capsys.readouterr().err)
+    out = tmp_path / "stable"
+    code = cli.main(["run", "--scenario", write_scenario(tmp_path, dict(UNSTABLE_LIFTED, k=50)),
+                     "--out", str(out), "--quiet"])
+    assert code == 0
+    assert json.loads((out / "summary.json").read_text())["summary"]["max_drift"] <= 1e-9
 
 
 def test_preset_commands(capsys):

@@ -87,6 +87,8 @@ def test_invalid_json_rejected():
     ({"instance": "so3-s2", "integrator": {"method": None}}, r"^integrator\.method "),
     ({"instance": "so3-s2", "seed": float("inf")}, "^seed "),
     ({"instance": "so3-s2", "sample_every": 2.0 ** 64}, "^sample_every "),
+    ({"instance": "so3-s2", "init": {"observer": {"rotation": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}}},
+     "special-orthogonal"),
 ])
 def test_validation_errors_name_the_field(doc, fragment):
     with pytest.raises(ScenarioError, match=fragment):

@@ -145,21 +145,32 @@ def test_projected_antipodal_equilibrium(make_scenario):
     assert np.max(np.abs(rec.theta - np.pi)) <= 1e-9
 
 
-def _order_scenario(make_scenario, method, h):
-    return make_scenario(mode="projected", k=2.0, input=ZERO, t_end=3.0, sample_every=1,
-                         integrator={"method": method, "h": h},
-                         init={"plant": "identity", "observer": {"axis_angle": [2.7, 0, 0]}})
+# Order cases: the projected path at u = 0, and the lifted path on the group
+# under a non-zero input, where each RK4 step is followed by the retraction.
+ORDER_CASES = {
+    "projected": (simulate_projected, ZERO, "identity"),
+    "lifted": (simulate_lifted, SINUSOID, {"axis_angle": [0.3, -0.2, 0.5]}),
+}
 
 
-def test_rk4_fourth_order_scaling(make_scenario):
-    d1 = closed_form_deviation(simulate_projected(_order_scenario(make_scenario, "rk4-project", 0.01)), 2.0)
-    d2 = closed_form_deviation(simulate_projected(_order_scenario(make_scenario, "rk4-project", 0.005)), 2.0)
+def _order_deviation(make_scenario, method, h, case="projected"):
+    run, inp, plant = ORDER_CASES[case]
+    sc = make_scenario(mode=case, k=2.0, input=inp, t_end=3.0, sample_every=1,
+                       integrator={"method": method, "h": h},
+                       init={"plant": plant, "observer": {"axis_angle": [2.7, 0, 0]}})
+    return closed_form_deviation(run(sc), 2.0)
+
+
+@pytest.mark.parametrize("case", sorted(ORDER_CASES))
+def test_rk4_fourth_order_scaling(make_scenario, case):
+    d1 = _order_deviation(make_scenario, "rk4-project", 0.01, case)
+    d2 = _order_deviation(make_scenario, "rk4-project", 0.005, case)
     assert 12.0 <= d1 / d2 <= 20.0
 
 
 def test_lie_euler_first_order_scaling(make_scenario):
-    d1 = closed_form_deviation(simulate_projected(_order_scenario(make_scenario, "lie-euler", 0.01)), 2.0)
-    d2 = closed_form_deviation(simulate_projected(_order_scenario(make_scenario, "lie-euler", 0.005)), 2.0)
+    d1 = _order_deviation(make_scenario, "lie-euler", 0.01)
+    d2 = _order_deviation(make_scenario, "lie-euler", 0.005)
     assert 1.7 <= d1 / d2 <= 2.3
 
 
