@@ -62,9 +62,7 @@ from .so3 import (
     drift,
     group_exp,
     hat,
-    in_stabiliser,
     orthonormalize,
-    riemannian_inner,
     section,
     tangent_project,
     unit,
@@ -72,7 +70,6 @@ from .so3 import (
 )
 from .systems import (
     InputSignal,
-    indistinguishable,
     plant_vector_field,
     project_dynamics,
 )

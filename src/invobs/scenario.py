@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circle
-from .simulate import CONVERGENCE_THRESHOLD, IntegratorSpec
+from .simulate import CONVERGENCE_THRESHOLD, IntegratorSpec, _n_steps
 from .so3 import AntipodalError, act, cross, drift, group_exp, section
 from .systems import InputSignal
 
@@ -26,6 +26,7 @@ INSTANCES = ("so3-s2", "so2-s1")
 MODES = ("projected", "lifted", "co-sim", "synchrony", "monte-carlo", "verify")
 MC_SPACES = ("projected", "lifted")
 MAX_STEPS = 10 ** 8  # integrator steps in one run; far beyond any useful horizon
+MAX_RUN_SAMPLES = 10 ** 6  # recorded samples in one run; the presets record 1001
 MAX_MC_RUNS = 10 ** 5  # runs in one sweep; 100x the preset
 # Recorded values in one sweep (runs x samples per run); keeps its float64
 # angle and drift rows under 0.8 GB.  The preset records 1.5 * 10**6.
@@ -301,7 +302,10 @@ def scenario_from_dict(d: dict) -> Scenario:
     t_end = _number(d, "t_end", 10.0, positive=True)
     _require(t_end >= spec.h, "t_end must be at least one integrator step")
     _require(t_end / spec.h <= MAX_STEPS, f"t_end must span at most {MAX_STEPS} steps of integrator.h")
+    steps = _n_steps(t_end, spec.h)
+    _require(abs(t_end / spec.h - steps) <= 1e-9, "t_end must be a whole number of integrator.h steps")
     sample_every = _number(d, "sample_every", 10, integer=True, positive=True)
+    samples = -(-steps // sample_every) + 1  # the initial state, each stride and the last step
     seed = _number(d, "seed", 0, integer=True)
     _require(0 <= seed < 2 ** 64, "seed must fit in an unsigned 64-bit integer")
 
@@ -320,9 +324,10 @@ def scenario_from_dict(d: dict) -> Scenario:
             threshold=_number(mspec, "threshold", McSpec.threshold, "mc", positive=True),
         )
         _require(mc.runs <= MAX_MC_RUNS, f"mc.runs must be at most {MAX_MC_RUNS}")
-        samples = round(t_end / spec.h) // sample_every + 1
         _require(mc.runs * samples <= MAX_MC_VALUES, f"mc.runs x samples per run (set by t_end, "
                  f"integrator.h and sample_every) must be at most {MAX_MC_VALUES}")
+    _require(samples <= MAX_RUN_SAMPLES, f"t_end must give at most {MAX_RUN_SAMPLES} samples per "
+             f"run at the given integrator.h and sample_every")
 
     return Scenario(
         instance=instance, mode=mode, k=k, y0=y0, input=inp,

@@ -12,7 +12,8 @@ Both integrators live in one time loop, ``_integrate``.  Every run (projected,
 lifted, co-simulation, circle, and each Monte Carlo sweep) is a pair on it: a
 velocity field, a rates function and an observation over a list of sphere,
 group or angle components, where a sweep's observer component carries the
-batch axis.
+batch axis.  The observation of each recorded state is both the run's record
+and the loop's guard against a state that left its manifold.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ ANTIPODAL_EXCLUSION = 0.01  # rad; Monte Carlo cap around the antipode
 RATE_WINDOW = (1e-6, 0.1)   # rad; log-linear fit window for the decay rate
 CONVERGENCE_THRESHOLD = 1e-3  # rad; default final-angle threshold of runs and sweeps
 MIN_RATE_SAMPLES = 10
-ORTHOGONALITY_TOL = 1e-9  # drift beyond which a group state has left SO(3)
+ORTHOGONALITY_TOL = 1e-9  # drift beyond which a state has left SO(3) or S^2
 
 
 class SimulationAbort(RuntimeError):
-    """A trajectory produced a non-finite state or a rotation off SO(3)."""
+    """A recorded state is non-finite, or its pair's observed drift exceeds
+    ORTHOGONALITY_TOL: a rotation off SO(3) or a direction off S^2."""
 
 
 @dataclass(frozen=True)
@@ -155,16 +157,8 @@ def closed_form_deviation(record: TrajectoryRecord, k: float) -> float | None:
 
 
 def _n_steps(t_end: float, h: float) -> int:
-    return max(1, int(round(t_end / h)))
-
-
-def _check_state(t: float, kinds, state):
-    for kind, a in zip(kinds, state):
-        if not np.all(np.isfinite(a)):
-            raise SimulationAbort(f"non-finite state at t = {t:.6g} s")
-        worst = np.max(drift(a)) if kind == "group" else 0.0
-        if worst > ORTHOGONALITY_TOL:
-            raise SimulationAbort(f"rotation state left SO(3) (drift {worst:.3g}) at t = {t:.6g} s")
+    """Steps of size h spanning t_end; parsing admits only whole multiples."""
+    return round(t_end / h)
 
 
 # Per component kind: the retraction after an RK4 step, and the Lie-Euler
@@ -185,32 +179,47 @@ _LIE_STEP = {
 
 # A plant-observer pair on the stepping engine (see _integrate); ``observe``
 # maps a state to its error angle and drift, over leading axes.
-_Pair = namedtuple("_Pair", "kinds field rates observe", defaults=(None,))
+_Pair = namedtuple("_Pair", "kinds field rates observe")
 
 
-def _integrate(scenario, pair, state, record):
-    """Advance a pair's list of state components over the scenario's horizon.
+def _integrate(scenario, pair, state, keep_states):
+    """Advance a pair's list of state components over the scenario's horizon
+    and return the recorded times, error angles and drifts, followed by the
+    recorded states of each component when ``keep_states`` is set.
 
     ``pair.kinds`` names each component's space: "sphere" (unit vectors),
     "group" (rotation matrices) or "angle" (circle angles).  A component may
-    carry leading batch axes; the primitives broadcast over them.
+    carry leading batch axes; the primitives broadcast over them, and the
+    angle and drift rows then carry the same axes.
     ``pair.field(t, state)`` gives each component's velocity in the embedding,
     ``pair.rates(t, state)`` each component's rate for one Lie-Euler step
     (body rate on the group and the sphere, angular rate on the circle).
-    ``record(t, state)`` sees the initial state, every ``sample_every``-th
-    step and the last step, each checked first: finite, and each group
-    component within ORTHOGONALITY_TOL of SO(3), which the retraction after
-    a step can only keep, not restore.
+    The initial state, every ``sample_every``-th step and the last step are
+    recorded.  Each recorded state must be finite, and its
+    ``pair.observe(state) -> (theta, drift)`` is computed once: the drift is
+    what the record reports and what must stay within ORTHOGONALITY_TOL,
+    since the retraction after a step can only keep a state on SO(3) or S^2,
+    not restore it.
     """
     h = scenario.integrator.h
     n = _n_steps(scenario.t_end, h)
     every = scenario.sample_every
     rk4 = scenario.integrator.method == "rk4-project"
-    kinds, rk4_field, lie_rates, _ = pair
+    kinds, rk4_field, lie_rates, observe = pair
     retract = [_RETRACT[k] for k in kinds]
     lie_step = [_LIE_STEP[k] for k in kinds]
+    rows = []
+
+    def record(t, state):
+        if not all(np.isfinite(a).all() for a in state):
+            raise SimulationAbort(f"non-finite state at t = {t:.6g} s")
+        theta, drift_ = observe(state)
+        worst = np.max(drift_)
+        if worst > ORTHOGONALITY_TOL:
+            raise SimulationAbort(f"state left SO(3) or S^2 (drift {worst:.3g}) at t = {t:.6g} s")
+        rows.append((t, theta, drift_, *(state if keep_states else ())))
+
     state = list(state)
-    _check_state(0.0, kinds, state)
     record(0.0, state)
     for i in range(n):
         t = i * h
@@ -224,17 +233,13 @@ def _integrate(scenario, pair, state, record):
         else:
             state = [f(s, h * w) for f, s, w in zip(lie_step, state, lie_rates(t, state))]
         if (i + 1) % every == 0 or i + 1 == n:
-            t = (i + 1) * h
-            _check_state(t, kinds, state)
-            record(t, state)
-
-
-def _samples(scenario, pair, state, keep=lambda s: s):
-    """Integrate and return the recorded times and the samples of each
-    quantity ``keep`` takes from the state (by default every component)."""
-    rows = []
-    _integrate(scenario, pair, state, lambda t, s: rows.append((t, *keep(s))))
+            record((i + 1) * h, state)
     return [np.array(col) for col in zip(*rows)]
+
+
+def _unit_defect(y):
+    """Unit-norm defect of sphere states, over leading axes."""
+    return np.abs(np.linalg.norm(y, axis=-1) - 1.0)
 
 
 # --- pairs: y and yhat on the sphere, X and Xhat on the group ----------------
@@ -253,8 +258,7 @@ def _sphere_pair(inp, cost) -> _Pair:
         return [u, u if cost is None else observer_body_rate(cost, s[1], s[0], u)]
 
     def observe(s):
-        y_defect, yh_defect = (np.abs(np.linalg.norm(c, axis=-1) - 1.0) for c in s)
-        return error_angle(s[1], s[0]), np.maximum(y_defect, yh_defect)
+        return error_angle(s[1], s[0]), np.maximum(_unit_defect(s[0]), _unit_defect(s[1]))
 
     return _Pair(("sphere", "sphere"), field, rates, observe)
 
@@ -263,7 +267,7 @@ def _group_pair(inp, cost, y0v, cosim=False) -> _Pair:
     """Plant X and lifted observer Xhat, whose body rate is the input minus the
     horizontal lift of the cost gradient; Xhat may be an (n, 3, 3) batch.  With
     ``cosim`` a third component is a sphere observer driven by the plant
-    output (co-simulation)."""
+    output (co-simulation), whose unit-norm defect enters the drift."""
     def body_rates(t, s):
         u = np.asarray(inp.eval(t), dtype=float)
         y = act(s[0], y0v)
@@ -283,7 +287,8 @@ def _group_pair(inp, cost, y0v, cosim=False) -> _Pair:
         # Canonical-error angle from the right-invariant group error; equal to
         # the output error angle since the action is by orthogonal matrices.
         theta = error_angle(canonical_error_from_group(s[1], s[0], y0v), y0v)
-        return theta, np.maximum(drift(s[0]), drift(s[1]))
+        worst = np.maximum(drift(s[0]), drift(s[1]))
+        return theta, np.maximum(worst, _unit_defect(s[2])) if cosim else worst
 
     return _Pair(("group", "group") + ("sphere",) * cosim, field, rates, observe)
 
@@ -298,8 +303,8 @@ def simulate_projected(scenario, cost=None) -> TrajectoryRecord:
     if cost is None and scenario.mode != "synchrony":
         cost = SphereCost(scenario.k)
     pair = _sphere_pair(scenario.input, cost)
-    t, y, yhat = _samples(scenario, pair, scenario.initial_sphere_pair())
-    return TrajectoryRecord(t, y, yhat, *pair.observe((y, yhat)))
+    t, theta, drift_, y, yhat = _integrate(scenario, pair, scenario.initial_sphere_pair(), True)
+    return TrajectoryRecord(t, y, yhat, theta, drift_)
 
 
 def simulate_lifted(scenario) -> TrajectoryRecord:
@@ -307,8 +312,8 @@ def simulate_lifted(scenario) -> TrajectoryRecord:
     from the right-invariant group error."""
     y0v = scenario.y0_vec
     pair = _group_pair(scenario.input, SphereCost(scenario.k), y0v)
-    t, X, Xh = _samples(scenario, pair, scenario.initial_group_pair())
-    return TrajectoryRecord(t, act(X, y0v), act(Xh, y0v), *pair.observe((X, Xh)), X=X, Xhat=Xh)
+    t, theta, drift_, X, Xh = _integrate(scenario, pair, scenario.initial_group_pair(), True)
+    return TrajectoryRecord(t, act(X, y0v), act(Xh, y0v), theta, drift_, X=X, Xhat=Xh)
 
 
 def simulate_cosim(scenario) -> TrajectoryRecord:
@@ -319,9 +324,9 @@ def simulate_cosim(scenario) -> TrajectoryRecord:
     pair = _group_pair(scenario.input, SphereCost(scenario.k), y0v, cosim=True)
     X, Xhat = scenario.initial_group_pair()
     # The sphere observer starts on the group observer's output.
-    t, X, Xh, yp = _samples(scenario, pair, (X, Xhat, act(Xhat, y0v)))
+    t, theta, drift_, X, Xh, yp = _integrate(scenario, pair, (X, Xhat, act(Xhat, y0v)), True)
     yhat = act(Xh, y0v)
-    return TrajectoryRecord(t, act(X, y0v), yhat, *pair.observe((X, Xh)), X=X, Xhat=Xh,
+    return TrajectoryRecord(t, act(X, y0v), yhat, theta, drift_, X=X, Xhat=Xh,
                             consistency=np.linalg.norm(yhat - yp, axis=1))
 
 
@@ -338,42 +343,38 @@ class So2OracleResult:
     record: TrajectoryRecord
 
 
-def _circle_samples(scenario, innovation: bool, output_angle: bool = False):
-    """Times, plant angles and observer angles of a circle run.  With
-    ``output_angle`` the pair is also integrated directly in the output
+def _circle_run(scenario, innovation: bool, output_angle: bool = False):
+    """The record of a circle run, then its plant and observer angle samples.
+    With ``output_angle`` the pair is also integrated directly in the output
     variables y = y0 - phi and yhat = y0 - phihat, whose samples follow."""
     inp = scenario.input
     k = scenario.k if innovation else 0.0
+    y0 = scenario.y0_angle
     phi, phihat = scenario.initial_angle_pair()
     state = [phi, phihat]
     if output_angle:
-        state += [scenario.y0_angle - phi, scenario.y0_angle - phihat]
+        state += [y0 - phi, y0 - phihat]
 
     def rates(t, s):
         u = float(inp.eval(t)[0])
         out = [u, u + k * np.sin(s[0] - s[1])]
         return out if len(s) == 2 else out + [-u, -u - k * np.sin(s[3] - s[2])]
 
-    return _samples(scenario, _Pair(("angle",) * len(state), rates, rates), state)
+    def observe(s):
+        return abs(circle.wrap(s[0] - s[1])), 0.0  # angles have no constraint to drift from
 
-
-def _circle_record(ts, phis, phihats, y0_angle) -> TrajectoryRecord:
-    y_ang = circle.wrap(y0_angle - phis)
-    yh_ang = circle.wrap(y0_angle - phihats)
-    y_arr = np.stack([np.cos(y_ang), np.sin(y_ang), np.zeros_like(y_ang)], axis=1)
-    yh_arr = np.stack([np.cos(yh_ang), np.sin(yh_ang), np.zeros_like(yh_ang)], axis=1)
-    theta = np.abs(circle.wrap(phis - phihats))
-    return TrajectoryRecord(
-        t=ts, y=y_arr, yhat=yh_arr, theta=theta, drift=np.zeros_like(ts)
-    )
+    pair = _Pair(("angle",) * len(state), rates, rates, observe)
+    ts, theta, drift_, phis, phihats, *output = _integrate(scenario, pair, state, True)
+    y, yhat = (np.stack([np.cos(a), np.sin(a), np.zeros_like(a)], axis=1)
+               for a in (circle.wrap(y0 - phis), circle.wrap(y0 - phihats)))
+    return TrajectoryRecord(ts, y, yhat, theta, drift_), phis, phihats, *output
 
 
 def simulate_circle(scenario) -> TrajectoryRecord:
     """Plant/observer pair on the circle; synchrony mode disables the
     innovation just as on the sphere."""
     cosim = scenario.mode == "co-sim"
-    ts, phis, phihats, *output = _circle_samples(scenario, scenario.mode != "synchrony", cosim)
-    rec = _circle_record(ts, phis, phihats, scenario.y0_angle)
+    rec, _, phihats, *output = _circle_run(scenario, scenario.mode != "synchrony", cosim)
     if cosim:
         # The output-angle observer is related to the group observer by an
         # affine change of variables, which fixed-step RK4 commutes with; the
@@ -390,15 +391,15 @@ def so2_oracle_run(scenario) -> So2OracleResult:
     delta = phi - phihat obeys delta' = -k sin(delta) with the explicit
     solution used on the sphere, so the oracle never touches the integrator.
     """
-    ts, phis, phihats = _circle_samples(scenario, innovation=True)
+    rec, phis, phihats = _circle_run(scenario, innovation=True)
     phi0, phihat0 = scenario.initial_angle_pair()
-    exact_phi = phi0 + np.array([float(scenario.input.integral(t)[0]) for t in ts])
+    exact_phi = phi0 + np.array([float(scenario.input.integral(t)[0]) for t in rec.t])
     delta0 = circle.wrap(phi0 - phihat0)
-    delta = circle.error_closed_form(delta0, scenario.k, ts)
+    delta = circle.error_closed_form(delta0, scenario.k, rec.t)
     exact_phihat = exact_phi - delta
     deviation = float(np.max(np.abs(circle.wrap(phihats - exact_phihat))))
     final_err = float(abs(circle.wrap(phihats[-1] - phis[-1])))
-    return So2OracleResult(deviation, final_err, _circle_record(ts, phis, phihats, scenario.y0_angle))
+    return So2OracleResult(deviation, final_err, rec)
 
 
 # --- Monte Carlo sweeps ----------------------------------------------------
@@ -446,7 +447,7 @@ def monte_carlo(scenario) -> MonteCarloResult:
         state = (y, _sample_observers(rng, mc.runs, random_unit, lambda S: S, y))
         pair = _sphere_pair(scenario.input, cost)
     # Only the per-run angle and drift rows are kept at each sample, not the states.
-    t_rec, theta, drift_rows = _samples(scenario, pair, state, pair.observe)
+    t_rec, theta, drift_rows = _integrate(scenario, pair, state, False)
     summaries = _summaries(t_rec, theta.T, drift_rows.T, mc.threshold)
     frac = float(np.mean([s.final_angle < mc.threshold for s in summaries]))
     return MonteCarloResult(summaries, frac, mc.threshold, mc.runs, scenario.seed)

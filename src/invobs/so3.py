@@ -154,11 +154,6 @@ def act(X, y) -> np.ndarray:
     return unit(np.einsum("...ji,...j->...i", X, y))
 
 
-def in_stabiliser(X, y0, tol: float = 1e-9) -> bool:
-    """True when X fixes the reference direction under the action."""
-    return float(np.linalg.norm(act(X, y0) - unit(y0))) <= tol
-
-
 def section(y, y0) -> np.ndarray:
     """A group element carrying the reference to y: act(section(y, y0), y0) = y.
 
@@ -198,9 +193,3 @@ class TangentVector:
         if defect > 1e-9 * max(1.0, float(np.linalg.norm(self.vec))):
             raise ValueError(f"vector is not tangent at base: |<vec, base>| = {defect:.3e}")
 
-
-def riemannian_inner(v: TangentVector, w: TangentVector) -> float:
-    """Embedded Euclidean metric on the sphere; invariant under the action."""
-    if float(np.linalg.norm(v.base - w.base)) > 1e-9:
-        raise ValueError("tangent vectors have mismatched base points")
-    return float(v.vec @ w.vec)

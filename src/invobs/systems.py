@@ -1,5 +1,5 @@
 """The plant: left-invariant kinematics, the direction output, the projected
-sphere dynamics, indistinguishability, and admissible input signals.
+sphere dynamics, and admissible input signals.
 
 The state equation is Xdot = X @ hat(u) with u measured.  Its output
 y = act(X, y0) obeys the closed sphere equation ydot = -hat(u) @ y, which is
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .so3 import cross, hat, in_stabiliser
+from .so3 import cross, hat
 
 
 def plant_vector_field(X, u) -> np.ndarray:
@@ -24,12 +24,6 @@ def project_dynamics(y, u) -> np.ndarray:
     """Output-space velocity -hat(u) @ y = y x u induced by any representative
     of y, over leading axes of either argument."""
     return cross(y, u)
-
-
-def indistinguishable(X, Y, y0) -> bool:
-    """True when X and Y produce identical outputs for every input, i.e. when
-    X @ Y^-1 fixes the reference direction."""
-    return in_stabiliser(np.asarray(X) @ np.asarray(Y).T, y0)
 
 
 class InputSignal:

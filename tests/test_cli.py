@@ -185,6 +185,8 @@ def test_input_error_exit_codes(tmp_path):
     assert cli.main(["sweep", "--scenario", str(long_run), "--out", str(tmp_path / "x")]) == 2
     huge_seed = ["--seed", str(2 ** 64), "--out", str(tmp_path / "x")]
     assert cli.main(["run", "--preset", "metni-s2"] + huge_seed) == 2
+    # So is a run of it: 10**8 + 1 recorded samples exceed the run sample bound.
+    assert cli.main(["run", "--scenario", str(long_run), "--out", str(tmp_path / "x")]) == 2
 
 
 def test_runtime_abort_exit_code(tmp_path, monkeypatch):

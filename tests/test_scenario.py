@@ -17,7 +17,7 @@ from invobs import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from invobs.scenario import INSTANCES, MAX_MC_RUNS, MAX_MC_VALUES, MODES
+from invobs.scenario import INSTANCES, MAX_MC_RUNS, MAX_MC_VALUES, MAX_RUN_SAMPLES, MODES
 
 
 def parse(doc):
@@ -89,6 +89,11 @@ def test_invalid_json_rejected():
     ({"instance": "so3-s2", "sample_every": 2.0 ** 64}, "^sample_every "),
     ({"instance": "so3-s2", "init": {"observer": {"rotation": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}}},
      "special-orthogonal"),
+    ({"instance": "so3-s2", "t_end": 100000, "sample_every": 1}, "^t_end .*sample_every"),
+    ({"instance": "so3-s2", "mode": "monte-carlo", "mc": {"runs": 1}, "t_end": 40000,
+      "sample_every": 1}, "^t_end .*sample_every"),
+    ({"instance": "so3-s2", "t_end": 0.0115}, r"^t_end .*integrator\.h"),
+    ({"instance": "so3-s2", "t_end": 1.0005}, r"^t_end .*integrator\.h"),
 ])
 def test_validation_errors_name_the_field(doc, fragment):
     with pytest.raises(ScenarioError, match=fragment):
@@ -96,8 +101,20 @@ def test_validation_errors_name_the_field(doc, fragment):
 
 
 def test_step_count_limit():
-    # 10**8 steps of the default h parse; the run itself is not started.
-    assert parse({"instance": "so3-s2", "t_end": 1e5}).t_end == 1e5
+    # 10**8 steps of the default h parse when few enough are recorded; the run
+    # itself is not started.
+    assert parse({"instance": "so3-s2", "t_end": 1e5, "sample_every": 1000}).t_end == 1e5
+
+
+def test_run_sample_limit():
+    # A run records its initial state, each stride and the last step: 999 999
+    # steps recorded every step reach the bound, and a stride of 2 over
+    # 1 999 999 steps (its last step recorded too) passes it by one.  The runs
+    # are not started.
+    doc = {"instance": "so3-s2", "t_end": 999.999, "sample_every": 1}
+    assert round(parse(doc).t_end / 1e-3) + 1 == MAX_RUN_SAMPLES
+    with pytest.raises(ScenarioError, match="^t_end .*sample_every"):
+        parse(dict(doc, t_end=1999.999, sample_every=2))
 
 
 def test_sweep_size_limits():

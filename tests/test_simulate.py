@@ -238,6 +238,49 @@ def test_simulation_abort_on_overflow(make_scenario):
         simulate_projected(sc, cost=blowup)
 
 
+def _off_sphere_retraction(monkeypatch):
+    """Break the sphere retraction after each RK4 step: it lands 1e-3 off S^2."""
+    import invobs.simulate
+    from invobs.so3 import unit
+
+    monkeypatch.setattr(invobs.simulate, "unit", lambda v: 1.001 * unit(v))
+
+
+@pytest.mark.parametrize("mode,run", [("projected", simulate_projected),
+                                      ("co-sim", simulate_cosim)])
+def test_direction_leaving_the_sphere_aborts(make_scenario, monkeypatch, mode, run):
+    """The drift each sample records is also the guard: a sphere state (the
+    projected pair's, or the co-simulated sphere observer) off S^2 stops the
+    run at its first recorded sample after the initial state."""
+    _off_sphere_retraction(monkeypatch)
+    sc = make_scenario(mode=mode, input=SINUSOID, t_end=0.1)
+    with pytest.raises(SimulationAbort, match=r"S\^2 \(drift .*\) at t = 0\.01 s"):
+        run(sc)
+
+
+def test_sweep_observes_each_sample_once(make_scenario, monkeypatch):
+    """The benchmark's 200-run lifted sweep (1500 steps of 0.01 s, every 10th
+    recorded) takes the drift of the plant and of the observer batch once per
+    recorded sample: 2 x 151 calls, shared by the guard and the summaries."""
+    import invobs.simulate
+
+    drift = invobs.simulate.drift
+    calls = []
+
+    def counted(X):
+        calls.append(None)
+        return drift(X)
+
+    monkeypatch.setattr(invobs.simulate, "drift", counted)
+    sc = make_scenario(mode="monte-carlo", input={"kind": "sinusoid", "amplitude": [0.6, 0.4, 0.5],
+                                                  "frequency": 0.3, "phase": 0.0},
+                       t_end=15.0, seed=7, integrator={"h": 0.01},
+                       mc={"runs": 200, "space": "lifted"})
+    res = monte_carlo(sc)
+    assert len(calls) == 2 * 151
+    assert max(s.max_drift for s in res.summaries) <= 1e-9
+
+
 def test_monte_carlo_deterministic_and_convergent(make_scenario):
     sc = make_scenario(mode="monte-carlo", k=1.0, input=SINUSOID, t_end=15.0,
                        sample_every=20, seed=11,

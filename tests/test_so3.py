@@ -12,14 +12,12 @@ from invobs import (
     drift,
     group_exp,
     hat,
-    in_stabiliser,
     orthonormalize,
-    riemannian_inner,
     section,
     unit,
     vee,
 )
-from invobs.sampling import random_rotation, random_tangent, random_unit
+from invobs.sampling import random_rotation, random_unit
 from invobs.so3 import cross
 
 E1, E2, E3 = np.eye(3)
@@ -141,19 +139,6 @@ def test_act_right_action_law(rng):
         assert np.allclose(act(X, act(Y, y)), act(Y @ X, y), atol=1e-12)
 
 
-def test_in_stabiliser():
-    assert in_stabiliser(np.eye(3), E3)
-    assert in_stabiliser(group_exp(0.7 * E3), E3)
-    assert not in_stabiliser(group_exp(0.7 * E1), E3)
-
-
-def test_stabiliser_coset_invariance(rng):
-    for _ in range(100):
-        X = random_rotation(rng)
-        Z = group_exp(float(rng.uniform(-np.pi, np.pi)) * E3)
-        assert in_stabiliser(X @ Z, E3) == in_stabiliser(X, E3)
-
-
 def test_section_examples():
     assert np.allclose(section(E3, E3), np.eye(3), atol=1e-15)
     S = section(E1, E3)
@@ -206,21 +191,6 @@ def test_tangent_vector_rejects_non_tangent():
         TangentVector(E3, E3 + E1)
     v = TangentVector(E3, 2.0 * E1)
     assert np.array_equal(v.vec, 2.0 * E1)
-
-
-def test_riemannian_inner(rng):
-    assert riemannian_inner(TangentVector(E3, E1), TangentVector(E3, E1)) == 1.0
-    with pytest.raises(ValueError, match="base"):
-        riemannian_inner(TangentVector(E3, E1), TangentVector(E1, E2))
-    for _ in range(200):
-        base = random_unit(rng)
-        v = TangentVector(base, 1.7 * random_tangent(rng, base))
-        w = TangentVector(base, 0.6 * random_tangent(rng, base))
-        S = random_rotation(rng)
-        moved = act(S, base)
-        vs = TangentVector(moved, S.T @ v.vec)
-        ws = TangentVector(moved, S.T @ w.vec)
-        assert abs(riemannian_inner(vs, ws) - riemannian_inner(v, w)) <= 1e-12
 
 
 # --- leading axes: a stack gives the per-row results ---------------------------

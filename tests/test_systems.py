@@ -1,4 +1,4 @@
-"""Plant, output, projected dynamics, indistinguishability, input signals."""
+"""Plant, output and its stabiliser invariance, projected dynamics, input signals."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from invobs import (
     act,
     group_exp,
     hat,
-    indistinguishable,
     plant_vector_field,
     project_dynamics,
     section,
@@ -93,28 +92,6 @@ def test_projected_velocity_is_representative_independent(rng):
             minus = act(X @ group_exp(-EPS * u), y0)
             fds.append((plus - minus) / (2 * EPS))
         assert np.linalg.norm(fds[0] - fds[1]) <= 1e-6
-
-
-def test_indistinguishable():
-    X = group_exp([0.3, 0.8, -0.2])
-    assert indistinguishable(X, X, E3)
-    Rz = group_exp(1.1 * E3)
-    assert indistinguishable(Rz @ X, X, E3)
-    assert not indistinguishable(group_exp(0.5 * E1), np.eye(3), E3)
-
-
-def test_indistinguishable_is_equivalence(rng):
-    for _ in range(100):
-        X = random_rotation(rng)
-        Y = group_exp(float(rng.uniform(-np.pi, np.pi)) * E3) @ X
-        Z = group_exp(float(rng.uniform(-np.pi, np.pi)) * E3) @ Y
-        assert indistinguishable(X, X, E3)
-        assert indistinguishable(X, Y, E3) and indistinguishable(Y, X, E3)
-        assert indistinguishable(X, Y, E3) and indistinguishable(Y, Z, E3)
-        assert indistinguishable(X, Z, E3)
-        other = random_rotation(rng)
-        if not indistinguishable(X, other, E3):
-            assert not indistinguishable(other, X, E3)
 
 
 def test_eval_input_examples():
