@@ -64,7 +64,6 @@ from .so3 import (
     hat,
     orthonormalize,
     section,
-    tangent_project,
     unit,
     vee,
 )

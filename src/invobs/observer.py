@@ -24,7 +24,6 @@ from .so3 import (
     cross,
     hat,
     section,
-    tangent_project,
     unit,
     vee,
 )
@@ -36,13 +35,14 @@ FD_EPS = 1e-6  # central-difference step shared by every oracle check
 class SphereCost:
     """Invariant cost k * (1 - <yhat, y>), equal to (k/2)||yhat - y||^2.
 
-    The gain sets the exponential contraction rate of the error angle.
+    The gain sets the exponential contraction rate of the error angle.  An
+    (n, 1) array of gains gives one gain per row of a batch to ``grad1``.
     """
 
-    k: float = 1.0
+    k: float | np.ndarray = 1.0
 
     def __post_init__(self):
-        if not (self.k > 0.0 and np.isfinite(self.k)):
+        if not np.all((np.asarray(self.k) > 0.0) & np.isfinite(self.k)):
             raise ValueError("gain k must be positive and finite")
 
     def value(self, yhat, y) -> float:
@@ -75,8 +75,10 @@ class AnisotropicCost:
         return 0.5 * float(d @ d)
 
     def grad1(self, yhat, y) -> np.ndarray:
-        p = self.A.T @ self.A @ (np.asarray(yhat, dtype=float) - y)
-        return tangent_project(yhat, p)
+        """Tangent part at yhat of A^T A (yhat - y), over leading axes."""
+        yhat = np.asarray(yhat, dtype=float)
+        p = (yhat - y) @ (self.A.T @ self.A)  # A^T A is symmetric
+        return p - yhat * np.sum(yhat * p, axis=-1, keepdims=True)
 
 
 def projected_observer_field(c, yhat, y, u) -> np.ndarray:
@@ -256,20 +258,3 @@ class SectionedCost:
         Xhat = section(y2, self.y0)
         z = X.T @ Xhat @ self.y0
         return float(self.fhat(z / np.linalg.norm(z)))
-
-    def grad1(self, y1, y2) -> np.ndarray:
-        """Central-difference gradient in the first slot (tangent at y1)."""
-        y1 = np.asarray(y1, dtype=float)
-        g = np.zeros(3)
-        for w in _tangent_basis(y1):
-            fp = self.value(unit(y1 + FD_EPS * w), y2)
-            fm = self.value(unit(y1 - FD_EPS * w), y2)
-            g += ((fp - fm) / (2.0 * FD_EPS)) * w
-        return g
-
-
-def _tangent_basis(y) -> tuple[np.ndarray, np.ndarray]:
-    """An orthonormal basis of the tangent plane at unit vector y."""
-    pick = np.array([1.0, 0.0, 0.0]) if abs(y[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
-    w1 = unit(cross(y, pick))
-    return w1, cross(y, w1)

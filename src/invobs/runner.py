@@ -21,12 +21,9 @@ from .scenario import Scenario, scenario_to_dict
 from .simulate import (
     MonteCarloResult,
     TrajectoryRecord,
+    _simulate,
     closed_form_deviation,
     monte_carlo,
-    simulate_circle,
-    simulate_cosim,
-    simulate_lifted,
-    simulate_projected,
     so2_oracle_run,
     summarize,
 )
@@ -45,11 +42,8 @@ SYNCHRONY_TOL = 1e-8
 
 
 def write_trajectory_csv(path: str, rec: TrajectoryRecord):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for i in range(len(rec.t)):
-            row = (rec.t[i], *rec.y[i], *rec.yhat[i], rec.theta[i], rec.drift[i])
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    rows = np.column_stack((rec.t, rec.y, rec.yhat, rec.theta, rec.drift))
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=",".join(CSV_COLUMNS), comments="")
 
 
 def _write_summary(path: str, payload: dict):
@@ -137,12 +131,3 @@ def run(sc: Scenario, out_dir: str, quiet: bool = False) -> int:
     _write_summary(os.path.join(out_dir, "summary.json"), payload)
     return code
 
-
-def _simulate(sc: Scenario) -> TrajectoryRecord:
-    if sc.instance == "so2-s1":
-        return simulate_circle(sc)
-    if sc.mode == "lifted":
-        return simulate_lifted(sc)
-    if sc.mode == "co-sim":
-        return simulate_cosim(sc)
-    return simulate_projected(sc)  # projected and synchrony

@@ -6,6 +6,10 @@ signal, initial conditions for plant and observer, the integrator, horizon,
 sampling stride, and the run mode.  Parsing validates every constraint with a
 field-precise message and rejects unknown keys; the canonical dictionary echo
 round-trips so a run can be reproduced from its own summary file.
+
+A circle document is read as the planar restriction of the rotation-group
+instance: rotations about the z axis, outputs on the equator and body rates
+along z, so both instances run on the same pairs.
 """
 
 from __future__ import annotations
@@ -78,7 +82,17 @@ class Scenario:
 
     @property
     def y0_vec(self) -> np.ndarray:
+        """The reference direction; an so2-s1 angle y0 is the equator point
+        (cos y0, sin y0, 0)."""
+        if self.instance == "so2-s1":
+            return np.array([np.cos(self.y0), np.sin(self.y0), 0.0])
         return self.y0
+
+    @property
+    def body_rates(self) -> InputSignal:
+        """The input as body rates; an so2-s1 angular rate w is the body
+        rate (0, 0, w) about the z axis."""
+        return self.input if self.instance == "so3-s2" else _about_z(self.input)
 
     @property
     def y0_angle(self) -> float:
@@ -102,13 +116,25 @@ class Scenario:
 def _sphere_point(init: InitState, y0v: np.ndarray) -> np.ndarray:
     if init.kind == "direction":
         return np.array(init.value, dtype=float)
-    return act(init.value, y0v)
+    return act(_rotation(init, y0v), y0v)
 
 
 def _rotation(init: InitState, y0v: np.ndarray) -> np.ndarray:
     if init.kind == "direction":
         return section(init.value, y0v)
+    if init.kind == "angle":  # its output is the equator point at angle y0 - phi
+        return group_exp(np.array([0.0, 0.0, init.value]))
     return np.array(init.value, dtype=float)
+
+
+def _about_z(sig: InputSignal) -> InputSignal:
+    """A scalar rate signal w as the body rate (0, 0, w)."""
+    if sig.kind == "sum":
+        return InputSignal.sum_of(*map(_about_z, sig.terms))
+    if sig.kind == "piecewise-constant":
+        return InputSignal.piecewise(sig.times, np.pad(sig.values, ((0, 0), (2, 0))))
+    return InputSignal(sig.kind, amplitude=np.pad(sig.amplitude, (2, 0)),
+                       frequency=sig.frequency, phase=sig.phase)
 
 
 # --- parsing ----------------------------------------------------------------

@@ -9,11 +9,12 @@ since the continuous-time theory says nothing about discretisation and fourth
 order keeps the integrator far below every property tolerance.
 
 Both integrators live in one time loop, ``_integrate``.  Every run (projected,
-lifted, co-simulation, circle, and each Monte Carlo sweep) is a pair on it: a
-velocity field, a rates function and an observation over a list of sphere,
-group or angle components, where a sweep's observer component carries the
-batch axis.  The observation of each recorded state is both the run's record
-and the loop's guard against a state that left its manifold.
+lifted, co-simulation, and each Monte Carlo sweep) is a pair on it: a velocity
+field, a rates function and an observation over a list of sphere or group
+components, where a sweep's observer component carries the batch axis.  The
+observation of each recorded state is both the run's record and the loop's
+guard against a state that left its manifold.  An so2-s1 document steps the
+same pairs, restricted to rotations about the z axis by its scenario.
 """
 
 from __future__ import annotations
@@ -162,18 +163,16 @@ def _n_steps(t_end: float, h: float) -> int:
 
 
 # Per component kind: the retraction after an RK4 step, and the Lie-Euler
-# update by the step-scaled rate hw: a body rate moves a group state to
+# update by the step-scaled body rate hw, which moves a group state to
 # X exp(hw) and a sphere state to act(exp(hw), y).  The primitives are looked
 # up per call, so a replaced module attribute takes effect.
 _RETRACT = {
     "sphere": lambda v: unit(v),
     "group": lambda X: orthonormalize(X),
-    "angle": lambda s: s,
 }
 _LIE_STEP = {
     "sphere": lambda y, hw: act(group_exp(hw), y),
     "group": lambda X, hw: compose(X, group_exp(hw)),
-    "angle": lambda s, hw: s + hw,
 }
 
 
@@ -187,13 +186,12 @@ def _integrate(scenario, pair, state, keep_states):
     and return the recorded times, error angles and drifts, followed by the
     recorded states of each component when ``keep_states`` is set.
 
-    ``pair.kinds`` names each component's space: "sphere" (unit vectors),
-    "group" (rotation matrices) or "angle" (circle angles).  A component may
-    carry leading batch axes; the primitives broadcast over them, and the
-    angle and drift rows then carry the same axes.
+    ``pair.kinds`` names each component's space: "sphere" (unit vectors) or
+    "group" (rotation matrices).  A component may carry leading batch axes;
+    the primitives broadcast over them, and the angle and drift rows then
+    carry the same axes.
     ``pair.field(t, state)`` gives each component's velocity in the embedding,
-    ``pair.rates(t, state)`` each component's rate for one Lie-Euler step
-    (body rate on the group and the sphere, angular rate on the circle).
+    ``pair.rates(t, state)`` each component's body rate for one Lie-Euler step.
     The initial state, every ``sample_every``-th step and the last step are
     recorded.  Each recorded state must be finite, and its
     ``pair.observe(state) -> (theta, drift)`` is computed once: the drift is
@@ -302,7 +300,7 @@ def simulate_projected(scenario, cost=None) -> TrajectoryRecord:
     """
     if cost is None and scenario.mode != "synchrony":
         cost = SphereCost(scenario.k)
-    pair = _sphere_pair(scenario.input, cost)
+    pair = _sphere_pair(scenario.body_rates, cost)
     t, theta, drift_, y, yhat = _integrate(scenario, pair, scenario.initial_sphere_pair(), True)
     return TrajectoryRecord(t, y, yhat, theta, drift_)
 
@@ -311,7 +309,7 @@ def simulate_lifted(scenario) -> TrajectoryRecord:
     """Integrate plant and observer on the group; the error angle is derived
     from the right-invariant group error."""
     y0v = scenario.y0_vec
-    pair = _group_pair(scenario.input, SphereCost(scenario.k), y0v)
+    pair = _group_pair(scenario.body_rates, SphereCost(scenario.k), y0v)
     t, theta, drift_, X, Xh = _integrate(scenario, pair, scenario.initial_group_pair(), True)
     return TrajectoryRecord(t, act(X, y0v), act(Xh, y0v), theta, drift_, X=X, Xhat=Xh)
 
@@ -321,7 +319,7 @@ def simulate_cosim(scenario) -> TrajectoryRecord:
     matching initial conditions and record how far the group observer's output
     strays from the directly integrated sphere observer."""
     y0v = scenario.y0_vec
-    pair = _group_pair(scenario.input, SphereCost(scenario.k), y0v, cosim=True)
+    pair = _group_pair(scenario.body_rates, SphereCost(scenario.k), y0v, cosim=True)
     X, Xhat = scenario.initial_group_pair()
     # The sphere observer starts on the group observer's output.
     t, theta, drift_, X, Xh, yp = _integrate(scenario, pair, (X, Xhat, act(Xhat, y0v)), True)
@@ -330,7 +328,21 @@ def simulate_cosim(scenario) -> TrajectoryRecord:
                             consistency=np.linalg.norm(yhat - yp, axis=1))
 
 
+def _simulate(scenario) -> TrajectoryRecord:
+    """A single run in the scenario's mode, of either instance."""
+    if scenario.mode == "lifted":
+        return simulate_lifted(scenario)
+    if scenario.mode == "co-sim":
+        return simulate_cosim(scenario)
+    return simulate_projected(scenario)  # projected, synchrony, and verify's oracle run
+
+
 # --- circle instance -------------------------------------------------------
+
+def simulate_circle(scenario) -> TrajectoryRecord:
+    """An so2-s1 run: the planar restriction of the so3-s2 pair of its mode."""
+    return _simulate(scenario)
+
 
 @dataclass
 class So2OracleResult:
@@ -343,55 +355,17 @@ class So2OracleResult:
     record: TrajectoryRecord
 
 
-def _circle_run(scenario, innovation: bool, output_angle: bool = False):
-    """The record of a circle run, then its plant and observer angle samples.
-    With ``output_angle`` the pair is also integrated directly in the output
-    variables y = y0 - phi and yhat = y0 - phihat, whose samples follow."""
-    inp = scenario.input
-    k = scenario.k if innovation else 0.0
-    y0 = scenario.y0_angle
-    phi, phihat = scenario.initial_angle_pair()
-    state = [phi, phihat]
-    if output_angle:
-        state += [y0 - phi, y0 - phihat]
-
-    def rates(t, s):
-        u = float(inp.eval(t)[0])
-        out = [u, u + k * np.sin(s[0] - s[1])]
-        return out if len(s) == 2 else out + [-u, -u - k * np.sin(s[3] - s[2])]
-
-    def observe(s):
-        return abs(circle.wrap(s[0] - s[1])), 0.0  # angles have no constraint to drift from
-
-    pair = _Pair(("angle",) * len(state), rates, rates, observe)
-    ts, theta, drift_, phis, phihats, *output = _integrate(scenario, pair, state, True)
-    y, yhat = (np.stack([np.cos(a), np.sin(a), np.zeros_like(a)], axis=1)
-               for a in (circle.wrap(y0 - phis), circle.wrap(y0 - phihats)))
-    return TrajectoryRecord(ts, y, yhat, theta, drift_), phis, phihats, *output
-
-
-def simulate_circle(scenario) -> TrajectoryRecord:
-    """Plant/observer pair on the circle; synchrony mode disables the
-    innovation just as on the sphere."""
-    cosim = scenario.mode == "co-sim"
-    rec, _, phihats, *output = _circle_run(scenario, scenario.mode != "synchrony", cosim)
-    if cosim:
-        # The output-angle observer is related to the group observer by an
-        # affine change of variables, which fixed-step RK4 commutes with; the
-        # residual is pure rounding.
-        yhat_angle = circle.wrap(scenario.y0_angle - phihats)
-        rec.consistency = np.abs(circle.wrap(yhat_angle - circle.wrap(output[1])))
-    return rec
-
-
 def so2_oracle_run(scenario) -> So2OracleResult:
-    """Compare the simulated circle observer against the exact solution.
+    """Compare a simulated so2-s1 run against the exact solution.
 
-    The plant angle integrates the input in closed form; the observer error
+    The plant and observer angles are read back from the recorded outputs,
+    which are the equator points at y0 - phi and y0 - phihat.  The exact plant
+    angle integrates the input in closed form; the observer error
     delta = phi - phihat obeys delta' = -k sin(delta) with the explicit
     solution used on the sphere, so the oracle never touches the integrator.
     """
-    rec, phis, phihats = _circle_run(scenario, innovation=True)
+    rec = _simulate(scenario)
+    phis, phihats = (scenario.y0_angle - np.arctan2(v[:, 1], v[:, 0]) for v in (rec.y, rec.yhat))
     phi0, phihat0 = scenario.initial_angle_pair()
     exact_phi = phi0 + np.array([float(scenario.input.integral(t)[0]) for t in rec.t])
     delta0 = circle.wrap(phi0 - phihat0)
@@ -441,11 +415,11 @@ def monte_carlo(scenario) -> MonteCarloResult:
         X = scenario.initial_group_pair()[0]
         state = (X, _sample_observers(rng, mc.runs, random_rotation, lambda S: act(S, y0v),
                                       act(X, y0v)))
-        pair = _group_pair(scenario.input, cost, y0v)
+        pair = _group_pair(scenario.body_rates, cost, y0v)
     else:
         y = scenario.initial_sphere_pair()[0]
         state = (y, _sample_observers(rng, mc.runs, random_unit, lambda S: S, y))
-        pair = _sphere_pair(scenario.input, cost)
+        pair = _sphere_pair(scenario.body_rates, cost)
     # Only the per-run angle and drift rows are kept at each sample, not the states.
     t_rec, theta, drift_rows = _integrate(scenario, pair, state, False)
     summaries = _summaries(t_rec, theta.T, drift_rows.T, mc.threshold)

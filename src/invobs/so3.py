@@ -172,13 +172,6 @@ def section(y, y0) -> np.ndarray:
     return R.T
 
 
-def tangent_project(y, v) -> np.ndarray:
-    """Component of v tangent to the sphere at y."""
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return v - y * float(y @ v)
-
-
 @dataclass(frozen=True)
 class TangentVector:
     """A vector ``vec`` tangent to the unit sphere at ``base``."""

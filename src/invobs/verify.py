@@ -28,7 +28,7 @@ from .observer import (
 )
 from .sampling import random_rotation, random_tangent, random_unit
 from .scenario import InitState
-from .simulate import simulate_cosim, simulate_projected, so2_oracle_run
+from .simulate import _integrate, _sphere_pair, simulate_cosim, simulate_projected, so2_oracle_run
 from .so3 import TangentVector, act, group_exp, hat, unit
 from .systems import InputSignal, plant_vector_field
 
@@ -241,15 +241,30 @@ def _autonomy_inputs(rng, n, h) -> list[InputSignal]:
     return out
 
 
+class _InputStack:
+    """The inputs of a batch of runs: ``eval(t)`` gives their (n, 3) rates."""
+
+    def __init__(self, signals):
+        self.signals = signals
+
+    def eval(self, t) -> np.ndarray:
+        return np.array([sig.eval(t) for sig in self.signals])
+
+
+def _batch_theta(scenario, inputs, cost, y, yhat):
+    """Sample times and (samples, n) error angles of n projected runs stepped
+    as one batch: run i has input inputs[i] and starts at rows i of the
+    (n, 3) plant and observer outputs y and yhat."""
+    return _integrate(scenario, _sphere_pair(_InputStack(inputs), cost), (y, yhat), False)[:2]
+
+
 def autonomy_spread(scenario, inputs, cost=None) -> float:
     """Pointwise spread of the error angle across runs differing only in the
-    input signal."""
-    thetas = []
-    for sig in inputs:
-        rec = simulate_projected(dc_replace(scenario, input=sig, mode="projected"), cost=cost)
-        thetas.append(rec.theta)
-    stack = np.stack(thetas)
-    return float(np.max(stack.max(axis=0) - stack.min(axis=0)))
+    input signal, stepped as one batch from the scenario's initial pair."""
+    y, yhat = (np.tile(v, (len(inputs), 1)) for v in scenario.initial_sphere_pair())
+    cost = SphereCost(scenario.k) if cost is None else cost
+    _, theta = _batch_theta(scenario, inputs, cost, y, yhat)
+    return float(np.max(np.ptp(theta, axis=1)))
 
 
 def synchrony_residual(scenario, inputs) -> float:

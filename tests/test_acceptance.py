@@ -16,6 +16,7 @@ from invobs import (
     SphereCost,
     check_innovation_equivariance,
     closed_form_deviation,
+    error_angle_closed_form,
     monte_carlo,
     parse_scenario,
     preset,
@@ -26,6 +27,7 @@ from invobs import (
     summarize,
 )
 from invobs.verify import (
+    _batch_theta,
     _random_piecewise,
     _random_sinusoid,
     _smooth_inputs,
@@ -58,24 +60,24 @@ def random_direction(rng):
 
 
 def test_criterion_01_error_angle_law():
+    """20 projected runs, each with its own input, gain and initial pair,
+    stepped as one batch; each run is held to its own closed-form law."""
     rng = np.random.default_rng(2024)
     gains = [0.5, 1.0, 2.0]
-    worst = 0.0
+    inputs, starts = [], []
     for i in range(20):
         if i % 2 == 0:
-            inp = _random_sinusoid(rng)
+            inputs.append(_random_sinusoid(rng))
         else:
-            inp = type(_random_sinusoid(rng)).sum_of(_random_sinusoid(rng),
-                                                     _random_piecewise(rng, H))
-        sc = scenario(
-            mode="projected", k=gains[i % 3], t_end=10.0,
-            init={"plant": {"direction": random_direction(rng)},
-                  "observer": {"direction": random_direction(rng)}},
-        )
-        sc = dataclasses.replace(sc, input=inp)
-        rec = simulate_projected(sc)
-        dev = closed_form_deviation(rec, sc.k)
-        worst = max(worst, dev)
+            inputs.append(type(_random_sinusoid(rng)).sum_of(_random_sinusoid(rng),
+                                                             _random_piecewise(rng, H)))
+        starts.append((random_direction(rng), random_direction(rng)))
+    k = np.array([gains[i % 3] for i in range(20)])
+    y, yhat = np.array(starts).swapaxes(0, 1)
+    t, theta = _batch_theta(scenario(mode="projected", t_end=10.0), inputs,
+                            SphereCost(k[:, None]), y, yhat)
+    worst = max(float(np.max(np.abs(theta[:, i] - error_angle_closed_form(theta[0, i], k[i], t))))
+                for i in range(20))
     report(1, "error-angle law", worst <= 1e-5,
            f"max closed-form deviation {worst:.3e} <= 1e-5 over 20 scenarios")
 

@@ -1,12 +1,13 @@
 """End-to-end CLI behaviour: artifacts, determinism, exit codes."""
 
+import dataclasses
 import json
 import re
 
 import numpy as np
 
-from invobs import cli
-from invobs.runner import CSV_COLUMNS
+from invobs import TrajectoryRecord, cli, preset, simulate_lifted
+from invobs.runner import CSV_COLUMNS, write_trajectory_csv
 from invobs.simulate import SimulationAbort
 from invobs.verify import PropertyCheck
 
@@ -187,6 +188,26 @@ def test_input_error_exit_codes(tmp_path):
     assert cli.main(["run", "--preset", "metni-s2"] + huge_seed) == 2
     # So is a run of it: 10**8 + 1 recorded samples exceed the run sample bound.
     assert cli.main(["run", "--scenario", str(long_run), "--out", str(tmp_path / "x")]) == 2
+
+
+def test_trajectory_csv_matches_row_rendering(tmp_path):
+    """trajectory.csv holds each sample as 17 significant digits, as a
+    row-by-row f-string rendering writes it, down to signed zeros and
+    subnormals."""
+    sc = dataclasses.replace(preset("explicit-complementary"), t_end=1.0)
+    edges = np.array([0.0, -0.0, 5e-324, -1e-310, 1e300, 0.1, 1.0 / 3.0])
+    t = np.arange(7.0)
+    records = [simulate_lifted(sc),
+               TrajectoryRecord(t, np.stack([edges] * 3, axis=1), -np.stack([edges] * 3, axis=1),
+                                edges[::-1], np.abs(edges))]
+    for i, rec in enumerate(records):
+        path = tmp_path / f"trajectory-{i}.csv"
+        write_trajectory_csv(str(path), rec)
+        want = ",".join(CSV_COLUMNS) + "\n" + "".join(
+            ",".join(f"{v:.17g}" for v in (rec.t[j], *rec.y[j], *rec.yhat[j], rec.theta[j],
+                                           rec.drift[j])) + "\n"
+            for j in range(len(rec.t)))
+        assert path.read_bytes() == want.encode()
 
 
 def test_runtime_abort_exit_code(tmp_path, monkeypatch):

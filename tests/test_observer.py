@@ -66,12 +66,21 @@ def test_grad1_examples():
 def test_grad1_over_leading_axes(rng):
     c = SphereCost(1.7)
     Yh, Y, y = random_unit(rng, 20), random_unit(rng, 20), random_unit(rng)
+    ks = rng.uniform(0.5, 2.0, (20, 1))
+    anisotropic = AnisotropicCost()
     for got, want in [
         (c.grad1(Yh, y), [c.grad1(v, y) for v in Yh]),        # a sweep against one plant
         (c.grad1(Yh, Y), [c.grad1(v, w) for v, w in zip(Yh, Y)]),
         (c.grad1(Yh[:3], Y[:3]), [c.grad1(v, w) for v, w in zip(Yh[:3], Y[:3])]),
+        # one gain per row of a batch
+        (SphereCost(ks).grad1(Yh, Y),
+         [SphereCost(float(k[0])).grad1(v, w) for k, v, w in zip(ks, Yh, Y)]),
+        (anisotropic.grad1(Yh, Y), [anisotropic.grad1(v, w) for v, w in zip(Yh, Y)]),
     ]:
         assert np.max(np.abs(got - np.array(want))) <= 1e-15
+    for bad in (0.0, -1.0, np.inf, np.array([[1.0], [0.0]]), np.array([[1.0], [np.nan]])):
+        with pytest.raises(ValueError, match="gain k"):
+            SphereCost(bad)
 
 
 def test_grad1_matches_finite_differences(rng):
@@ -310,11 +319,3 @@ def test_make_invariant_cost(rng):
     with pytest.raises(AntipodalError):
         made.value(-Y0, random_unit(rng))
 
-
-def test_make_invariant_cost_gradient_fd(rng):
-    k = 0.8
-    made = SectionedCost(lambda z: k * (1.0 - float(z @ Y0)), Y0)
-    direct = SphereCost(k)
-    for _ in range(50):
-        y1, y2 = random_unit(rng), random_unit(rng)
-        assert np.linalg.norm(made.grad1(y1, y2) - direct.grad1(y1, y2)) <= 1e-5

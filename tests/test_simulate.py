@@ -246,14 +246,20 @@ def _off_sphere_retraction(monkeypatch):
     monkeypatch.setattr(invobs.simulate, "unit", lambda v: 1.001 * unit(v))
 
 
-@pytest.mark.parametrize("mode,run", [("projected", simulate_projected),
-                                      ("co-sim", simulate_cosim)])
-def test_direction_leaving_the_sphere_aborts(make_scenario, monkeypatch, mode, run):
+@pytest.mark.parametrize("doc,run", [
+    pytest.param(dict(mode="projected", input=SINUSOID), simulate_projected,
+                 id="projected-simulate_projected"),
+    pytest.param(dict(mode="co-sim", input=SINUSOID), simulate_cosim, id="co-sim-simulate_cosim"),
+    pytest.param(dict(instance="so2-s1", mode="projected"), simulate_circle,
+                 id="so2-s1-projected-simulate_circle"),
+])
+def test_direction_leaving_the_sphere_aborts(make_scenario, monkeypatch, doc, run):
     """The drift each sample records is also the guard: a sphere state (the
-    projected pair's, or the co-simulated sphere observer) off S^2 stops the
-    run at its first recorded sample after the initial state."""
+    projected pair's, the co-simulated sphere observer, or the planar pair of
+    an so2-s1 run) off S^2 stops the run at its first recorded sample after
+    the initial state."""
     _off_sphere_retraction(monkeypatch)
-    sc = make_scenario(mode=mode, input=SINUSOID, t_end=0.1)
+    sc = make_scenario(t_end=0.1, **doc)
     with pytest.raises(SimulationAbort, match=r"S\^2 \(drift .*\) at t = 0\.01 s"):
         run(sc)
 
@@ -337,6 +343,16 @@ def test_so2_synchrony_and_cosim(make_scenario):
     rec2 = simulate_circle(make_scenario(**dict(SO2_BASE, mode="co-sim")))
     assert rec2.consistency is not None
     assert np.max(rec2.consistency) <= 1e-10
+
+
+def test_so2_lifted_run_stays_planar(make_scenario):
+    """An so2-s1 lifted run steps the group pair on rotations about the z
+    axis, and the exact circle solution holds for it."""
+    sc = make_scenario(**dict(SO2_BASE, mode="lifted", t_end=2.0))
+    rec = simulate_circle(sc)
+    for X in (rec.X, rec.Xhat):
+        assert np.max(np.abs(X[:, 2] - E3)) <= 1e-12
+    assert so2_oracle_run(sc).max_deviation <= 1e-10
 
 
 def test_so2_lie_euler_runs(make_scenario):
@@ -448,6 +464,7 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
     single = dict(input=SINUSOID, t_end=steps * 1e-3,
                   init={"observer": {"axis_angle": [1.7, -0.4, 0.3]}})
     sweep = dict(mode="monte-carlo", input=SINUSOID, t_end=steps * 1e-2)
+    planar = dict(SO2_BASE, t_end=steps * 1e-3)
     # (entry point, document, step size, calls per rk4-project step, per lie-euler step)
     runs = [
         (simulate_projected, dict(mode="projected", **single), 1e-3,
@@ -463,6 +480,14 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
          {"project_dynamics": 4, "projected_observer_field": 4}, {"observer_body_rate": 1}),
         (monte_carlo, dict(sweep, mc={"runs": 5, "space": "lifted"}), 1e-2,
          {"plant_vector_field": 8, "lifted_observer_field": 4}, {"lifted_observer_field": 1}),
+        # so2-s1 documents step the planar restriction of the same pairs.
+        (simulate_circle, dict(planar, mode="projected"), 1e-3,
+         {"project_dynamics": 4, "projected_observer_field": 4}, {"observer_body_rate": 1}),
+        (simulate_circle, dict(planar, mode="lifted"), 1e-3,
+         {"plant_vector_field": 8, "lifted_observer_field": 4}, {"lifted_observer_field": 1}),
+        (simulate_circle, dict(planar, mode="co-sim"), 1e-3,
+         {"plant_vector_field": 8, "lifted_observer_field": 4, "projected_observer_field": 4},
+         {"lifted_observer_field": 1, "observer_body_rate": 1}),
     ]
     for fn, doc, h, rk4, lie in runs:
         for method, per_step in (("rk4-project", rk4), ("lie-euler", lie)):

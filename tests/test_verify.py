@@ -1,10 +1,16 @@
 """Verification-suite plumbing on reduced sample counts."""
 
-import numpy as np
+import dataclasses
 
-from invobs import run_verification
+import numpy as np
+import pytest
+
+from invobs import AnisotropicCost, run_verification, simulate_projected
 from invobs.verify import (
     PropertyCheck,
+    _autonomy_inputs,
+    _batch_theta,
+    autonomy_spread,
     cost_closed_forms_residual,
     gradient_fd_residual,
     innovation_cross_form_residual,
@@ -16,6 +22,7 @@ from invobs.verify import (
     observer_two_forms_residual,
 )
 from invobs.observer import SphereCost, check_innovation_equivariance, worst_residual
+from invobs.scenario import InitState
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -37,6 +44,30 @@ def test_algebraic_residuals_small(rng):
     assert gradient_fd_residual(rng, lambda r: SphereCost(1.0), 100) <= 1e-5
     assert lifted_gradient_fd_residual(rng, E3, 100) <= 1e-5
     assert invariant_cost_construction_residual(rng, E3, 100) <= 1e-9
+
+
+@pytest.mark.parametrize("cost", [None, AnisotropicCost()], ids=["invariant", "control"])
+def test_batched_runs_match_serial_runs(make_scenario, rng, cost):
+    """A batch of runs sees the samples of the serial runs it replaces: each
+    column of the batch, with its own input, gain and initial pair, matches
+    simulate_projected of that run, and autonomy_spread is the spread of
+    the serial runs."""
+    sc = make_scenario(mode="projected", t_end=0.5)
+    inputs = _autonomy_inputs(rng, 4, sc.integrator.h)
+    k = rng.uniform(0.5, 2.0, 4)
+    y, yhat = rng.standard_normal((2, 4, 3))
+    y, yhat = (v / np.linalg.norm(v, axis=1, keepdims=True) for v in (y, yhat))
+    runs = [dataclasses.replace(sc, input=sig, k=float(ki), plant=InitState("direction", yi),
+                                observer=InitState("direction", yhi))
+            for sig, ki, yi, yhi in zip(inputs, k, y, yhat)]
+    serial = np.stack([simulate_projected(r, cost=cost).theta for r in runs], axis=1)
+    t, theta = _batch_theta(sc, inputs, SphereCost(k[:, None]) if cost is None else cost, y, yhat)
+    assert np.array_equal(t, simulate_projected(sc).t)
+    assert np.max(np.abs(theta - serial)) <= 1e-12
+    same_start = np.stack([simulate_projected(dataclasses.replace(sc, input=sig), cost=cost).theta
+                           for sig in inputs])
+    want = np.max(same_start.max(axis=0) - same_start.min(axis=0))
+    assert abs(autonomy_spread(sc, inputs, cost=cost) - want) <= 1e-12
 
 
 def test_run_verification_circle(make_scenario):
