@@ -174,8 +174,8 @@ def canonical_error_from_group(Xhat, X, y0) -> np.ndarray:
 
 
 def error_angle(yhat, y):
-    """Geodesic angle between two unit directions, in [0, pi]; a float for a
-    pair of vectors, an array over the leading axes otherwise.
+    """Geodesic angle between two unit directions, in [0, pi], over leading
+    axes.
 
     Evaluated as 2 atan2(||yhat - y||, ||yhat + y||), which equals
     arccos(<yhat, y>) clamped to [-1, 1] but stays fully conditioned at both
@@ -183,8 +183,6 @@ def error_angle(yhat, y):
     """
     yhat = np.asarray(yhat, dtype=float)
     y = np.asarray(y, dtype=float)
-    if yhat.ndim == 1 and y.ndim == 1:
-        return 2.0 * float(np.arctan2(np.linalg.norm(yhat - y), np.linalg.norm(yhat + y)))
     return 2.0 * np.arctan2(np.linalg.norm(yhat - y, axis=-1), np.linalg.norm(yhat + y, axis=-1))
 
 

@@ -304,15 +304,6 @@ def scenario_from_dict(d: dict) -> Scenario:
                    else {"angle": 0.5 * np.pi})
     plant = _parse_init(init.get("plant", "identity"), instance, "init.plant")
     observer = _parse_init(init.get("observer", default_obs), instance, "init.observer")
-    if instance == "so3-s2" and mode in ("lifted", "co-sim"):
-        for name, st in (("plant", plant), ("observer", observer)):
-            if st.kind == "direction":
-                try:
-                    section(st.value, y0)
-                except AntipodalError as exc:
-                    raise ScenarioError(
-                        f"init.{name}.direction: cannot lift an antipodal direction ({exc})"
-                    ) from exc
 
     integ = d.get("integrator", {})
     if not isinstance(integ, dict):
@@ -354,6 +345,17 @@ def scenario_from_dict(d: dict) -> Scenario:
                  f"integrator.h and sample_every) must be at most {MAX_MC_VALUES}")
     _require(samples <= MAX_RUN_SAMPLES, f"t_end must give at most {MAX_RUN_SAMPLES} samples per "
              f"run at the given integrator.h and sample_every")
+    # Lifted and co-sim runs, lifted sweeps and verify's co-simulation lift
+    # both initial states through the section.
+    if mode in ("lifted", "co-sim", "verify") or (mc is not None and mc.space == "lifted"):
+        for name, st in (("plant", plant), ("observer", observer)):
+            if st.kind == "direction":
+                try:
+                    section(st.value, y0)
+                except AntipodalError as exc:
+                    raise ScenarioError(
+                        f"init.{name}.direction: cannot lift an antipodal direction ({exc})"
+                    ) from exc
 
     return Scenario(
         instance=instance, mode=mode, k=k, y0=y0, input=inp,

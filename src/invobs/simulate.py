@@ -8,13 +8,15 @@ one Björck retraction step (group) or renormalisation (sphere); it is the defau
 since the continuous-time theory says nothing about discretisation and fourth
 order keeps the integrator far below every property tolerance.
 
-Both integrators live in one time loop, ``_integrate``.  Every run (projected,
-lifted, co-simulation, and each Monte Carlo sweep) is a pair on it: a velocity
-field, a rates function and an observation over a list of sphere or group
-components, where a sweep's observer component carries the batch axis.  The
-observation of each recorded state is both the run's record and the loop's
-guard against a state that left its manifold.  An so2-s1 document steps the
-same pairs, restricted to rotations about the z axis by its scenario.
+Both integrators live in one time loop, ``_integrate``, which samples the
+input once per stage time.  Every run (projected, lifted, co-simulation, and
+each Monte Carlo sweep) is a pair on it: the input's rate function, a velocity
+field and a body-rates function of (u, state), and an observation over a list
+of sphere or group components, where a sweep's observer component carries the
+batch axis.  The observation of each recorded state is both the run's record
+and the loop's guard against a state that left its manifold.  An so2-s1
+document steps the same pairs, restricted to rotations about the z axis by its
+scenario.
 """
 
 from __future__ import annotations
@@ -176,9 +178,10 @@ _LIE_STEP = {
 }
 
 
-# A plant-observer pair on the stepping engine (see _integrate); ``observe``
-# maps a state to its error angle and drift, over leading axes.
-_Pair = namedtuple("_Pair", "kinds field rates observe")
+# A plant-observer pair on the stepping engine (see _integrate): a function of
+# the input u and the state, with ``rate(t)`` the input it is driven by;
+# ``observe`` maps a state to its error angle and drift, over leading axes.
+_Pair = namedtuple("_Pair", "kinds rate field rates observe")
 
 
 def _integrate(scenario, pair, state, keep_states):
@@ -190,8 +193,10 @@ def _integrate(scenario, pair, state, keep_states):
     "group" (rotation matrices).  A component may carry leading batch axes;
     the primitives broadcast over them, and the angle and drift rows then
     carry the same axes.
-    ``pair.field(t, state)`` gives each component's velocity in the embedding,
-    ``pair.rates(t, state)`` each component's body rate for one Lie-Euler step.
+    The loop is the one place that samples the input: ``pair.rate(t)`` once
+    per distinct stage time (t, t + h/2 and t + h for RK4, t for Lie-Euler).
+    ``pair.field(u, state)`` gives each component's velocity in the embedding,
+    ``pair.rates(u, state)`` each component's body rate for one Lie-Euler step.
     The initial state, every ``sample_every``-th step and the last step are
     recorded.  Each recorded state must be finite, and its
     ``pair.observe(state) -> (theta, drift)`` is computed once: the drift is
@@ -203,7 +208,7 @@ def _integrate(scenario, pair, state, keep_states):
     n = _n_steps(scenario.t_end, h)
     every = scenario.sample_every
     rk4 = scenario.integrator.method == "rk4-project"
-    kinds, rk4_field, lie_rates, observe = pair
+    kinds, rate, rk4_field, lie_rates, observe = pair
     retract = [_RETRACT[k] for k in kinds]
     lie_step = [_LIE_STEP[k] for k in kinds]
     rows = []
@@ -221,15 +226,17 @@ def _integrate(scenario, pair, state, keep_states):
     record(0.0, state)
     for i in range(n):
         t = i * h
+        u = rate(t)
         if rk4:
-            k1 = rk4_field(t, state)
-            k2 = rk4_field(t + 0.5 * h, [s + 0.5 * h * d for s, d in zip(state, k1)])
-            k3 = rk4_field(t + 0.5 * h, [s + 0.5 * h * d for s, d in zip(state, k2)])
-            k4 = rk4_field(t + h, [s + h * d for s, d in zip(state, k3)])
+            u_mid = rate(t + 0.5 * h)
+            k1 = rk4_field(u, state)
+            k2 = rk4_field(u_mid, [s + 0.5 * h * d for s, d in zip(state, k1)])
+            k3 = rk4_field(u_mid, [s + 0.5 * h * d for s, d in zip(state, k2)])
+            k4 = rk4_field(rate(t + h), [s + h * d for s, d in zip(state, k3)])
             state = [f(s + (h / 6.0) * (a + 2.0 * (b + c) + d))
                      for f, s, a, b, c, d in zip(retract, state, k1, k2, k3, k4)]
         else:
-            state = [f(s, h * w) for f, s, w in zip(lie_step, state, lie_rates(t, state))]
+            state = [f(s, h * w) for f, s, w in zip(lie_step, state, lie_rates(u, state))]
         if (i + 1) % every == 0 or i + 1 == n:
             record((i + 1) * h, state)
     return [np.array(col) for col in zip(*rows)]
@@ -242,42 +249,39 @@ def _unit_defect(y):
 
 # --- pairs: y and yhat on the sphere, X and Xhat on the group ----------------
 
-def _sphere_pair(inp, cost) -> _Pair:
+def _sphere_pair(rate, cost) -> _Pair:
     """Plant y and sphere observer yhat (the internal model alone without a
     cost); yhat may be an (n, 3) batch."""
-    def field(t, s):
-        u = inp.eval(t)
+    def field(u, s):
         yh_dot = (project_dynamics(s[1], u) if cost is None
                   else projected_observer_field(cost, s[1], s[0], u))
         return [project_dynamics(s[0], u), yh_dot]
 
-    def rates(t, s):
-        u = np.asarray(inp.eval(t), dtype=float)
+    def rates(u, s):
         return [u, u if cost is None else observer_body_rate(cost, s[1], s[0], u)]
 
     def observe(s):
         return error_angle(s[1], s[0]), np.maximum(_unit_defect(s[0]), _unit_defect(s[1]))
 
-    return _Pair(("sphere", "sphere"), field, rates, observe)
+    return _Pair(("sphere", "sphere"), rate, field, rates, observe)
 
 
-def _group_pair(inp, cost, y0v, cosim=False) -> _Pair:
+def _group_pair(rate, cost, y0v, cosim=False) -> _Pair:
     """Plant X and lifted observer Xhat, whose body rate is the input minus the
     horizontal lift of the cost gradient; Xhat may be an (n, 3, 3) batch.  With
     ``cosim`` a third component is a sphere observer driven by the plant
     output (co-simulation), whose unit-norm defect enters the drift."""
-    def body_rates(t, s):
-        u = np.asarray(inp.eval(t), dtype=float)
+    def body_rates(u, s):
         y = act(s[0], y0v)
-        return u, y, lifted_observer_field(cost, s[1], y, u, y0v)
+        return y, lifted_observer_field(cost, s[1], y, u, y0v)
 
-    def field(t, s):
-        u, y, u_ob = body_rates(t, s)
+    def field(u, s):
+        y, u_ob = body_rates(u, s)
         out = [plant_vector_field(s[0], u), plant_vector_field(s[1], u_ob)]
         return out + [projected_observer_field(cost, s[2], y, u)] if cosim else out
 
-    def rates(t, s):
-        u, y, u_ob = body_rates(t, s)
+    def rates(u, s):
+        y, u_ob = body_rates(u, s)
         out = [u, u_ob]
         return out + [observer_body_rate(cost, s[2], y, u)] if cosim else out
 
@@ -288,19 +292,15 @@ def _group_pair(inp, cost, y0v, cosim=False) -> _Pair:
         worst = np.maximum(drift(s[0]), drift(s[1]))
         return theta, np.maximum(worst, _unit_defect(s[2])) if cosim else worst
 
-    return _Pair(("group", "group") + ("sphere",) * cosim, field, rates, observe)
+    return _Pair(("group", "group") + ("sphere",) * cosim, rate, field, rates, observe)
 
 
-def simulate_projected(scenario, cost=None) -> TrajectoryRecord:
-    """Integrate the projected plant and sphere observer side by side.
-
-    ``cost`` overrides the innovation (used by the negative controls); by
-    default the invariant cost with the scenario gain is used, and synchrony
-    mode disables the innovation entirely.
-    """
-    if cost is None and scenario.mode != "synchrony":
-        cost = SphereCost(scenario.k)
-    pair = _sphere_pair(scenario.body_rates, cost)
+def simulate_projected(scenario) -> TrajectoryRecord:
+    """Integrate the projected plant and sphere observer side by side, with
+    the invariant cost at the scenario gain; synchrony mode disables the
+    innovation entirely."""
+    cost = None if scenario.mode == "synchrony" else SphereCost(scenario.k)
+    pair = _sphere_pair(scenario.body_rates.eval, cost)
     t, theta, drift_, y, yhat = _integrate(scenario, pair, scenario.initial_sphere_pair(), True)
     return TrajectoryRecord(t, y, yhat, theta, drift_)
 
@@ -309,7 +309,7 @@ def simulate_lifted(scenario) -> TrajectoryRecord:
     """Integrate plant and observer on the group; the error angle is derived
     from the right-invariant group error."""
     y0v = scenario.y0_vec
-    pair = _group_pair(scenario.body_rates, SphereCost(scenario.k), y0v)
+    pair = _group_pair(scenario.body_rates.eval, SphereCost(scenario.k), y0v)
     t, theta, drift_, X, Xh = _integrate(scenario, pair, scenario.initial_group_pair(), True)
     return TrajectoryRecord(t, act(X, y0v), act(Xh, y0v), theta, drift_, X=X, Xhat=Xh)
 
@@ -319,7 +319,7 @@ def simulate_cosim(scenario) -> TrajectoryRecord:
     matching initial conditions and record how far the group observer's output
     strays from the directly integrated sphere observer."""
     y0v = scenario.y0_vec
-    pair = _group_pair(scenario.body_rates, SphereCost(scenario.k), y0v, cosim=True)
+    pair = _group_pair(scenario.body_rates.eval, SphereCost(scenario.k), y0v, cosim=True)
     X, Xhat = scenario.initial_group_pair()
     # The sphere observer starts on the group observer's output.
     t, theta, drift_, X, Xh, yp = _integrate(scenario, pair, (X, Xhat, act(Xhat, y0v)), True)
@@ -367,7 +367,7 @@ def so2_oracle_run(scenario) -> So2OracleResult:
     rec = _simulate(scenario)
     phis, phihats = (scenario.y0_angle - np.arctan2(v[:, 1], v[:, 0]) for v in (rec.y, rec.yhat))
     phi0, phihat0 = scenario.initial_angle_pair()
-    exact_phi = phi0 + np.array([float(scenario.input.integral(t)[0]) for t in rec.t])
+    exact_phi = phi0 + scenario.input.integral(rec.t)[:, 0]
     delta0 = circle.wrap(phi0 - phihat0)
     delta = circle.error_closed_form(delta0, scenario.k, rec.t)
     exact_phihat = exact_phi - delta
@@ -415,11 +415,11 @@ def monte_carlo(scenario) -> MonteCarloResult:
         X = scenario.initial_group_pair()[0]
         state = (X, _sample_observers(rng, mc.runs, random_rotation, lambda S: act(S, y0v),
                                       act(X, y0v)))
-        pair = _group_pair(scenario.body_rates, cost, y0v)
+        pair = _group_pair(scenario.body_rates.eval, cost, y0v)
     else:
         y = scenario.initial_sphere_pair()[0]
         state = (y, _sample_observers(rng, mc.runs, random_unit, lambda S: S, y))
-        pair = _sphere_pair(scenario.body_rates, cost)
+        pair = _sphere_pair(scenario.body_rates.eval, cost)
     # Only the per-run angle and drift rows are kept at each sample, not the states.
     t_rec, theta, drift_rows = _integrate(scenario, pair, state, False)
     summaries = _summaries(t_rec, theta.T, drift_rows.T, mc.threshold)

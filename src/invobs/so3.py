@@ -105,12 +105,9 @@ def group_exp(omega) -> np.ndarray:
 
 
 def drift(X):
-    """Frobenius distance of X^T X from the identity; an array for a stack."""
+    """Frobenius distance of X^T X from the identity, over leading axes."""
     X = np.asarray(X)
-    D = X.swapaxes(-1, -2) @ X - IDENTITY
-    if X.ndim == 2:
-        return float(np.linalg.norm(D))
-    return np.linalg.norm(D, axis=(-2, -1))
+    return np.linalg.norm(X.swapaxes(-1, -2) @ X - IDENTITY, axis=(-2, -1))
 
 
 def orthonormalize(X) -> np.ndarray:

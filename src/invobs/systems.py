@@ -31,8 +31,8 @@ class InputSignal:
 
     Kinds: constant, sinusoid (amplitude * sin(2 pi f t + phase)),
     piecewise-constant (right-continuous at switch times), and sums of those.
-    ``integral`` is the exact running integral from 0, used by the scalar
-    closed-form oracle.
+    ``integral`` is the exact running integral from 0, used by the circle
+    oracle.
     """
 
     KINDS = ("constant", "sinusoid", "piecewise-constant", "sum")
@@ -104,26 +104,26 @@ class InputSignal:
             out += term.eval(t)
         return out
 
-    def integral(self, t: float) -> np.ndarray:
-        """Exact integral of the signal over [0, t]."""
+    def integral(self, t) -> np.ndarray:
+        """Exact integral of the signal over [0, t], over leading axes of t."""
+        t = np.asarray(t, dtype=float)
         if self.kind == "constant":
-            return self.amplitude * t
+            return self.amplitude * t[..., None]
         if self.kind == "sinusoid":
             w = 2.0 * np.pi * self.frequency
             if w == 0.0:
-                return self.amplitude * (np.sin(self.phase) * t)
-            return self.amplitude * ((np.cos(self.phase) - np.cos(w * t + self.phase)) / w)
+                return self.amplitude * (np.sin(self.phase) * t[..., None])
+            tc = t[..., None]
+            return self.amplitude * ((np.cos(self.phase) - np.cos(w * tc + self.phase)) / w)
         if self.kind == "piecewise-constant":
-            total = np.zeros(self.dim)
-            prev = 0.0
-            for i, switch in enumerate(self.times):
-                if t < switch:
-                    break
-                total += self.values[i] * (switch - prev)
-                prev = switch
-            total += self.values[np.searchsorted(self.times, t, side="right")] * max(0.0, t - prev)
-            return total
-        out = self.terms[0].integral(t).copy()
+            # Running sum of the whole segments before each switch, then the
+            # part of the current segment up to t.
+            starts = np.concatenate(([0.0], self.times))
+            whole = np.cumsum(np.concatenate((np.zeros((1, self.dim)),
+                                              self.values[:-1] * np.diff(starts)[:, None])), axis=0)
+            i = np.searchsorted(self.times, t, side="right")
+            return whole[i] + self.values[i] * np.maximum(0.0, t - starts[i])[..., None]
+        out = self.terms[0].integral(t)
         for term in self.terms[1:]:
-            out += term.integral(t)
+            out = out + term.integral(t)
         return out

@@ -29,7 +29,7 @@ from .observer import (
 from .sampling import random_rotation, random_tangent, random_unit
 from .scenario import InitState
 from .simulate import _integrate, _sphere_pair, simulate_cosim, simulate_projected, so2_oracle_run
-from .so3 import TangentVector, act, group_exp, hat, unit
+from .so3 import TangentVector, act, group_exp, hat, unit, vee
 from .systems import InputSignal, plant_vector_field
 
 N_SAMPLES = 1000
@@ -102,7 +102,8 @@ def metric_identity_residual(rng, n=N_SAMPLES) -> float:
 
 def lift_round_trip_residual(rng, y0, n=N_SAMPLES) -> float:
     """Finite differences of the output along the lifted direction recover the
-    original tangent vector."""
+    original tangent vector, and the lift has no component along the
+    stabiliser direction act(Xh, y0) in the body frame."""
     H = HorizontalSubspace(y0)
 
     def residual():
@@ -110,9 +111,9 @@ def lift_round_trip_residual(rng, y0, n=N_SAMPLES) -> float:
         yh = act(Xh, y0)
         v = TangentVector(yh, rng.uniform(0.2, 2.0) * random_tangent(rng, yh))
         w = np.cross(v.vec, v.base)  # body generator of the lift
-        assert H.contains(Xh, H.lift(Xh, v))
+        vertical = abs(float(vee(Xh.T @ H.lift(Xh, v)) @ yh))
         fd = (act(Xh @ group_exp(FD_EPS * w), y0) - act(Xh @ group_exp(-FD_EPS * w), y0)) / (2 * FD_EPS)
-        return float(np.linalg.norm(fd - v.vec))
+        return float(np.linalg.norm(fd - v.vec)), vertical
 
     return worst_residual(residual() for _ in range(n))
 
@@ -241,21 +242,14 @@ def _autonomy_inputs(rng, n, h) -> list[InputSignal]:
     return out
 
 
-class _InputStack:
-    """The inputs of a batch of runs: ``eval(t)`` gives their (n, 3) rates."""
-
-    def __init__(self, signals):
-        self.signals = signals
-
-    def eval(self, t) -> np.ndarray:
-        return np.array([sig.eval(t) for sig in self.signals])
-
-
 def _batch_theta(scenario, inputs, cost, y, yhat):
     """Sample times and (samples, n) error angles of n projected runs stepped
     as one batch: run i has input inputs[i] and starts at rows i of the
     (n, 3) plant and observer outputs y and yhat."""
-    return _integrate(scenario, _sphere_pair(_InputStack(inputs), cost), (y, yhat), False)[:2]
+    def rates(t):
+        return np.array([sig.eval(t) for sig in inputs])
+
+    return _integrate(scenario, _sphere_pair(rates, cost), (y, yhat), False)[:2]
 
 
 def autonomy_spread(scenario, inputs, cost=None) -> float:

@@ -168,6 +168,14 @@ def test_input_error_exit_codes(tmp_path):
     so2 = tmp_path / "so2.json"
     so2.write_text('{"instance": "so2-s1"}')
     assert cli.main(["sweep", "--scenario", str(so2), "--out", str(tmp_path / "x")]) == 2
+    # Directions antipodal to y0 have no lift, for a lifted sweep or verify's co-sim.
+    antipodal = tmp_path / "antipodal.json"
+    for doc in ('"mc": {"runs": 3, "space": "lifted"}, "init": {"plant": {"direction": [0, 0, -1]}}',
+                '"mc": {"runs": 3, "space": "lifted"}, "init": {"observer": {"direction": [0, 0, -1]}}'):
+        antipodal.write_text('{"instance": "so3-s2", "mode": "monte-carlo", "t_end": 0.1, %s}' % doc)
+        assert cli.main(["sweep", "--scenario", str(antipodal), "--out", str(tmp_path / "x")]) == 2
+    antipodal.write_text('{"instance": "so3-s2", "init": {"observer": {"direction": [0, 0, -1]}}}')
+    assert cli.main(["verify", "--scenario", str(antipodal), "--out", str(tmp_path / "x")]) == 2
     piecewise = '"input": {"kind": "piecewise-constant", "times": %s, "values": [[0, 0, 0], [1, 0, 0]]}'
     for i, doc in enumerate([
         piecewise % "[null]",

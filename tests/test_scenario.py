@@ -151,6 +151,14 @@ def test_antipodal_direction_cannot_be_lifted():
            "init": {"observer": {"direction": [0, 0, -1]}}}
     with pytest.raises(ScenarioError, match="antipodal"):
         parse(doc)
+    # Every mode whose runs lift both initial states, whichever state it is.
+    lifted_sweep = {"mode": "monte-carlo", "mc": {"runs": 3, "space": "lifted"}}
+    for over in ({"mode": "co-sim"}, {"mode": "verify"}, lifted_sweep):
+        for name in ("plant", "observer"):
+            bad = dict(doc, **over, init={name: {"direction": [0, 0, -1]}})
+            with pytest.raises(ScenarioError, match=f"^init.{name}.direction: .*antipodal"):
+                parse(bad)
+    parse(dict(doc, mode="monte-carlo", init={"plant": {"direction": [0, 0, -1]}}))
     # the same init is fine for the projected realisation
     sc = parse(dict(doc, mode="projected"))
     _, yhat = sc.initial_sphere_pair()

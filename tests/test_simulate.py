@@ -21,7 +21,8 @@ from invobs import (
     so2_oracle_run,
     summarize,
 )
-from invobs.simulate import MIN_RATE_SAMPLES, RATE_WINDOW, _summaries
+from invobs.simulate import MIN_RATE_SAMPLES, RATE_WINDOW, _integrate, _sphere_pair, _summaries
+from invobs.systems import InputSignal
 
 E1, E2, E3 = np.eye(3)
 
@@ -235,7 +236,7 @@ def test_simulation_abort_on_overflow(make_scenario):
                        init={"plant": "identity", "observer": {"axis_angle": [1.0, 0, 0]}})
     blowup = AnisotropicCost(np.diag([1e200, 1e200, 1e200]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationAbort):
-        simulate_projected(sc, cost=blowup)
+        _integrate(sc, _sphere_pair(sc.body_rates.eval, blowup), sc.initial_sphere_pair(), False)
 
 
 def _off_sphere_retraction(monkeypatch):
@@ -445,12 +446,14 @@ def test_runs_bit_identical_with_numpy_cross(make_scenario, monkeypatch, method)
 def test_runs_step_the_public_fields(make_scenario, monkeypatch):
     """The pairs call the field and rate functions that verify and the field
     tests check, under both integrators; a private copy of a field or of the
-    observer body rate in the simulator fails here."""
+    observer body rate in the simulator fails here.  The loop samples the
+    input once per distinct stage time: three InputSignal.eval calls per RK4
+    step (stages 2 and 3 share t + h/2), one per Lie-Euler step."""
     import invobs.simulate
 
     names = ("project_dynamics", "projected_observer_field", "plant_vector_field",
              "lifted_observer_field", "observer_body_rate")
-    calls = dict.fromkeys(names, 0)
+    calls = dict.fromkeys(names + ("eval",), 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -460,6 +463,7 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
 
     for name in names:
         monkeypatch.setattr(invobs.simulate, name, counted(name, getattr(invobs.simulate, name)))
+    monkeypatch.setattr(InputSignal, "eval", counted("eval", InputSignal.eval))
     steps = 20  # rk4-project: four field evaluations per step; lie-euler: one rate
     single = dict(input=SINUSOID, t_end=steps * 1e-3,
                   init={"observer": {"axis_angle": [1.7, -0.4, 0.3]}})
@@ -490,10 +494,10 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
          {"lifted_observer_field": 1, "observer_body_rate": 1}),
     ]
     for fn, doc, h, rk4, lie in runs:
-        for method, per_step in (("rk4-project", rk4), ("lie-euler", lie)):
-            calls.update(dict.fromkeys(names, 0))
+        for method, per_step in (("rk4-project", dict(rk4, eval=3)), ("lie-euler", dict(lie, eval=1))):
+            calls.update(dict.fromkeys(calls, 0))
             fn(make_scenario(**doc, integrator={"method": method, "h": h}))
-            assert calls == {name: per_step.get(name, 0) * steps for name in names}, \
+            assert calls == {name: per_step.get(name, 0) * steps for name in calls}, \
                 (doc["mode"], method)
 
 

@@ -23,6 +23,7 @@ from invobs.verify import (
 )
 from invobs.observer import SphereCost, check_innovation_equivariance, worst_residual
 from invobs.scenario import InitState
+from invobs.simulate import _integrate, _sphere_pair
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -32,6 +33,18 @@ def test_property_check_bounds():
     assert not PropertyCheck("a", 1e-11, 1e-12, "max").passed
     assert PropertyCheck("b", 0.5, 1e-3, "min").passed
     assert not PropertyCheck("b", 1e-5, 1e-3, "min").passed
+
+
+def test_non_horizontal_lift_fails_round_trip(rng, monkeypatch):
+    """A lift with a vertical (stabiliser) component fails the property,
+    although the finite differences build their own generator."""
+    from invobs.observer import HorizontalSubspace
+    from invobs.so3 import act, hat
+
+    lift = HorizontalSubspace.lift
+    monkeypatch.setattr(HorizontalSubspace, "lift",
+                        lambda self, Xh, v: lift(self, Xh, v) + Xh @ hat(1e-3 * act(Xh, self.y0)))
+    assert lift_round_trip_residual(rng, E3, 10) > 1e-6
 
 
 def test_algebraic_residuals_small(rng):
@@ -60,12 +73,16 @@ def test_batched_runs_match_serial_runs(make_scenario, rng, cost):
     runs = [dataclasses.replace(sc, input=sig, k=float(ki), plant=InitState("direction", yi),
                                 observer=InitState("direction", yhi))
             for sig, ki, yi, yhi in zip(inputs, k, y, yhat)]
-    serial = np.stack([simulate_projected(r, cost=cost).theta for r in runs], axis=1)
+
+    def serial_theta(r):
+        pair = _sphere_pair(r.body_rates.eval, SphereCost(r.k) if cost is None else cost)
+        return _integrate(r, pair, r.initial_sphere_pair(), False)[1]
+
+    serial = np.stack([serial_theta(r) for r in runs], axis=1)
     t, theta = _batch_theta(sc, inputs, SphereCost(k[:, None]) if cost is None else cost, y, yhat)
     assert np.array_equal(t, simulate_projected(sc).t)
     assert np.max(np.abs(theta - serial)) <= 1e-12
-    same_start = np.stack([simulate_projected(dataclasses.replace(sc, input=sig), cost=cost).theta
-                           for sig in inputs])
+    same_start = np.stack([serial_theta(dataclasses.replace(sc, input=sig)) for sig in inputs])
     want = np.max(same_start.max(axis=0) - same_start.min(axis=0))
     assert abs(autonomy_spread(sc, inputs, cost=cost) - want) <= 1e-12
 
