@@ -79,7 +79,8 @@ def main(argv=None) -> int:
                 for name in preset_names():
                     print(f"{name}: {preset_description(name)}")
             else:
-                print(json.dumps(scenario_to_dict(preset(args.name)), indent=2, sort_keys=True))
+                print(json.dumps(scenario_to_dict(preset(args.name)), indent=2, sort_keys=True,
+                                 allow_nan=False))
             return runner.EXIT_OK
 
         sc = _load_scenario(args)

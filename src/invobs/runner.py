@@ -27,7 +27,7 @@ from .simulate import (
     so2_oracle_run,
     summarize,
 )
-from .verify import PropertyCheck, run_verification
+from .verify import COSIM_TOL, SYNCHRONY_TOL, PropertyCheck, run_verification
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -35,10 +35,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_RUNTIME_ABORT = 3
 
 CSV_COLUMNS = ("t", "y_x", "y_y", "y_z", "yhat_x", "yhat_y", "yhat_z", "theta", "drift")
-
-# Report-only thresholds echoed into co-sim / synchrony summaries.
-COSIM_TOL = 1e-6
-SYNCHRONY_TOL = 1e-8
 
 
 def write_trajectory_csv(path: str, rec: TrajectoryRecord):
@@ -48,7 +44,7 @@ def write_trajectory_csv(path: str, rec: TrajectoryRecord):
 
 def _write_summary(path: str, payload: dict):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -61,9 +57,11 @@ def _base_payload(sc: Scenario) -> dict:
 
 
 def _property_dicts(checks: list[PropertyCheck]) -> list[dict]:
+    """One row per property; a non-finite residual is written as null (strict
+    JSON has no NaN or Infinity), and the row's ``passed`` keeps the verdict."""
     return [
-        {"name": c.name, "max_residual": c.residual, "tolerance": c.tolerance,
-         "bound": c.bound, "passed": c.passed}
+        {"name": c.name, "max_residual": c.residual if np.isfinite(c.residual) else None,
+         "tolerance": c.tolerance, "bound": c.bound, "passed": c.passed}
         for c in checks
     ]
 
@@ -93,15 +91,15 @@ def run(sc: Scenario, out_dir: str, quiet: bool = False) -> int:
     elif sc.mode == "monte-carlo":
         result: MonteCarloResult = monte_carlo(sc)
         payload["monte_carlo"] = {
-            "n_runs": result.n_runs,
-            "seed": result.seed,
-            "threshold": result.threshold,
-            "converged": int(round(result.convergence_fraction * result.n_runs)),
+            "n_runs": sc.mc.runs,
+            "seed": sc.seed,
+            "threshold": sc.mc.threshold,
+            "converged": int(round(result.convergence_fraction * sc.mc.runs)),
             "convergence_fraction": result.convergence_fraction,
             "runs": [asdict(s) for s in result.summaries],
         }
-        say(f"monte carlo: {result.convergence_fraction:.4f} of {result.n_runs} runs "
-            f"below {result.threshold:g} rad")
+        say(f"monte carlo: {result.convergence_fraction:.4f} of {sc.mc.runs} runs "
+            f"below {sc.mc.threshold:g} rad")
     else:
         # The circle oracle steps the pair itself; its record is the run's.
         so2_oracle = sc.instance == "so2-s1" and sc.mode in ("projected", "lifted")

@@ -481,4 +481,4 @@ def preset(name: str) -> Scenario:
         raise ScenarioError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
         )
-    return scenario_from_dict(json.loads(json.dumps(_PRESETS[name][1])))
+    return scenario_from_dict(json.loads(json.dumps(_PRESETS[name][1], allow_nan=False)))

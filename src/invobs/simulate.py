@@ -11,18 +11,20 @@ order keeps the integrator far below every property tolerance.
 Both integrators live in one time loop, ``_integrate``, which samples the
 input once per stage time.  Every run (projected, lifted, co-simulation, and
 each Monte Carlo sweep) is a pair on it: the input's rate function, a velocity
-field and a body-rates function of (u, state), and an observation over a list
+field and a body-rates function of (u, state), and the error angle of a list
 of sphere or group components, where a sweep's observer component carries the
-batch axis.  The observation of each recorded state is both the run's record
-and the loop's guard against a state that left its manifold.  An so2-s1
-document steps the same pairs, restricted to rotations about the z axis by its
-scenario.
+batch axis.  One table gives each component kind its retraction, Lie-Euler
+update and drift measure; the worst drift of each recorded state is both the
+run's record and the loop's guard against a state that left its manifold.  An
+so2-s1 document steps the same pairs, restricted to rotations about the z axis
+by its scenario.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from .systems import plant_vector_field, project_dynamics
 
 ANTIPODAL_EXCLUSION = 0.01  # rad; Monte Carlo cap around the antipode
 RATE_WINDOW = (1e-6, 0.1)   # rad; log-linear fit window for the decay rate
-CONVERGENCE_THRESHOLD = 1e-3  # rad; default final-angle threshold of runs and sweeps
+CONVERGENCE_THRESHOLD = 1e-3  # rad; final-angle threshold of runs, a sweep's default
 MIN_RATE_SAMPLES = 10
 ORTHOGONALITY_TOL = 1e-9  # drift beyond which a state has left SO(3) or S^2
 
@@ -134,8 +136,8 @@ def fit_rate(t, theta) -> float | None:
     return None if np.isnan(rate) else rate
 
 
-def summarize(record: TrajectoryRecord, threshold: float = CONVERGENCE_THRESHOLD) -> RunSummary:
-    return _summaries(record.t, record.theta[None], record.drift[None], threshold)[0]
+def summarize(record: TrajectoryRecord) -> RunSummary:
+    return _summaries(record.t, record.theta[None], record.drift[None], CONVERGENCE_THRESHOLD)[0]
 
 
 def _summaries(t, theta, drift_, threshold) -> list[RunSummary]:
@@ -164,23 +166,23 @@ def _n_steps(t_end: float, h: float) -> int:
     return round(t_end / h)
 
 
-# Per component kind: the retraction after an RK4 step, and the Lie-Euler
-# update by the step-scaled body rate hw, which moves a group state to
-# X exp(hw) and a sphere state to act(exp(hw), y).  The primitives are looked
-# up per call, so a replaced module attribute takes effect.
-_RETRACT = {
-    "sphere": lambda v: unit(v),
-    "group": lambda X: orthonormalize(X),
-}
-_LIE_STEP = {
-    "sphere": lambda y, hw: act(group_exp(hw), y),
-    "group": lambda X, hw: compose(X, group_exp(hw)),
+# Per component kind, over leading axes: the retraction after an RK4 step,
+# the Lie-Euler update by the step-scaled body rate hw (a group state moves to
+# X exp(hw), a sphere state to act(exp(hw), y)), and the drift measure that
+# the state guard checks.  The primitives are looked up per call, so a
+# replaced module attribute takes effect.
+_Kind = namedtuple("_Kind", "retract lie_step drift")
+_KINDS = {
+    "sphere": _Kind(lambda v: unit(v), lambda y, hw: act(group_exp(hw), y),
+                    lambda y: np.abs(np.linalg.norm(y, axis=-1) - 1.0)),
+    "group": _Kind(lambda X: orthonormalize(X), lambda X, hw: compose(X, group_exp(hw)),
+                   lambda X: drift(X)),
 }
 
 
 # A plant-observer pair on the stepping engine (see _integrate): a function of
 # the input u and the state, with ``rate(t)`` the input it is driven by;
-# ``observe`` maps a state to its error angle and drift, over leading axes.
+# ``observe`` maps a state to its error angle, over leading axes.
 _Pair = namedtuple("_Pair", "kinds rate field rates observe")
 
 
@@ -198,29 +200,28 @@ def _integrate(scenario, pair, state, keep_states):
     ``pair.field(u, state)`` gives each component's velocity in the embedding,
     ``pair.rates(u, state)`` each component's body rate for one Lie-Euler step.
     The initial state, every ``sample_every``-th step and the last step are
-    recorded.  Each recorded state must be finite, and its
-    ``pair.observe(state) -> (theta, drift)`` is computed once: the drift is
-    what the record reports and what must stay within ORTHOGONALITY_TOL,
-    since the retraction after a step can only keep a state on SO(3) or S^2,
-    not restore it.
+    recorded.  Each recorded state must be finite; its error angle is
+    ``pair.observe(state)``, and its drift, the worst of its components'
+    drift measures, is computed once: it is what the record reports and what
+    must stay within ORTHOGONALITY_TOL, since the retraction after a step can
+    only keep a state on SO(3) or S^2, not restore it.
     """
     h = scenario.integrator.h
     n = _n_steps(scenario.t_end, h)
     every = scenario.sample_every
     rk4 = scenario.integrator.method == "rk4-project"
     kinds, rate, rk4_field, lie_rates, observe = pair
-    retract = [_RETRACT[k] for k in kinds]
-    lie_step = [_LIE_STEP[k] for k in kinds]
+    retract, lie_step, drifts = zip(*(_KINDS[k] for k in kinds))
     rows = []
 
     def record(t, state):
         if not all(np.isfinite(a).all() for a in state):
             raise SimulationAbort(f"non-finite state at t = {t:.6g} s")
-        theta, drift_ = observe(state)
+        drift_ = reduce(np.maximum, [measure(s) for measure, s in zip(drifts, state)])
         worst = np.max(drift_)
         if worst > ORTHOGONALITY_TOL:
             raise SimulationAbort(f"state left SO(3) or S^2 (drift {worst:.3g}) at t = {t:.6g} s")
-        rows.append((t, theta, drift_, *(state if keep_states else ())))
+        rows.append((t, observe(state), drift_, *(state if keep_states else ())))
 
     state = list(state)
     record(0.0, state)
@@ -242,11 +243,6 @@ def _integrate(scenario, pair, state, keep_states):
     return [np.array(col) for col in zip(*rows)]
 
 
-def _unit_defect(y):
-    """Unit-norm defect of sphere states, over leading axes."""
-    return np.abs(np.linalg.norm(y, axis=-1) - 1.0)
-
-
 # --- pairs: y and yhat on the sphere, X and Xhat on the group ----------------
 
 def _sphere_pair(rate, cost) -> _Pair:
@@ -260,17 +256,14 @@ def _sphere_pair(rate, cost) -> _Pair:
     def rates(u, s):
         return [u, u if cost is None else observer_body_rate(cost, s[1], s[0], u)]
 
-    def observe(s):
-        return error_angle(s[1], s[0]), np.maximum(_unit_defect(s[0]), _unit_defect(s[1]))
-
-    return _Pair(("sphere", "sphere"), rate, field, rates, observe)
+    return _Pair(("sphere", "sphere"), rate, field, rates, lambda s: error_angle(s[1], s[0]))
 
 
 def _group_pair(rate, cost, y0v, cosim=False) -> _Pair:
     """Plant X and lifted observer Xhat, whose body rate is the input minus the
     horizontal lift of the cost gradient; Xhat may be an (n, 3, 3) batch.  With
     ``cosim`` a third component is a sphere observer driven by the plant
-    output (co-simulation), whose unit-norm defect enters the drift."""
+    output (co-simulation)."""
     def body_rates(u, s):
         y = act(s[0], y0v)
         return y, lifted_observer_field(cost, s[1], y, u, y0v)
@@ -288,9 +281,7 @@ def _group_pair(rate, cost, y0v, cosim=False) -> _Pair:
     def observe(s):
         # Canonical-error angle from the right-invariant group error; equal to
         # the output error angle since the action is by orthogonal matrices.
-        theta = error_angle(canonical_error_from_group(s[1], s[0], y0v), y0v)
-        worst = np.maximum(drift(s[0]), drift(s[1]))
-        return theta, np.maximum(worst, _unit_defect(s[2])) if cosim else worst
+        return error_angle(canonical_error_from_group(s[1], s[0], y0v), y0v)
 
     return _Pair(("group", "group") + ("sphere",) * cosim, rate, field, rates, observe)
 
@@ -381,13 +372,11 @@ def so2_oracle_run(scenario) -> So2OracleResult:
 @dataclass
 class MonteCarloResult:
     """Per-run summaries (deterministically ordered by run index) and the
-    fraction of runs whose final error angle is below the threshold."""
+    fraction of runs whose final error angle is below the scenario's
+    ``mc.threshold``."""
 
     summaries: list[RunSummary]
     convergence_fraction: float
-    threshold: float
-    n_runs: int
-    seed: int
 
 
 def _sample_observers(rng, n, draw, output, y_plant) -> np.ndarray:
@@ -424,4 +413,4 @@ def monte_carlo(scenario) -> MonteCarloResult:
     t_rec, theta, drift_rows = _integrate(scenario, pair, state, False)
     summaries = _summaries(t_rec, theta.T, drift_rows.T, mc.threshold)
     frac = float(np.mean([s.final_angle < mc.threshold for s in summaries]))
-    return MonteCarloResult(summaries, frac, mc.threshold, mc.runs, scenario.seed)
+    return MonteCarloResult(summaries, frac)

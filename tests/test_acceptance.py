@@ -133,12 +133,13 @@ def test_criterion_05_group_error_convergence():
                   mc={"runs": 100, "space": "lifted", "threshold": 1e-3})
     res = monte_carlo(sc)
     report(5, "group-level convergence", res.convergence_fraction == 1.0,
-           f"{int(res.convergence_fraction * res.n_runs)}/{res.n_runs} Haar runs "
+           f"{int(res.convergence_fraction * sc.mc.runs)}/{sc.mc.runs} Haar runs "
            f"below 1e-3 rad by t = 15 s")
 
 
 def test_criterion_06_almost_global_convergence():
-    res = monte_carlo(preset("almost-global-sweep"))
+    sweep = preset("almost-global-sweep")
+    res = monte_carlo(sweep)
     stationary = scenario(
         mode="projected", k=1.0, t_end=10.0,
         input={"kind": "sinusoid", "amplitude": [1.0, 0.5, 0.8], "frequency": 0.5},
@@ -148,7 +149,7 @@ def test_criterion_06_almost_global_convergence():
     pinned = float(np.max(np.abs(rec.theta - np.pi)))
     ok = res.convergence_fraction == 1.0 and pinned <= 1e-9
     report(6, "almost-global convergence", ok,
-           f"{res.n_runs}-run convergence fraction {res.convergence_fraction:.4f}; "
+           f"{sweep.mc.runs}-run convergence fraction {res.convergence_fraction:.4f}; "
            f"antipodal start stays at pi within {pinned:.3e}")
 
 

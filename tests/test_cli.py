@@ -138,17 +138,52 @@ def test_verify_of_a_sweep_document_echoes_a_verify_document(tmp_path):
     assert scenario_from_dict(echo).seed == 4
 
 
+def _strict_json(path):
+    """The file parsed as strict JSON: a NaN or Infinity token raises."""
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_non_finite_lift_residual_keeps_summary_json(tmp_path, monkeypatch):
+    """A lift gone infinite makes the residuals of the three properties that
+    call it non-finite (infinite, or NaN for the round trip): each fails
+    (exit 1), and its row says so with a null residual."""
+    from invobs.observer import HorizontalSubspace
+
+    monkeypatch.setattr(HorizontalSubspace, "lift", lambda self, Xhat, v: np.full((3, 3), np.inf))
+    doc = {"instance": "so3-s2", "mode": "verify", "t_end": 0.1}
+    with np.errstate(invalid="ignore"):
+        code = cli.main(["verify", "--scenario", write_scenario(tmp_path, doc),
+                         "--out", str(tmp_path / "vf"), "--quiet"])
+    assert code == 1
+    summary = _strict_json(tmp_path / "vf" / "summary.json")
+    lifted = ("horizontal_lift_round_trip", "lifted_gradient_identity", "observer_two_forms")
+    assert summary["passed"] is False
+    for row in summary["properties"]:
+        if row["name"] in lifted:
+            assert (row["max_residual"], row["passed"]) == (None, False), row
+        else:
+            assert row["passed"] and np.isfinite(row["max_residual"]), row
+
+
 def test_verify_failure_exit_code(tmp_path, monkeypatch):
+    """A failed property exits 1; a non-finite residual is written as null
+    and its row keeps the verdict."""
     import invobs.runner as runner_mod
 
-    monkeypatch.setattr(runner_mod, "run_verification",
-                        lambda sc: [PropertyCheck("broken", 1.0, 1e-12, "max")])
+    checks = [PropertyCheck("broken", 1.0, 1e-12, "max"), PropertyCheck("inf", np.inf, 1e-12),
+              PropertyCheck("nan", np.nan, 1e-12), PropertyCheck("control", np.inf, 1e-3, "min")]
+    monkeypatch.setattr(runner_mod, "run_verification", lambda sc: checks)
     doc = {"instance": "so3-s2", "mode": "verify", "t_end": 1.0}
     code = cli.main(["verify", "--scenario", write_scenario(tmp_path, doc),
                      "--out", str(tmp_path / "vf"), "--quiet"])
     assert code == 1
-    summary = json.loads((tmp_path / "vf" / "summary.json").read_text())
+    summary = _strict_json(tmp_path / "vf" / "summary.json")
     assert summary["passed"] is False
+    assert [(row["max_residual"], row["passed"]) for row in summary["properties"]] == \
+        [(1.0, False), (None, False), (None, False), (None, True)]
 
 
 def test_input_error_exit_codes(tmp_path):

@@ -110,12 +110,12 @@ def test_summarize_thresholds(make_scenario):
     sc = make_scenario(mode="projected", k=1.0, input=ZERO, t_end=8.0,
                        init={"plant": "identity", "observer": {"axis_angle": [1.0, 0, 0]}})
     rec = simulate_projected(sc)
-    s = summarize(rec, threshold=1e-3)
+    s = summarize(rec)  # at CONVERGENCE_THRESHOLD = 1e-3 rad
     assert s.final_angle < 1e-3
     assert s.t_converged is not None and 0.0 < s.t_converged <= 8.0
     assert rec.theta[np.searchsorted(rec.t, s.t_converged)] < 1e-3
     assert s.fitted_rate == pytest.approx(1.0, rel=0.02)
-    never = summarize(rec, threshold=1e-12)
+    never = _summaries(rec.t, rec.theta[None], rec.drift[None], 1e-12)[0]  # a sweep's own threshold
     assert never.t_converged is None
 
 

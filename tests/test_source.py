@@ -16,3 +16,21 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_package_json_dumps_are_strict():
+    """Every json.dump and json.dumps call in the package passes
+    ``allow_nan=False``: a NaN or Infinity token would make the artifact
+    invalid JSON, so a non-finite value must be mapped before it is written."""
+    def strict(call):
+        return any(kw.arg == "allow_nan" and isinstance(kw.value, ast.Constant)
+                   and kw.value.value is False for kw in call.keywords)
+
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("dump", "dumps")
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+             and not strict(node)]
+    assert not found, f"json.dump calls without allow_nan=False: {found}"

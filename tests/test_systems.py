@@ -118,17 +118,39 @@ def test_input_validation():
         InputSignal.sum_of()
 
 
-def test_integral_against_dense_quadrature(rng):
+def _grid_values(sig, ts):
+    """The signal's closed form over an array of times, term by term (the
+    test's own reference; ``eval`` takes one time)."""
+    if sig.kind == "constant":
+        return np.broadcast_to(sig.amplitude, (len(ts), sig.dim))
+    if sig.kind == "sinusoid":
+        return sig.amplitude * np.sin(2.0 * np.pi * sig.frequency * ts[:, None] + sig.phase)
+    if sig.kind == "piecewise-constant":
+        return sig.values[np.searchsorted(sig.times, ts, side="right")]
+    return sum(_grid_values(term, ts) for term in sig.terms)
+
+
+def test_integral_against_dense_quadrature():
+    switches = [1.25, 4.75]
     sig = InputSignal.sum_of(
         InputSignal.sinusoid([1.2, -0.4, 0.7], frequency=0.37, phase=0.9),
-        InputSignal.piecewise([1.25, 4.75], [[0.3, 0, -0.2], [-0.5, 0.4, 0.1], [0.2, -0.1, 0.6]]),
+        InputSignal.piecewise(switches, [[0.3, 0, -0.2], [-0.5, 0.4, 0.1], [0.2, -0.1, 0.6]]),
         InputSignal.constant([0.05, -0.02, 0.03]),
     )
     for t_end in (0.7, 1.25, 3.3, 6.0):
         ts = np.linspace(0.0, t_end, 200_001)
-        vals = np.array([sig.eval(t) for t in ts])
+        vals = _grid_values(sig, ts)
+        # eval agrees with the samples on a strided subset of the grid and on
+        # the grid points on either side of each switch inside it.
+        after = np.searchsorted(ts, switches)
+        after = after[after < len(ts)]
+        for i in np.concatenate((np.arange(0, len(ts), 1000), after - 1, after)):
+            assert np.allclose(sig.eval(ts[i]), vals[i], rtol=0.0, atol=1e-15)
         quad = np.trapezoid(vals, ts, axis=0)
         assert np.allclose(sig.integral(t_end), quad, atol=5e-5)
+    # At the switch times themselves (right-continuous).
+    for t, want in zip(switches, _grid_values(sig, np.array(switches))):
+        assert np.allclose(sig.eval(t), want, rtol=0.0, atol=1e-15)
 
 
 def test_integral_piecewise_exact_segments():
