@@ -24,6 +24,8 @@ from .observer import (
     lifted_observer_field,
     omega_bar,
     projected_observer_field,
+    projected_pair_field,
+    projected_pair_rates,
     right_invariant_error,
 )
 from .sampling import random_rotation, random_tangent, random_unit

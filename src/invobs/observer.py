@@ -5,9 +5,10 @@ plus an innovation that vanishes when the estimated output matches the
 measurement.  Taking the innovation as minus the Riemannian gradient of an
 invariant cost makes the error-angle dynamics autonomous and almost globally
 contracting; lifting the innovation horizontally gives the matching group
-observer.  This module holds the cost functions, gradients, the horizontal
-structure, canonical errors, the scalar error law, and the runtime
-verification predicates.
+observer.  This module holds the cost functions, gradients, the observer
+fields, the pair fields that move a plant and its observers stacked in one
+array, the horizontal structure, canonical errors, the scalar error law, and
+the runtime verification predicates.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ class SphereCost:
     """Invariant cost k * (1 - <yhat, y>), equal to (k/2)||yhat - y||^2.
 
     The gain sets the exponential contraction rate of the error angle.  An
-    (n, 1) array of gains gives one gain per row of a batch to ``grad1``.
+    array of gains gives ``grad1`` one gain per row of a batch: (n, 1) for
+    (n, 3) rows, (runs, 1, 1) for the observer rows of a (runs, 2, 3) pair.
     """
 
     k: float | np.ndarray = 1.0
@@ -55,7 +57,7 @@ class SphereCost:
         y = np.asarray(y, dtype=float)
         if yhat.ndim == 1 and y.ndim == 1:
             return -self.k * (y - yhat * float(np.dot(yhat, y)))
-        dot = yhat @ y if y.ndim == 1 else np.einsum("...i,...i->...", yhat, y)
+        dot = np.dot(yhat, y) if y.ndim == 1 else np.einsum("...i,...i->...", yhat, y)
         return -self.k * (y - yhat * dot[..., None])
 
 
@@ -85,6 +87,49 @@ def projected_observer_field(c, yhat, y, u) -> np.ndarray:
     """Observer velocity on the sphere: the internal model (the projected plant
     at yhat) plus the innovation -c.grad1, over leading axes where grad1 allows."""
     return project_dynamics(yhat, u) - c.grad1(yhat, y)
+
+
+def _plant_row(S):
+    """The plant row of a stacked pair, as the reference of its observer rows:
+    a plain vector for a shared-plant (1 + n, 3) stack, the (..., 1, 3) rows
+    of a stack with a leading run axis."""
+    return S[0] if S.ndim == 2 else S[..., :1, :]
+
+
+def projected_pair_field(c, S, u) -> np.ndarray:
+    """Velocity of a stacked sphere pair: axis -2 of S holds the plant row and
+    the observer rows after it, (1 + n, 3) or, with one plant and input per
+    run, (runs, 2, 3).
+
+    Every row moves by its internal model y x u = (S @ hat(u)) row by row; the
+    observer rows add the innovation -c.grad1 against the plant row, as
+    projected_observer_field does.  ``c = None`` leaves the internal model
+    alone (synchrony).  u is one rate, or one per run.
+    """
+    S = np.asarray(S)
+    H = hat(u)
+    v = np.dot(S, H) if H.ndim == 2 else S @ H  # dot costs less for one rate
+    if c is not None:
+        v[..., 1:, :] -= c.grad1(S[..., 1:, :], _plant_row(S))
+    return v
+
+
+def projected_pair_rates(c, S, u) -> np.ndarray:
+    """Body rates of a stacked sphere pair (rows as in projected_pair_field):
+    u on the plant row and observer_body_rate on the observer rows (u on
+    every row for ``c = None``).  Each row y moves by act(group_exp(h * w), y)
+    with its own rate w.
+
+    At the outputs act(G, y0) of a stacked group pair (the plant and lifted
+    observers along axis -3 of G) these are the group pair's body rates, the
+    input and lifted_observer_field row by row: G moves by
+    plant_vector_field(G, rates)."""
+    S = np.asarray(S)
+    u = np.asarray(u, dtype=float)[..., None, :]
+    w = np.empty(S.shape)
+    w[..., :1, :] = u
+    w[..., 1:, :] = u if c is None else observer_body_rate(c, S[..., 1:, :], _plant_row(S), u)
+    return w
 
 
 def omega_bar(v: TangentVector) -> np.ndarray:

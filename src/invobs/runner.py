@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict
 
 import numpy as np
 
@@ -96,7 +95,7 @@ def run(sc: Scenario, out_dir: str, quiet: bool = False) -> int:
             "threshold": sc.mc.threshold,
             "converged": int(round(result.convergence_fraction * sc.mc.runs)),
             "convergence_fraction": result.convergence_fraction,
-            "runs": [asdict(s) for s in result.summaries],
+            "runs": [dict(vars(s)) for s in result.summaries],
         }
         say(f"monte carlo: {result.convergence_fraction:.4f} of {sc.mc.runs} runs "
             f"below {sc.mc.threshold:g} rad")
@@ -106,7 +105,7 @@ def run(sc: Scenario, out_dir: str, quiet: bool = False) -> int:
         oracle = so2_oracle_run(sc) if so2_oracle else None
         rec = oracle.record if oracle else _simulate(sc)
         summary = summarize(rec)
-        payload["summary"] = asdict(summary)
+        payload["summary"] = dict(vars(summary))
         if sc.mode in ("projected", "lifted"):
             payload["summary"]["closed_form_max_deviation"] = (
                 closed_form_deviation(rec, sc.k) if sc.instance == "so3-s2" else None

@@ -9,15 +9,24 @@ since the continuous-time theory says nothing about discretisation and fourth
 order keeps the integrator far below every property tolerance.
 
 Both integrators live in one time loop, ``_integrate``, which samples the
-input once per stage time.  Every run (projected, lifted, co-simulation, and
-each Monte Carlo sweep) is a pair on it: the input's rate function, a velocity
-field and a body-rates function of (u, state), and the error angle of a list
-of sphere or group components, where a sweep's observer component carries the
-batch axis.  One table gives each component kind its retraction, Lie-Euler
-update and drift measure; the worst drift of each recorded state is both the
-run's record and the loop's guard against a state that left its manifold.  An
-so2-s1 document steps the same pairs, restricted to rotations about the z axis
-by its scenario.
+input once per stage time.  Every run (projected, lifted, co-simulation,
+each Monte Carlo sweep and each batch of verify runs) is a pair on it: the
+input's rate function, a velocity field and a body-rates function of
+(u, state), and the error angle of each observer.  The plant and every
+observer obey the same kinematics, so a pair's state is one stacked array
+whose row axis holds the plant first and its observers after it: (1 + n, 3)
+on the sphere, (1 + n, 3, 3) on the group, and (runs, 2, 3) for a batch with
+one plant and input per run.  A single run is n = 1 and a sweep n = runs, on
+the same code.  One call of a public pair field moves every row: the sphere
+pair steps ``projected_pair_field`` (``projected_pair_rates`` under
+Lie-Euler), the group pair ``plant_vector_field`` of the rates
+``projected_pair_rates`` gives at its outputs.  Co-simulation adds a lone
+sphere observer beside the group pair.  One table gives each component kind
+its retraction, Lie-Euler update and drift measure; the drift of each
+recorded state, per observer row the worse of its own and the plant's, is
+both the run's record and the loop's guard against a state that left its
+manifold.  An so2-s1 document steps the same pairs, restricted to rotations
+about the z axis by its scenario.
 """
 
 from __future__ import annotations
@@ -34,13 +43,14 @@ from .observer import (
     canonical_error_from_group,
     error_angle,
     error_angle_closed_form,
-    lifted_observer_field,
     observer_body_rate,
     projected_observer_field,
+    projected_pair_field,
+    projected_pair_rates,
 )
 from .so3 import act, compose, drift, group_exp, orthonormalize, unit
 from .sampling import random_rotation, random_unit
-from .systems import plant_vector_field, project_dynamics
+from .systems import plant_vector_field
 
 ANTIPODAL_EXCLUSION = 0.01  # rad; Monte Carlo cap around the antipode
 RATE_WINDOW = (1e-6, 0.1)   # rad; log-linear fit window for the decay rate
@@ -166,23 +176,29 @@ def _n_steps(t_end: float, h: float) -> int:
     return round(t_end / h)
 
 
+def _per_observer(m):
+    """Per observer row of a pair stack, the worse of the plant row's measure
+    m[..., 0] and its own; a lone state's measure is kept as it is."""
+    return m if m.ndim == 0 else np.maximum(m[..., :1], m[..., 1:])
+
+
 # Per component kind, over leading axes: the retraction after an RK4 step,
-# the Lie-Euler update by the step-scaled body rate hw (a group state moves to
-# X exp(hw), a sphere state to act(exp(hw), y)), and the drift measure that
-# the state guard checks.  The primitives are looked up per call, so a
-# replaced module attribute takes effect.
+# the Lie-Euler update by the step-scaled body rates hw (group rows move to
+# X exp(hw), sphere rows to act(exp(hw), y)), and the drift measure that the
+# state guard checks.  The primitives are looked up per call, so a replaced
+# module attribute takes effect.
 _Kind = namedtuple("_Kind", "retract lie_step drift")
 _KINDS = {
     "sphere": _Kind(lambda v: unit(v), lambda y, hw: act(group_exp(hw), y),
-                    lambda y: np.abs(np.linalg.norm(y, axis=-1) - 1.0)),
+                    lambda y: _per_observer(np.abs(np.linalg.norm(y, axis=-1) - 1.0))),
     "group": _Kind(lambda X: orthonormalize(X), lambda X, hw: compose(X, group_exp(hw)),
-                   lambda X: drift(X)),
+                   lambda X: _per_observer(drift(X))),
 }
 
 
 # A plant-observer pair on the stepping engine (see _integrate): a function of
 # the input u and the state, with ``rate(t)`` the input it is driven by;
-# ``observe`` maps a state to its error angle, over leading axes.
+# ``observe`` maps a state to the error angle of each observer row.
 _Pair = namedtuple("_Pair", "kinds rate field rates observe")
 
 
@@ -192,19 +208,22 @@ def _integrate(scenario, pair, state, keep_states):
     recorded states of each component when ``keep_states`` is set.
 
     ``pair.kinds`` names each component's space: "sphere" (unit vectors) or
-    "group" (rotation matrices).  A component may carry leading batch axes;
-    the primitives broadcast over them, and the angle and drift rows then
-    carry the same axes.
+    "group" (rotation matrices).  A pair stack holds the plant and its
+    observers along its row axis (axis -2 of a sphere stack, -3 of a group
+    stack), plant first, and may carry a leading run axis; a co-simulated
+    sphere observer is a lone state beside it.  The primitives broadcast
+    over the rows, and the angle and drift rows carry one entry per
+    observer row.
     The loop is the one place that samples the input: ``pair.rate(t)`` once
     per distinct stage time (t, t + h/2 and t + h for RK4, t for Lie-Euler).
     ``pair.field(u, state)`` gives each component's velocity in the embedding,
-    ``pair.rates(u, state)`` each component's body rate for one Lie-Euler step.
-    The initial state, every ``sample_every``-th step and the last step are
-    recorded.  Each recorded state must be finite; its error angle is
-    ``pair.observe(state)``, and its drift, the worst of its components'
-    drift measures, is computed once: it is what the record reports and what
-    must stay within ORTHOGONALITY_TOL, since the retraction after a step can
-    only keep a state on SO(3) or S^2, not restore it.
+    ``pair.rates(u, state)`` each component's body rates for one Lie-Euler
+    step.  The initial state, every ``sample_every``-th step and the last step
+    are recorded.  Each recorded state must be finite; its error angles are
+    ``pair.observe(state)``, and its drift, per observer row the worst of the
+    components' drift measures, is computed once: it is what the record
+    reports and what must stay within ORTHOGONALITY_TOL, since the retraction
+    after a step can only keep a state on SO(3) or S^2, not restore it.
     """
     h = scenario.integrator.h
     n = _n_steps(scenario.t_end, h)
@@ -243,66 +262,64 @@ def _integrate(scenario, pair, state, keep_states):
     return [np.array(col) for col in zip(*rows)]
 
 
-# --- pairs: y and yhat on the sphere, X and Xhat on the group ----------------
+# --- pairs: stacked [y, yhat...] on the sphere, [X, Xhat...] on the group -----
 
 def _sphere_pair(rate, cost) -> _Pair:
-    """Plant y and sphere observer yhat (the internal model alone without a
-    cost); yhat may be an (n, 3) batch."""
-    def field(u, s):
-        yh_dot = (project_dynamics(s[1], u) if cost is None
-                  else projected_observer_field(cost, s[1], s[0], u))
-        return [project_dynamics(s[0], u), yh_dot]
+    """A stacked sphere pair (see projected_pair_field): the plant row and
+    sphere observer rows, which run the internal model alone without a
+    cost."""
+    def observe(s):
+        return error_angle(s[0][..., 1:, :], s[0][..., :1, :])
 
-    def rates(u, s):
-        return [u, u if cost is None else observer_body_rate(cost, s[1], s[0], u)]
-
-    return _Pair(("sphere", "sphere"), rate, field, rates, lambda s: error_angle(s[1], s[0]))
+    return _Pair(("sphere",), rate, lambda u, s: [projected_pair_field(cost, s[0], u)],
+                 lambda u, s: [projected_pair_rates(cost, s[0], u)], observe)
 
 
 def _group_pair(rate, cost, y0v, cosim=False) -> _Pair:
-    """Plant X and lifted observer Xhat, whose body rate is the input minus the
-    horizontal lift of the cost gradient; Xhat may be an (n, 3, 3) batch.  With
-    ``cosim`` a third component is a sphere observer driven by the plant
-    output (co-simulation)."""
-    def body_rates(u, s):
-        y = act(s[0], y0v)
-        return y, lifted_observer_field(cost, s[1], y, u, y0v)
-
+    """A stacked group pair: the plant and lifted observers.  Its body rates
+    are those of the sphere pair of its outputs act(G, y0): the input, and
+    for each observer the input minus the horizontal lift of the cost
+    gradient.  With ``cosim`` a second component is a lone sphere observer
+    driven by the plant output (co-simulation)."""
     def field(u, s):
-        y, u_ob = body_rates(u, s)
-        out = [plant_vector_field(s[0], u), plant_vector_field(s[1], u_ob)]
-        return out + [projected_observer_field(cost, s[2], y, u)] if cosim else out
+        y = act(s[0], y0v)
+        out = [plant_vector_field(s[0], projected_pair_rates(cost, y, u))]
+        return out + [projected_observer_field(cost, s[1], y[0], u)] if cosim else out
 
     def rates(u, s):
-        y, u_ob = body_rates(u, s)
-        out = [u, u_ob]
-        return out + [observer_body_rate(cost, s[2], y, u)] if cosim else out
+        y = act(s[0], y0v)
+        out = [projected_pair_rates(cost, y, u)]
+        return out + [observer_body_rate(cost, s[1], y[0], u)] if cosim else out
 
     def observe(s):
         # Canonical-error angle from the right-invariant group error; equal to
         # the output error angle since the action is by orthogonal matrices.
-        return error_angle(canonical_error_from_group(s[1], s[0], y0v), y0v)
+        G = s[0]
+        return error_angle(canonical_error_from_group(G[..., 1:, :, :], G[..., :1, :, :], y0v), y0v)
 
-    return _Pair(("group", "group") + ("sphere",) * cosim, rate, field, rates, observe)
+    return _Pair(("group",) + ("sphere",) * cosim, rate, field, rates, observe)
 
 
 def simulate_projected(scenario) -> TrajectoryRecord:
-    """Integrate the projected plant and sphere observer side by side, with
-    the invariant cost at the scenario gain; synchrony mode disables the
-    innovation entirely."""
+    """Integrate the projected plant and sphere observer as one (2, 3) pair
+    stack, with the invariant cost at the scenario gain; synchrony mode
+    disables the innovation entirely."""
     cost = None if scenario.mode == "synchrony" else SphereCost(scenario.k)
     pair = _sphere_pair(scenario.body_rates.eval, cost)
-    t, theta, drift_, y, yhat = _integrate(scenario, pair, scenario.initial_sphere_pair(), True)
-    return TrajectoryRecord(t, y, yhat, theta, drift_)
+    S0 = np.stack(scenario.initial_sphere_pair())
+    t, theta, drift_, S = _integrate(scenario, pair, [S0], True)
+    return TrajectoryRecord(t, S[:, 0], S[:, 1], theta[:, 0], drift_[:, 0])
 
 
 def simulate_lifted(scenario) -> TrajectoryRecord:
-    """Integrate plant and observer on the group; the error angle is derived
-    from the right-invariant group error."""
+    """Integrate plant and observer on the group as one (2, 3, 3) pair stack;
+    the error angle is derived from the right-invariant group error."""
     y0v = scenario.y0_vec
     pair = _group_pair(scenario.body_rates.eval, SphereCost(scenario.k), y0v)
-    t, theta, drift_, X, Xh = _integrate(scenario, pair, scenario.initial_group_pair(), True)
-    return TrajectoryRecord(t, act(X, y0v), act(Xh, y0v), theta, drift_, X=X, Xhat=Xh)
+    G0 = np.stack(scenario.initial_group_pair())
+    t, theta, drift_, G = _integrate(scenario, pair, [G0], True)
+    X, Xh = G[:, 0], G[:, 1]
+    return TrajectoryRecord(t, act(X, y0v), act(Xh, y0v), theta[:, 0], drift_[:, 0], X=X, Xhat=Xh)
 
 
 def simulate_cosim(scenario) -> TrajectoryRecord:
@@ -311,11 +328,12 @@ def simulate_cosim(scenario) -> TrajectoryRecord:
     strays from the directly integrated sphere observer."""
     y0v = scenario.y0_vec
     pair = _group_pair(scenario.body_rates.eval, SphereCost(scenario.k), y0v, cosim=True)
-    X, Xhat = scenario.initial_group_pair()
+    G0 = np.stack(scenario.initial_group_pair())
     # The sphere observer starts on the group observer's output.
-    t, theta, drift_, X, Xh, yp = _integrate(scenario, pair, (X, Xhat, act(Xhat, y0v)), True)
+    t, theta, drift_, G, yp = _integrate(scenario, pair, [G0, act(G0[1], y0v)], True)
+    X, Xh = G[:, 0], G[:, 1]
     yhat = act(Xh, y0v)
-    return TrajectoryRecord(t, act(X, y0v), yhat, theta, drift_, X=X, Xhat=Xh,
+    return TrajectoryRecord(t, act(X, y0v), yhat, theta[:, 0], drift_[:, 0], X=X, Xhat=Xh,
                             consistency=np.linalg.norm(yhat - yp, axis=1))
 
 
@@ -401,16 +419,18 @@ def monte_carlo(scenario) -> MonteCarloResult:
     cost = SphereCost(scenario.k)
     y0v = scenario.y0_vec
     if mc.space == "lifted":
-        X = scenario.initial_group_pair()[0]
-        state = (X, _sample_observers(rng, mc.runs, random_rotation, lambda S: act(S, y0v),
-                                      act(X, y0v)))
+        plant = scenario.initial_group_pair()[0]
+        observers = _sample_observers(rng, mc.runs, random_rotation, lambda S: act(S, y0v),
+                                      act(plant, y0v))
         pair = _group_pair(scenario.body_rates.eval, cost, y0v)
     else:
-        y = scenario.initial_sphere_pair()[0]
-        state = (y, _sample_observers(rng, mc.runs, random_unit, lambda S: S, y))
+        plant = scenario.initial_sphere_pair()[0]
+        observers = _sample_observers(rng, mc.runs, random_unit, lambda S: S, plant)
         pair = _sphere_pair(scenario.body_rates.eval, cost)
-    # Only the per-run angle and drift rows are kept at each sample, not the states.
-    t_rec, theta, drift_rows = _integrate(scenario, pair, state, False)
+    # The plant on top of the runs' observers is one pair stack.  Only the
+    # per-run angle and drift rows are kept at each sample, not the states.
+    state = np.concatenate((plant[None], observers))
+    t_rec, theta, drift_rows = _integrate(scenario, pair, [state], False)
     summaries = _summaries(t_rec, theta.T, drift_rows.T, mc.threshold)
     frac = float(np.mean([s.final_angle < mc.threshold for s in summaries]))
     return MonteCarloResult(summaries, frac)

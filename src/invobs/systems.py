@@ -10,6 +10,8 @@ see.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .so3 import cross, hat
@@ -96,7 +98,7 @@ class InputSignal:
         if self.kind == "constant":
             return self.amplitude
         if self.kind == "sinusoid":
-            return self.amplitude * np.sin(2.0 * np.pi * self.frequency * t + self.phase)
+            return self.amplitude * math.sin(2.0 * math.pi * self.frequency * t + self.phase)
         if self.kind == "piecewise-constant":
             return self.values[np.searchsorted(self.times, t, side="right")]
         out = self.terms[0].eval(t).copy()

@@ -19,18 +19,21 @@ from .observer import (
     SectionedCost,
     SphereCost,
     check_innovation_equivariance,
-    check_synchrony,
     grad1_lifted_cost,
     lifted_cost,
     lifted_observer_field,
+    observer_body_rate,
     omega_bar,
+    projected_observer_field,
+    projected_pair_field,
+    projected_pair_rates,
     worst_residual,
 )
 from .sampling import random_rotation, random_tangent, random_unit
 from .scenario import InitState
 from .simulate import _integrate, _sphere_pair, simulate_cosim, simulate_projected, so2_oracle_run
 from .so3 import TangentVector, act, group_exp, hat, unit, vee
-from .systems import InputSignal, plant_vector_field
+from .systems import InputSignal, plant_vector_field, project_dynamics
 
 N_SAMPLES = 1000
 N_AUTONOMY_INPUTS = 6
@@ -201,6 +204,59 @@ def invariant_cost_construction_residual(rng, y0, n=N_SAMPLES) -> float:
     return worst_residual(residual() for _ in range(n))
 
 
+def pair_fields_residual(rng, y0, n=N_SAMPLES) -> float:
+    """The stacked pair fields that step every run against the per-component
+    fields they stand for, row by row: projected_pair_field against
+    project_dynamics (the plant row, and every row without a cost) and
+    projected_observer_field; projected_pair_rates against u and
+    observer_body_rate; plant_vector_field of projected_pair_rates at a group
+    pair's outputs against plant_vector_field of u and of
+    lifted_observer_field.  Each sample checks, with and without a cost, a
+    single pair, a shared-plant stack of several observers, and a stack of
+    runs, each run with its own plant, input and gain."""
+    def by_component(c, S, G, u):
+        y, X = S[0], G[0]
+        field = [project_dynamics(y, u)] + [
+            project_dynamics(yh, u) if c is None else projected_observer_field(c, yh, y, u)
+            for yh in S[1:]]
+        rates = [u] + [u if c is None else observer_body_rate(c, yh, y, u) for yh in S[1:]]
+        if c is None:
+            return field, rates
+        y = act(X, y0)
+        group = [plant_vector_field(X, u)] + [
+            plant_vector_field(Xh, lifted_observer_field(c, Xh, y, u, y0)) for Xh in G[1:]]
+        return field, rates, group
+
+    def stacked(c, S, G, u):
+        out = projected_pair_field(c, S, u), projected_pair_rates(c, S, u)
+        if c is None:
+            return out
+        return out + (plant_vector_field(G, projected_pair_rates(c, act(G, y0), u)),)
+
+    def gap(got, want):
+        return worst_residual(float(np.max(np.abs(g - np.asarray(w)))) for g, w in zip(got, want))
+
+    def residual():
+        m = int(rng.integers(2, 6))
+        k = rng.uniform(0.5, 2.0, m)
+        u = rng.uniform(-1.5, 1.5, (m, 3))
+        S, G = random_unit(rng, m + 1), random_rotation(rng, m + 1)
+        S_runs = random_unit(rng, 2 * m).reshape(m, 2, 3)
+        G_runs = random_rotation(rng, 2 * m).reshape(m, 2, 3, 3)
+        out = []
+        for gains, costs in ((SphereCost(k[:, None, None]), [SphereCost(g) for g in k]),
+                             (None, [None] * m)):
+            c = costs[0]
+            out.append(gap(stacked(c, S[:2], G[:2], u[0]), by_component(c, S[:2], G[:2], u[0])))
+            out.append(gap(stacked(c, S, G, u[0]), by_component(c, S, G, u[0])))
+            got = stacked(gains, S_runs, G_runs, u)
+            out.extend(gap([g[r] for g in got], by_component(costs[r], S_runs[r], G_runs[r], u[r]))
+                       for r in range(m))
+        return worst_residual(out)
+
+    return worst_residual(residual() for _ in range(n))
+
+
 # --- simulation properties --------------------------------------------------
 
 def _random_sinusoid(rng) -> InputSignal:
@@ -244,28 +300,36 @@ def _autonomy_inputs(rng, n, h) -> list[InputSignal]:
     return out
 
 
-def _batch_theta(scenario, inputs, cost, y, yhat):
+def _batch_theta(scenario, inputs, cost, S):
     """Sample times and (samples, n) error angles of n projected runs stepped
-    as one batch: run i has input inputs[i] and starts at rows i of the
-    (n, 3) plant and observer outputs y and yhat."""
+    as one batch: run i has input inputs[i] and starts at the plant and
+    observer rows S[i] of the (n, 2, 3) pair stack S."""
     def rates(t):
         return np.array([sig.eval(t) for sig in inputs])
 
-    return _integrate(scenario, _sphere_pair(rates, cost), (y, yhat), False)[:2]
+    t, theta = _integrate(scenario, _sphere_pair(rates, cost), [S], False)[:2]
+    return t, theta[..., 0]
+
+
+def _tiled_pair(scenario, n):
+    """The scenario's initial sphere pair, once per run: an (n, 2, 3) stack."""
+    return np.tile(np.stack(scenario.initial_sphere_pair()), (n, 1, 1))
 
 
 def autonomy_spread(scenario, inputs, cost=None) -> float:
     """Pointwise spread of the error angle across runs differing only in the
     input signal, stepped as one batch from the scenario's initial pair."""
-    y, yhat = (np.tile(v, (len(inputs), 1)) for v in scenario.initial_sphere_pair())
     cost = SphereCost(scenario.k) if cost is None else cost
-    _, theta = _batch_theta(scenario, inputs, cost, y, yhat)
+    _, theta = _batch_theta(scenario, inputs, cost, _tiled_pair(scenario, len(inputs)))
     return float(np.max(np.ptp(theta, axis=1)))
 
 
 def synchrony_residual(scenario, inputs) -> float:
-    return worst_residual(check_synchrony(simulate_projected(
-        dc_replace(scenario, input=sig, mode="synchrony"))) for sig in inputs)
+    """Largest excursion of the error angle from its initial value over runs
+    of the innovation-free pair (the internal model alone), one per input,
+    stepped as one batch from the scenario's initial pair."""
+    _, theta = _batch_theta(scenario, inputs, None, _tiled_pair(scenario, len(inputs)))
+    return float(np.max(np.abs(theta - theta[0])))
 
 
 def cosim_residual(scenario) -> float:

@@ -73,9 +73,8 @@ def test_criterion_01_error_angle_law():
                                                              _random_piecewise(rng, H)))
         starts.append((random_direction(rng), random_direction(rng)))
     k = np.array([gains[i % 3] for i in range(20)])
-    y, yhat = np.array(starts).swapaxes(0, 1)
     t, theta = _batch_theta(scenario(mode="projected", t_end=10.0), inputs,
-                            SphereCost(k[:, None]), y, yhat)
+                            SphereCost(k[:, None, None]), np.array(starts))
     worst = max(float(np.max(np.abs(theta[:, i] - error_angle_closed_form(theta[0, i], k[i], t))))
                 for i in range(20))
     report(1, "error-angle law", worst <= 1e-5,

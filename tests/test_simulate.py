@@ -236,7 +236,8 @@ def test_simulation_abort_on_overflow(make_scenario):
                        init={"plant": "identity", "observer": {"axis_angle": [1.0, 0, 0]}})
     blowup = AnisotropicCost(np.diag([1e200, 1e200, 1e200]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationAbort):
-        _integrate(sc, _sphere_pair(sc.body_rates.eval, blowup), sc.initial_sphere_pair(), False)
+        _integrate(sc, _sphere_pair(sc.body_rates.eval, blowup),
+                   [np.stack(sc.initial_sphere_pair())], False)
 
 
 def _off_sphere_retraction(monkeypatch):
@@ -267,8 +268,9 @@ def test_direction_leaving_the_sphere_aborts(make_scenario, monkeypatch, doc, ru
 
 def test_sweep_observes_each_sample_once(make_scenario, monkeypatch):
     """The benchmark's 200-run lifted sweep (1500 steps of 0.01 s, every 10th
-    recorded) takes the drift of the plant and of the observer batch once per
-    recorded sample: 2 x 151 calls, shared by the guard and the summaries."""
+    recorded) takes the drift of its pair stack, the plant and the observer
+    batch, once per recorded sample: 151 calls, shared by the guard and the
+    summaries."""
     import invobs.simulate
 
     drift = invobs.simulate.drift
@@ -284,7 +286,7 @@ def test_sweep_observes_each_sample_once(make_scenario, monkeypatch):
                        t_end=15.0, seed=7, integrator={"h": 0.01},
                        mc={"runs": 200, "space": "lifted"})
     res = monte_carlo(sc)
-    assert len(calls) == 2 * 151
+    assert len(calls) == 151
     assert max(s.max_drift for s in res.summaries) <= 1e-9
 
 
@@ -444,15 +446,17 @@ def test_runs_bit_identical_with_numpy_cross(make_scenario, monkeypatch, method)
 
 
 def test_runs_step_the_public_fields(make_scenario, monkeypatch):
-    """The pairs call the field and rate functions that verify and the field
-    tests check, under both integrators; a private copy of a field or of the
-    observer body rate in the simulator fails here.  The loop samples the
-    input once per distinct stage time: three InputSignal.eval calls per RK4
-    step (stages 2 and 3 share t + h/2), one per Lie-Euler step."""
+    """The pairs call the pair field and rate functions that verify checks
+    against the per-component fields, under both integrators; a private copy
+    of a field or of the observer body rate in the simulator fails here.  A
+    pair stack moves by one call per stage (a co-simulated sphere observer by
+    one more).  The loop samples the input once per distinct stage time:
+    three InputSignal.eval calls per RK4 step (stages 2 and 3 share t + h/2),
+    one per Lie-Euler step."""
     import invobs.simulate
 
-    names = ("project_dynamics", "projected_observer_field", "plant_vector_field",
-             "lifted_observer_field", "observer_body_rate")
+    names = ("projected_pair_field", "projected_pair_rates", "plant_vector_field",
+             "projected_observer_field", "observer_body_rate")
     calls = dict.fromkeys(names + ("eval",), 0)
 
     def counted(name, fn):
@@ -470,28 +474,21 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
     sweep = dict(mode="monte-carlo", input=SINUSOID, t_end=steps * 1e-2)
     planar = dict(SO2_BASE, t_end=steps * 1e-3)
     # (entry point, document, step size, calls per rk4-project step, per lie-euler step)
+    sphere = {"projected_pair_field": 4}, {"projected_pair_rates": 1}
+    group = {"projected_pair_rates": 4, "plant_vector_field": 4}, {"projected_pair_rates": 1}
+    cosim = (dict(group[0], projected_observer_field=4),
+             dict(group[1], observer_body_rate=1))
     runs = [
-        (simulate_projected, dict(mode="projected", **single), 1e-3,
-         {"project_dynamics": 4, "projected_observer_field": 4}, {"observer_body_rate": 1}),
-        (simulate_projected, dict(mode="synchrony", **single), 1e-3,
-         {"project_dynamics": 8}, {}),
-        (simulate_lifted, dict(mode="lifted", **single), 1e-3,
-         {"plant_vector_field": 8, "lifted_observer_field": 4}, {"lifted_observer_field": 1}),
-        (simulate_cosim, dict(mode="co-sim", **single), 1e-3,
-         {"plant_vector_field": 8, "lifted_observer_field": 4, "projected_observer_field": 4},
-         {"lifted_observer_field": 1, "observer_body_rate": 1}),
-        (monte_carlo, dict(sweep, mc={"runs": 5, "space": "projected"}), 1e-2,
-         {"project_dynamics": 4, "projected_observer_field": 4}, {"observer_body_rate": 1}),
-        (monte_carlo, dict(sweep, mc={"runs": 5, "space": "lifted"}), 1e-2,
-         {"plant_vector_field": 8, "lifted_observer_field": 4}, {"lifted_observer_field": 1}),
+        (simulate_projected, dict(mode="projected", **single), 1e-3, *sphere),
+        (simulate_projected, dict(mode="synchrony", **single), 1e-3, *sphere),
+        (simulate_lifted, dict(mode="lifted", **single), 1e-3, *group),
+        (simulate_cosim, dict(mode="co-sim", **single), 1e-3, *cosim),
+        (monte_carlo, dict(sweep, mc={"runs": 5, "space": "projected"}), 1e-2, *sphere),
+        (monte_carlo, dict(sweep, mc={"runs": 5, "space": "lifted"}), 1e-2, *group),
         # so2-s1 documents step the planar restriction of the same pairs.
-        (simulate_circle, dict(planar, mode="projected"), 1e-3,
-         {"project_dynamics": 4, "projected_observer_field": 4}, {"observer_body_rate": 1}),
-        (simulate_circle, dict(planar, mode="lifted"), 1e-3,
-         {"plant_vector_field": 8, "lifted_observer_field": 4}, {"lifted_observer_field": 1}),
-        (simulate_circle, dict(planar, mode="co-sim"), 1e-3,
-         {"plant_vector_field": 8, "lifted_observer_field": 4, "projected_observer_field": 4},
-         {"lifted_observer_field": 1, "observer_body_rate": 1}),
+        (simulate_circle, dict(planar, mode="projected"), 1e-3, *sphere),
+        (simulate_circle, dict(planar, mode="lifted"), 1e-3, *group),
+        (simulate_circle, dict(planar, mode="co-sim"), 1e-3, *cosim),
     ]
     for fn, doc, h, rk4, lie in runs:
         for method, per_step in (("rk4-project", dict(rk4, eval=3)), ("lie-euler", dict(lie, eval=1))):

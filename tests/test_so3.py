@@ -21,6 +21,7 @@ from invobs.sampling import random_rotation, random_unit
 from invobs.so3 import cross
 
 E1, E2, E3 = np.eye(3)
+ULP2 = 2.0 * np.finfo(float).eps  # two units in the last place at 1, 4.44e-16
 
 
 def rodrigues_rotate(v, axis, angle):
@@ -45,16 +46,20 @@ def test_hat_is_linear_cross_product(rng):
 
 
 def test_cross_is_bit_identical_to_numpy(rng):
+    """Both the Python-scalar path (two 3-element arguments, one-row stacks
+    included) and the gathered path for stacks."""
     a, b = rng.standard_normal(3), rng.standard_normal(3)
     A, B = rng.standard_normal((50, 3)), rng.standard_normal((50, 3))
-    for x, y in [(a, b), (A, B), (a, B), (A, b), (A[None], B[:, None])]:
+    for x, y in [(a, b), (A, B), (a, B), (A, b), (A[None], B[:, None]),
+                 (A[:1], b), (a, B[:1]), (A[:1], B[:1]), (A[:2], B[:2]), (A[:5, None], B[:4])]:
         assert np.array_equal(cross(x, y), np.cross(x, y))
         assert cross(x, y).shape == np.cross(x, y).shape
 
 
 def test_cross_accepts_int_and_list_input():
     for x, y in [([1, 2, 3], [4, 5, 6]), (np.array([1, 2, 3]), [0.5, -1.0, 2.0]),
-                 (np.arange(12).reshape(4, 3), [1, -1, 2])]:
+                 (np.arange(12).reshape(4, 3), [1, -1, 2]), ([[1, 2, 3]], [[4, -5, 6]]),
+                 (np.arange(12).reshape(2, 2, 3), np.arange(6).reshape(2, 3))]:
         got, want = cross(x, y), np.cross(x, y)
         assert np.array_equal(got, want)
         assert got.dtype == want.dtype
@@ -217,6 +222,8 @@ def test_group_exp_over_leading_axes_mixes_series_and_closed_form(rng):
     assert np.max(np.abs(G - _rows(group_exp, W))) <= 1e-15
     assert np.array_equal(G[5], np.eye(3))
     assert np.max(drift(G)) <= 1e-14
+    for closed in (W[1:2], W[1:3], W[1::3]):  # no row on the series
+        assert np.max(np.abs(group_exp(closed) - _rows(group_exp, closed))) <= ULP2
 
 
 def test_orthonormalize_over_leading_axes(rng):
@@ -247,18 +254,22 @@ def test_drift_over_leading_axes(rng):
 
 
 def test_unit_over_leading_axes(rng):
+    for n in (1, 2):
+        V = rng.standard_normal((n, 3))
+        assert np.max(np.abs(unit(V) - _rows(unit, V))) <= ULP2
     V = rng.standard_normal((6, 7, 3))
     U = unit(V)
-    assert np.max(np.abs(U.reshape(-1, 3) - _rows(unit, V.reshape(-1, 3)))) <= 1e-15
+    assert np.max(np.abs(U.reshape(-1, 3) - _rows(unit, V.reshape(-1, 3)))) <= ULP2
     V[2, 3] = 0.0
     with pytest.raises(ValueError, match="zero vector"):
         unit(V)
 
 
 def test_act_over_leading_axes(rng):
-    X = random_rotation(rng, 9)
-    Y = random_unit(rng, 9)
-    y = random_unit(rng)
-    assert np.max(np.abs(act(X, y) - _rows(lambda x: act(x, y), X))) <= 1e-15
-    assert np.max(np.abs(act(X[0], Y) - _rows(lambda v: act(X[0], v), Y))) <= 1e-15
-    assert np.max(np.abs(act(X, Y) - _rows(act, X, Y))) <= 1e-15
+    for n in (1, 2, 9):
+        X = random_rotation(rng, n)
+        Y = random_unit(rng, n)
+        y = random_unit(rng)
+        assert np.max(np.abs(act(X, y) - _rows(lambda x: act(x, y), X))) <= ULP2
+        assert np.max(np.abs(act(X[0], Y) - _rows(lambda v: act(X[0], v), Y))) <= ULP2
+        assert np.max(np.abs(act(X, Y) - _rows(act, X, Y))) <= ULP2

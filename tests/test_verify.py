@@ -20,6 +20,7 @@ from invobs.verify import (
     lifted_gradient_identity_residual,
     metric_identity_residual,
     observer_two_forms_residual,
+    pair_fields_residual,
 )
 from invobs.observer import SphereCost, check_innovation_equivariance, worst_residual
 from invobs.scenario import InitState
@@ -76,15 +77,36 @@ def test_batched_runs_match_serial_runs(make_scenario, rng, cost):
 
     def serial_theta(r):
         pair = _sphere_pair(r.body_rates.eval, SphereCost(r.k) if cost is None else cost)
-        return _integrate(r, pair, r.initial_sphere_pair(), False)[1]
+        return _integrate(r, pair, [np.stack(r.initial_sphere_pair())], False)[1][:, 0]
 
     serial = np.stack([serial_theta(r) for r in runs], axis=1)
-    t, theta = _batch_theta(sc, inputs, SphereCost(k[:, None]) if cost is None else cost, y, yhat)
+    t, theta = _batch_theta(sc, inputs, SphereCost(k[:, None, None]) if cost is None else cost,
+                            np.stack((y, yhat), axis=1))
     assert np.array_equal(t, simulate_projected(sc).t)
     assert np.max(np.abs(theta - serial)) <= 1e-12
     same_start = np.stack([serial_theta(dataclasses.replace(sc, input=sig)) for sig in inputs])
     want = np.max(same_start.max(axis=0) - same_start.min(axis=0))
     assert abs(autonomy_spread(sc, inputs, cost=cost) - want) <= 1e-12
+
+
+def test_pair_fields_match_the_component_fields(rng, monkeypatch):
+    """The stacked pair fields agree with the per-component fields row by
+    row; a field whose observer rows take the row above as their reference
+    (right for a single pair, wrong for several observers on one plant)
+    fails."""
+    import invobs.verify
+    from invobs.so3 import hat
+
+    assert pair_fields_residual(rng, E3, 100) <= 1e-12
+
+    def against_row_above(c, S, u):
+        v = np.asarray(S) @ hat(u)
+        if c is not None:
+            v[..., 1:, :] -= c.grad1(S[..., 1:, :], S[..., :-1, :])
+        return v
+
+    monkeypatch.setattr(invobs.verify, "projected_pair_field", against_row_above)
+    assert pair_fields_residual(rng, E3, 20) > 1e-3
 
 
 def test_run_verification_circle(make_scenario):
