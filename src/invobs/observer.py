@@ -7,8 +7,10 @@ invariant cost makes the error-angle dynamics autonomous and almost globally
 contracting; lifting the innovation horizontally gives the matching group
 observer.  This module holds the cost functions, gradients, the observer
 fields, the pair fields that move a plant and its observers stacked in one
-array, the horizontal structure, canonical errors, the scalar error law, and
-the runtime verification predicates.
+array, the horizontal lift of tangent vectors (plain arrays orthogonal to
+their base output), canonical errors, the closed form of the scalar error
+law theta' = -k sin(theta) that both instances obey, and the runtime
+verification predicates.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from .sampling import random_rotation, random_unit
 from .systems import project_dynamics
 from .so3 import (
-    TangentVector,
     act,
     cross,
     hat,
@@ -132,12 +133,6 @@ def projected_pair_rates(c, S, u) -> np.ndarray:
     return w
 
 
-def omega_bar(v: TangentVector) -> np.ndarray:
-    """Body-frame angular velocity with omega_bar x base = vec and zero
-    component along base; equals base x vec."""
-    return cross(v.base, v.vec)
-
-
 @dataclass(frozen=True)
 class HorizontalSubspace:
     """Horizontal complement of the stabiliser directions for reference y0.
@@ -151,17 +146,21 @@ class HorizontalSubspace:
     def __post_init__(self):
         object.__setattr__(self, "y0", unit(self.y0))
 
-    def lift(self, Xhat, v: TangentVector) -> np.ndarray:
-        """Unique horizontal group tangent at Xhat pushing forward to v.
+    def lift(self, Xhat, vec) -> np.ndarray:
+        """Unique horizontal group tangent at Xhat pushing forward to vec, a
+        tangent vector at the output base = act(Xhat, y0).
 
         Finite differences of t -> act(Xhat @ group_exp(t * w), y0) with
-        w = vec x base recover v; the zero-component-along-base constraint
-        picks w out of the one-parameter family of generators.
+        w = vec x base recover vec; the zero-component-along-base constraint
+        picks w out of the one-parameter family of generators.  Raises
+        ValueError when |<vec, base>| exceeds 1e-9 max(1, ||vec||).
         """
-        yhat = act(Xhat, self.y0)
-        if float(np.linalg.norm(v.base - yhat)) > 1e-9:
-            raise ValueError("tangent base point does not match act(Xhat, y0)")
-        return np.asarray(Xhat) @ hat(cross(v.vec, v.base))
+        base = act(Xhat, self.y0)
+        vec = np.asarray(vec, dtype=float)
+        defect = abs(float(base @ vec))
+        if defect > 1e-9 * max(1.0, float(np.linalg.norm(vec))):
+            raise ValueError(f"vector is not tangent at act(Xhat, y0): |<vec, base>| = {defect:.3e}")
+        return np.asarray(Xhat) @ hat(cross(vec, base))
 
     def contains(self, Xhat, V, tol: float = 1e-9) -> bool:
         """Whether the group tangent V at Xhat lies in the horizontal space."""
@@ -232,15 +231,20 @@ def error_angle(yhat, y):
 
 
 def error_angle_closed_form(theta0: float, k: float, t):
-    """Error angle theta(t) = 2 atan(tan(theta0/2) e^{-k t}) solving
-    theta' = -k sin(theta).
+    """Signed error angle theta(t) = 2 atan(tan(theta0/2) e^{-k t}) solving
+    theta' = -k sin(theta) from theta0 in [-pi, pi]: the geodesic error angle
+    on the sphere, and the signed error of the planar instance.
 
-    theta0 = pi (the unstable equilibrium) is rejected.
+    |theta0| = pi (to 1e-12) is the unstable equilibrium and is returned
+    unchanged.  A theta0 outside [-pi, pi] or not finite raises ValueError.
     """
-    if not 0.0 <= theta0 < np.pi:
-        raise ValueError("theta0 must lie in [0, pi); the antipode is an equilibrium")
+    if not -np.pi <= theta0 <= np.pi:  # false for NaN too
+        raise ValueError(f"theta0 must be a finite angle in [-pi, pi], not {theta0!r}")
     t = np.asarray(t, dtype=float)
-    out = 2.0 * np.arctan(np.tan(0.5 * theta0) * np.exp(-k * t))
+    if abs(abs(theta0) - np.pi) < 1e-12:
+        out = np.full_like(t, theta0)
+    else:
+        out = 2.0 * np.arctan(np.tan(0.5 * theta0) * np.exp(-k * t))
     return float(out) if out.ndim == 0 else out
 
 

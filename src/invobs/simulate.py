@@ -163,7 +163,8 @@ def _summaries(t, theta, drift_, threshold) -> list[RunSummary]:
 def closed_form_deviation(record: TrajectoryRecord, k: float) -> float | None:
     """Worst gap between the recorded error angle and the autonomous decay law
     started from the recorded initial angle.  None when the run starts at the
-    antipodal equilibrium, where the law does not apply."""
+    antipodal equilibrium, where the law is the constant pi; the verify
+    suite's antipodal stationarity property checks that case."""
     theta0 = float(record.theta[0])
     if theta0 >= np.pi:
         return None
@@ -378,7 +379,7 @@ def so2_oracle_run(scenario) -> So2OracleResult:
     phi0, phihat0 = scenario.initial_angle_pair()
     exact_phi = phi0 + scenario.input.integral(rec.t)[:, 0]
     delta0 = circle.wrap(phi0 - phihat0)
-    delta = circle.error_closed_form(delta0, scenario.k, rec.t)
+    delta = error_angle_closed_form(delta0, scenario.k, rec.t)
     exact_phihat = exact_phi - delta
     deviation = float(np.max(np.abs(circle.wrap(phihats - exact_phihat))))
     final_err = float(abs(circle.wrap(phihats[-1] - phis[-1])))

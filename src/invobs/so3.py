@@ -1,7 +1,8 @@
 """Rotation-group and unit-sphere primitives for the SO(3) / S^2 instance.
 
 Group elements are plain 3x3 special-orthogonal arrays, algebra elements are
-length-3 arrays under the hat isomorphism, and output points are unit vectors.
+length-3 arrays under the hat isomorphism, output points are unit vectors, and
+a tangent vector at an output y is a plain vector orthogonal to y.
 The group acts on the sphere from the right via ``act(X, y) = X^T y``; the
 stabiliser of a reference direction is the circle of rotations about it.
 Everything here is a pure function over immutable values.
@@ -10,7 +11,6 @@ Everything here is a pure function over immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,19 +189,4 @@ def section(y, y0) -> np.ndarray:
     # Exact rotation R with R @ y0 == y; the action uses the transpose.
     R = IDENTITY + K + (K @ K) / (1.0 + c)
     return R.T
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A vector ``vec`` tangent to the unit sphere at ``base``."""
-
-    base: np.ndarray
-    vec: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
-        object.__setattr__(self, "vec", np.asarray(self.vec, dtype=float))
-        defect = abs(float(self.base @ self.vec))
-        if defect > 1e-9 * max(1.0, float(np.linalg.norm(self.vec))):
-            raise ValueError(f"vector is not tangent at base: |<vec, base>| = {defect:.3e}")
 

@@ -6,9 +6,9 @@ import re
 
 import numpy as np
 
-from invobs import TrajectoryRecord, cli, preset, simulate_lifted
+from invobs import cli, preset, simulate_lifted
 from invobs.runner import CSV_COLUMNS, write_trajectory_csv
-from invobs.simulate import SimulationAbort
+from invobs.simulate import SimulationAbort, TrajectoryRecord
 from invobs.verify import PropertyCheck
 
 FAST_RUN = {
@@ -126,7 +126,7 @@ def test_verify_subcommand_so2(tmp_path):
 def test_verify_of_a_sweep_document_echoes_a_verify_document(tmp_path):
     """A monte-carlo document verified as such drops its sweep settings, so
     the summary's echo parses and reproduces the verify run."""
-    from invobs import scenario_from_dict
+    from invobs.scenario import scenario_from_dict
 
     doc = {"instance": "so3-s2", "mode": "monte-carlo", "t_end": 0.3, "seed": 4,
            "mc": {"runs": 10, "space": "lifted"}}

@@ -19,8 +19,8 @@ from invobs import (
     simulate_cosim,
     simulate_lifted,
     simulate_projected,
-    so2_oracle_run,
 )
+from invobs.simulate import so2_oracle_run
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden.json")
 TOL = 1e-12

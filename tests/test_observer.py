@@ -5,31 +5,30 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from invobs import (
-    AnisotropicCost,
-    AntipodalError,
     HorizontalSubspace,
     SectionedCost,
     SphereCost,
-    TangentVector,
     act,
+    group_exp,
+    hat,
+    lifted_observer_field,
+    unit,
+)
+from invobs.observer import (
+    FD_EPS,
+    AnisotropicCost,
     canonical_error_from_group,
     check_innovation_equivariance,
     check_synchrony,
     error_angle,
     error_angle_closed_form,
     grad1_lifted_cost,
-    group_exp,
-    hat,
     lifted_cost,
-    lifted_observer_field,
-    omega_bar,
     projected_observer_field,
-    section,
-    unit,
 )
-from invobs.observer import FD_EPS
 from invobs.sampling import random_rotation, random_tangent, random_unit
 from invobs.simulate import TrajectoryRecord
+from invobs.so3 import AntipodalError, cross, section, vee
 
 E1, E2, E3 = np.eye(3)
 Y0 = E3
@@ -126,39 +125,42 @@ def test_fields_over_leading_axes(rng):
         assert np.max(np.abs(got - np.array(want))) <= 1e-15
 
 
-def test_omega_bar(rng):
-    assert np.allclose(omega_bar(TangentVector(E3, E1)), E2, atol=1e-15)
-    assert np.allclose(omega_bar(TangentVector(E3, np.zeros(3))), np.zeros(3), atol=1e-15)
-    for _ in range(1000):
-        base = random_unit(rng)
-        v = TangentVector(base, rng.uniform(0.1, 2.0) * random_tangent(rng, base))
-        w = omega_bar(v)
-        assert np.linalg.norm(np.cross(w, base) - v.vec) <= 1e-12
-        assert abs(w @ base) <= 1e-12
-    with pytest.raises(ValueError):
-        omega_bar(TangentVector(E3, E3))
-
-
 def test_metric_trace_identity(rng):
     for _ in range(1000):
         base = random_unit(rng)
-        v = TangentVector(base, rng.uniform(0.1, 2.0) * random_tangent(rng, base))
-        w = TangentVector(base, rng.uniform(0.1, 2.0) * random_tangent(rng, base))
-        lhs = float(v.vec @ w.vec)  # the embedded Euclidean metric
-        rhs = 0.5 * np.trace(hat(omega_bar(v)).T @ hat(omega_bar(w)))
+        v = rng.uniform(0.1, 2.0) * random_tangent(rng, base)
+        w = rng.uniform(0.1, 2.0) * random_tangent(rng, base)
+        lhs = float(v @ w)  # the embedded Euclidean metric
+        rhs = 0.5 * np.trace(hat(cross(base, v)).T @ hat(cross(base, w)))
         assert abs(lhs - rhs) <= 1e-12
 
 
 def test_horizontal_lift_basics():
     H = HorizontalSubspace(Y0)
-    zero = H.lift(np.eye(3), TangentVector(E3, np.zeros(3)))
+    zero = H.lift(np.eye(3), np.zeros(3))
     assert np.array_equal(zero, np.zeros((3, 3)))
     # identity base point, tangent e1 at e3: generator e1 x e3 = -e2
-    L = H.lift(np.eye(3), TangentVector(E3, E1))
+    L = H.lift(np.eye(3), E1)
     assert np.allclose(L, hat(-E2), atol=1e-15)
     assert H.contains(np.eye(3), L)
-    with pytest.raises(ValueError, match="base"):
-        H.lift(group_exp([1.0, 0, 0]), TangentVector(E3, E1))
+    assert np.array_equal(H.lift(np.eye(3), 2.0 * E1), 2.0 * L)
+
+
+def test_horizontal_lift_rejects_non_tangent():
+    """The lift's base point is the output act(Xhat, y0); a vector with a
+    component along it beyond 1e-9 max(1, ||vec||) is refused."""
+    H = HorizontalSubspace(Y0)
+    with pytest.raises(ValueError, match="tangent"):
+        H.lift(np.eye(3), E3 + E1)
+    with pytest.raises(ValueError, match="tangent"):
+        H.lift(np.eye(3), E1 + 1e-8 * E3)
+    # e2 is tangent at y0 = e3 but not at the output of a rotation about e1.
+    Xh = group_exp([1.0, 0, 0])
+    with pytest.raises(ValueError, match="tangent"):
+        H.lift(Xh, E2)
+    assert H.contains(Xh, H.lift(Xh, E1))
+    # The test is relative: a long vector may carry a proportionally larger defect.
+    H.lift(np.eye(3), 1e6 * E1 + 1e-4 * E3)
 
 
 def test_horizontal_lift_round_trip(rng):
@@ -166,12 +168,13 @@ def test_horizontal_lift_round_trip(rng):
     for _ in range(1000):
         Xh = random_rotation(rng)
         yh = act(Xh, Y0)
-        v = TangentVector(yh, rng.uniform(0.1, 2.0) * random_tangent(rng, yh))
+        v = rng.uniform(0.1, 2.0) * random_tangent(rng, yh)
         L = H.lift(Xh, v)
         assert H.contains(Xh, L)
-        w = np.cross(v.vec, v.base)
+        w = vee(Xh.T @ L)  # the lift's body generator, orthogonal to yh
+        assert np.linalg.norm(np.cross(yh, w) - v) <= 1e-12
         fd = (act(Xh @ group_exp(FD_EPS * w), Y0) - act(Xh @ group_exp(-FD_EPS * w), Y0)) / (2 * FD_EPS)
-        assert np.linalg.norm(fd - v.vec) <= 1e-6
+        assert np.linalg.norm(fd - v) <= 1e-6
 
 
 def test_lifted_observer_field(rng):
@@ -196,7 +199,7 @@ def test_observer_two_forms_identity(rng):
         explicit = u + c.k * np.cross(y, yh)
         assert np.allclose(body, explicit, atol=1e-12)
         lhs = Xh @ hat(body)
-        rhs = Xh @ hat(u) - H.lift(Xh, TangentVector(yh, c.grad1(yh, y)))
+        rhs = Xh @ hat(u) - H.lift(Xh, c.grad1(yh, y))
         assert np.linalg.norm(lhs - rhs) <= 1e-12
 
 
@@ -219,7 +222,7 @@ def test_grad1_lifted_cost_identity_and_fd(rng):
         Xh, X = random_rotation(rng), random_rotation(rng)
         yh, y = act(Xh, Y0), act(X, Y0)
         G = grad1_lifted_cost(c, Xh, X, Y0)
-        lifted = H.lift(Xh, TangentVector(yh, c.grad1(yh, y)))
+        lifted = H.lift(Xh, c.grad1(yh, y))
         assert np.linalg.norm(G - lifted) <= 1e-12
         assert H.contains(Xh, G, tol=1e-9)
     for _ in range(200):
@@ -270,17 +273,31 @@ def test_error_angle():
 def test_error_angle_closed_form_basics():
     assert error_angle_closed_form(1.2, 2.0, 0.0) == pytest.approx(1.2, abs=1e-15)
     assert error_angle_closed_form(0.0, 2.0, 5.0) == 0.0
-    with pytest.raises(ValueError):
-        error_angle_closed_form(np.pi, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        error_angle_closed_form(-0.1, 1.0, 1.0)
+    assert error_angle_closed_form(-0.1, 1.0, 0.0) == pytest.approx(-0.1, abs=1e-15)
+    assert error_angle_closed_form(np.pi, 1.0, 1.0) == np.pi
+
+
+def test_error_angle_closed_form_at_and_beyond_the_antipode():
+    """The law is signed on [-pi, pi]: the antipode is an equilibrium, any
+    other start decays towards 0 keeping its sign, and the law is odd."""
+    t = np.linspace(0.0, 10.0, 101)
+    for theta0 in (np.pi, -np.pi):
+        assert np.array_equal(error_angle_closed_form(theta0, 1.0, t), np.full_like(t, theta0))
+    for bad in (np.pi + 1e-9, -np.pi - 1e-9, 4.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            error_angle_closed_form(bad, 1.0, t)
+    for theta0 in (1e-9, 0.3, np.pi / 2, 2.8, np.pi - 1e-6):
+        for k in (0.5, 1.0, 2.0):
+            pos = error_angle_closed_form(theta0, k, t)
+            assert np.max(np.abs(pos + error_angle_closed_form(-theta0, k, t))) <= 1e-15
+            assert np.all(pos > 0.0) and np.all(np.diff(pos) < 0.0)
 
 
 def test_error_angle_closed_form_against_ode_oracle():
     # frozen spot value: theta(1) from theta0 = pi/2, k = 1 is 2*atan(1/e)
     assert error_angle_closed_form(np.pi / 2, 1.0, 1.0) == pytest.approx(
         2.0 * np.arctan(np.exp(-1.0)), abs=1e-15)
-    for theta0, k in [(np.pi / 2, 1.0), (2.8, 0.5), (0.3, 2.0), (3.1, 1.7)]:
+    for theta0, k in [(np.pi / 2, 1.0), (2.8, 0.5), (0.3, 2.0), (3.1, 1.7), (-2.8, 0.5)]:
         sol = solve_ivp(lambda t, th: -k * np.sin(th), (0.0, 4.0), [theta0],
                         rtol=1e-12, atol=1e-14, dense_output=True)
         for t in (0.5, 1.0, 2.5, 4.0):

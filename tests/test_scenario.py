@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invobs import (
-    ScenarioError,
-    parse_scenario,
-    preset,
+from invobs import ScenarioError, parse_scenario, preset, scenario_to_dict
+from invobs.scenario import (
+    INSTANCES,
+    MAX_MC_RUNS,
+    MAX_MC_VALUES,
+    MAX_RUN_SAMPLES,
+    MODES,
     preset_names,
     scenario_from_dict,
-    scenario_to_dict,
 )
-from invobs.scenario import INSTANCES, MAX_MC_RUNS, MAX_MC_VALUES, MAX_RUN_SAMPLES, MODES
 
 
 def parse(doc):

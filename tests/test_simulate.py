@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from invobs import (
-    AnisotropicCost,
-    IntegratorSpec,
-    RunSummary,
     SimulationAbort,
-    TrajectoryRecord,
+    SphereCost,
     closed_form_deviation,
     fit_rate,
     monte_carlo,
@@ -18,10 +15,20 @@ from invobs import (
     simulate_cosim,
     simulate_lifted,
     simulate_projected,
-    so2_oracle_run,
     summarize,
 )
-from invobs.simulate import MIN_RATE_SAMPLES, RATE_WINDOW, _integrate, _sphere_pair, _summaries
+from invobs.observer import AnisotropicCost, error_angle_closed_form
+from invobs.simulate import (
+    MIN_RATE_SAMPLES,
+    RATE_WINDOW,
+    IntegratorSpec,
+    RunSummary,
+    TrajectoryRecord,
+    _integrate,
+    _sphere_pair,
+    _summaries,
+    so2_oracle_run,
+)
 from invobs.systems import InputSignal
 
 E1, E2, E3 = np.eye(3)
@@ -376,6 +383,25 @@ def test_near_antipodal_perturbation_escapes(make_scenario):
     assert rec.theta[-1] < 1e-3
 
 
+def test_runs_near_the_antipode_follow_the_law(make_scenario):
+    """Observers started at pi - eps from the plant, where the law amplifies
+    an initial error by up to 1/eps, follow it to 1e-8 under a sinusoid
+    input: projected observers for every eps as one shared-plant (1 + 3, 3)
+    stack, and a lifted run at eps = 1e-3."""
+    eps = np.array([1e-1, 1e-3, 1e-6])
+    sc = make_scenario(mode="projected", k=1.0, input=SINUSOID, t_end=10.0)
+    S = np.vstack([E3, np.stack([np.zeros(3), np.sin(np.pi - eps), np.cos(np.pi - eps)], axis=1)])
+    t, theta = _integrate(sc, _sphere_pair(sc.body_rates.eval, SphereCost(1.0)), [S], False)[:2]
+    assert np.max(np.abs(theta[0] - (np.pi - eps))) <= 1e-12
+    for run in theta.T:
+        assert np.max(np.abs(run - error_angle_closed_form(run[0], 1.0, t))) <= 1e-8
+    lifted = simulate_lifted(make_scenario(
+        mode="lifted", k=1.0, input=SINUSOID, t_end=10.0,
+        init={"plant": "identity", "observer": {"axis_angle": [np.pi - 1e-3, 0.0, 0.0]}}))
+    assert lifted.theta[0] == pytest.approx(np.pi - 1e-3, abs=1e-12)
+    assert closed_form_deviation(lifted, 1.0) <= 1e-8
+
+
 def test_monte_carlo_exclusion_cap(rng):
     from invobs.sampling import random_rotation, random_unit
     from invobs.simulate import ANTIPODAL_EXCLUSION, _sample_observers
@@ -392,7 +418,7 @@ def test_monte_carlo_exclusion_cap(rng):
 
 
 def test_right_invariant_error_projects_to_canonical(rng):
-    from invobs import canonical_error_from_group, right_invariant_error
+    from invobs.observer import canonical_error_from_group, right_invariant_error
     from invobs.sampling import random_rotation
     from invobs.so3 import act
 

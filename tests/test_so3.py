@@ -4,19 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as dense_expm
 
-from invobs import (
-    AntipodalError,
-    TangentVector,
-    act,
-    compose,
-    drift,
-    group_exp,
-    hat,
-    orthonormalize,
-    section,
-    unit,
-    vee,
-)
+from invobs import act, compose, group_exp, hat, orthonormalize, unit
+from invobs.so3 import AntipodalError, drift, section, vee
 from invobs.sampling import random_rotation, random_unit
 from invobs.so3 import cross
 
@@ -189,13 +178,6 @@ def test_orthonormalize_is_one_polar_retraction_step(rng):
     for noise in (1e-7, 1e-6, 1e-5):
         M = R + noise * rng.standard_normal(R.shape)
         assert np.all(drift(orthonormalize(M)) <= drift(M) ** 2)
-
-
-def test_tangent_vector_rejects_non_tangent():
-    with pytest.raises(ValueError, match="tangent"):
-        TangentVector(E3, E3 + E1)
-    v = TangentVector(E3, 2.0 * E1)
-    assert np.array_equal(v.vec, 2.0 * E1)
 
 
 # --- leading axes: a stack gives the per-row results ---------------------------

@@ -2,10 +2,12 @@
 
 import ast
 import pathlib
+import re
 
 import invobs
 
 PACKAGE = pathlib.Path(invobs.__file__).parent
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def test_package_has_no_assert_statements():
@@ -34,3 +36,17 @@ def test_package_json_dumps_are_strict():
              and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
              and not strict(node)]
     assert not found, f"json.dump calls without allow_nan=False: {found}"
+
+
+def test_top_level_exports_are_the_documented_public_api():
+    """The names ``invobs/__init__.py`` binds, apart from ``__version__``,
+    are exactly those the README's "Public API" bullets list."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    bound = {alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    bound |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets} - {"__version__"}
+    section = README.read_text().split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    bullets = [line.split(":", 1)[1] for line in section.splitlines() if line.startswith("- ")]
+    documented = {name for line in bullets for name in re.findall(r"`(\w+)`", line)}
+    assert bound == documented

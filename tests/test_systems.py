@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from invobs import (
-    InputSignal,
-    act,
-    group_exp,
-    hat,
-    plant_vector_field,
-    project_dynamics,
-    section,
-)
+from invobs import InputSignal, act, group_exp, hat
+from invobs.so3 import section
+from invobs.systems import plant_vector_field, project_dynamics
 from invobs.sampling import random_rotation, random_unit
 
 E1, E2, E3 = np.eye(3)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from invobs import AnisotropicCost, run_verification, simulate_projected
+from invobs import run_verification, simulate_projected
 from invobs.verify import (
     PropertyCheck,
     _autonomy_inputs,
@@ -22,7 +22,7 @@ from invobs.verify import (
     observer_two_forms_residual,
     pair_fields_residual,
 )
-from invobs.observer import SphereCost, check_innovation_equivariance, worst_residual
+from invobs.observer import AnisotropicCost, SphereCost, check_innovation_equivariance, worst_residual
 from invobs.scenario import InitState
 from invobs.simulate import _integrate, _sphere_pair
 
