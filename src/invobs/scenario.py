@@ -232,6 +232,16 @@ def _parse_input(spec, dim: int, path: str) -> InputSignal:
     raise ScenarioError(f"{path}.kind must be one of {list(InputSignal.KINDS)}")
 
 
+def _check_sinusoid_horizon(sig: InputSignal, path: str, t_last: float):
+    """Reject a sinusoid whose argument 2 pi frequency t + phase (as eval forms
+    it; math.sin raises on inf) overflows by t_last; it grows with t."""
+    if sig.kind == "sinusoid":
+        _require(np.isfinite(2.0 * np.pi * sig.frequency * t_last + sig.phase),
+                 f"{path}.frequency: 2 pi frequency t + phase overflows within t_end")
+    for i, term in enumerate(sig.terms):
+        _check_sinusoid_horizon(term, f"{path}.terms[{i}]", t_last)
+
+
 def _parse_init(spec, instance: str, path: str) -> InitState:
     if spec == "identity":
         if instance == "so2-s1":
@@ -321,6 +331,8 @@ def scenario_from_dict(d: dict) -> Scenario:
     _require(t_end / spec.h <= MAX_STEPS, f"t_end must span at most {MAX_STEPS} steps of integrator.h")
     steps = _n_steps(t_end, spec.h)
     _require(abs(t_end / spec.h - steps) <= 1e-9, "t_end must be a whole number of integrator.h steps")
+    # The last RK4 stage samples the input at (steps - 1) h + h, at most t_end + h.
+    _check_sinusoid_horizon(inp, "input", t_end + spec.h)
     sample_every = _number(d, "sample_every", 10, integer=True, positive=True)
     samples = -(-steps // sample_every) + 1  # the initial state, each stride and the last step
     seed = _number(d, "seed", 0, integer=True)

@@ -9,31 +9,30 @@ since the continuous-time theory says nothing about discretisation and fourth
 order keeps the integrator far below every property tolerance.
 
 Both integrators live in one time loop, ``_integrate``, which samples the
-input once per stage time.  Every run (projected, lifted, co-simulation,
-each Monte Carlo sweep and each batch of verify runs) is a pair on it: the
-input's rate function, a velocity field and a body-rates function of
-(u, state), and the error angle of each observer.  The plant and every
-observer obey the same kinematics, so a pair's state is one stacked array
-whose row axis holds the plant first and its observers after it: (1 + n, 3)
-on the sphere, (1 + n, 3, 3) on the group, and (runs, 2, 3) for a batch with
-one plant and input per run.  A single run is n = 1 and a sweep n = runs, on
-the same code.  One call of a public pair field moves every row: the sphere
-pair steps ``projected_pair_field`` (``projected_pair_rates`` under
-Lie-Euler), the group pair ``plant_vector_field`` of the rates
-``projected_pair_rates`` gives at its outputs.  Co-simulation adds a lone
-sphere observer beside the group pair.  One table gives each component kind
-its retraction, Lie-Euler update and drift measure; the drift of each
-recorded state, per observer row the worse of its own and the plant's, is
-both the run's record and the loop's guard against a state that left its
-manifold.  An so2-s1 document steps the same pairs, restricted to rotations
-about the z axis by its scenario.
+input once per stage time and steps one state array.  Every run (projected,
+lifted, each Monte Carlo sweep and each batch of verify runs) is a pair on
+it: its kind ("sphere" or "group"), the input's rate function, a velocity
+field and a body-rates function of (u, state), and the error angle of each
+observer.  The plant and every observer obey the same kinematics, so a
+pair's state is one stacked array whose row axis holds the plant first and
+its observers after it: (1 + n, 3) on the sphere, (1 + n, 3, 3) on the
+group, and (runs, 2, 3) for a batch with one plant and input per run.  One
+call of a public pair field moves every row: the sphere pair steps
+``projected_pair_field`` (``projected_pair_rates`` under Lie-Euler), the
+group pair ``plant_vector_field`` of the rates ``projected_pair_rates``
+gives at its outputs.  Co-simulation is two runs, the group pair and the
+sphere pair started on its outputs, compared sample by sample.  One table
+gives each kind its retraction, Lie-Euler update and drift measure; the
+drift of each recorded state, per observer row the worse of its own and the
+plant's, is both the run's record and the loop's guard against a state that
+left its manifold.  An so2-s1 document steps the same pairs, restricted to
+rotations about the z axis by its scenario.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -43,8 +42,6 @@ from .observer import (
     canonical_error_from_group,
     error_angle,
     error_angle_closed_form,
-    observer_body_rate,
-    projected_observer_field,
     projected_pair_field,
     projected_pair_rates,
 )
@@ -86,7 +83,7 @@ class TrajectoryRecord:
     sample; ``drift`` is the worst constraint defect of the stored states
     (Frobenius distance from orthogonality, or unit-norm defect on the
     sphere).  Group states are kept only for group-mode runs; ``consistency``
-    holds the co-simulation residual when present.
+    holds the co-simulation's output gap per sample when present.
     """
 
     t: np.ndarray
@@ -177,87 +174,80 @@ def _n_steps(t_end: float, h: float) -> int:
     return round(t_end / h)
 
 
-def _per_observer(m):
-    """Per observer row of a pair stack, the worse of the plant row's measure
-    m[..., 0] and its own; a lone state's measure is kept as it is."""
-    return m if m.ndim == 0 else np.maximum(m[..., :1], m[..., 1:])
-
-
-# Per component kind, over leading axes: the retraction after an RK4 step,
-# the Lie-Euler update by the step-scaled body rates hw (group rows move to
-# X exp(hw), sphere rows to act(exp(hw), y)), and the drift measure that the
-# state guard checks.  The primitives are looked up per call, so a replaced
-# module attribute takes effect.
+# Per pair kind, over leading axes: the retraction after an RK4 step, the
+# Lie-Euler update by the step-scaled body rates hw (group rows move to
+# X exp(hw), sphere rows to act(exp(hw), y)), and the drift measure of each
+# row, which the state guard checks.  The primitives are looked up per call,
+# so a replaced module attribute takes effect.
 _Kind = namedtuple("_Kind", "retract lie_step drift")
 _KINDS = {
     "sphere": _Kind(lambda v: unit(v), lambda y, hw: act(group_exp(hw), y),
-                    lambda y: _per_observer(np.abs(np.linalg.norm(y, axis=-1) - 1.0))),
+                    lambda y: np.abs(np.linalg.norm(y, axis=-1) - 1.0)),
     "group": _Kind(lambda X: orthonormalize(X), lambda X, hw: compose(X, group_exp(hw)),
-                   lambda X: _per_observer(drift(X))),
+                   lambda X: drift(X)),
 }
 
 
 # A plant-observer pair on the stepping engine (see _integrate): a function of
 # the input u and the state, with ``rate(t)`` the input it is driven by;
 # ``observe`` maps a state to the error angle of each observer row.
-_Pair = namedtuple("_Pair", "kinds rate field rates observe")
+_Pair = namedtuple("_Pair", "kind rate field rates observe")
 
 
 def _integrate(scenario, pair, state, keep_states):
-    """Advance a pair's list of state components over the scenario's horizon
-    and return the recorded times, error angles and drifts, followed by the
-    recorded states of each component when ``keep_states`` is set.
+    """Advance a pair's state array over the scenario's horizon and return
+    the recorded times, error angles and drifts, followed by the recorded
+    states when ``keep_states`` is set.
 
-    ``pair.kinds`` names each component's space: "sphere" (unit vectors) or
-    "group" (rotation matrices).  A pair stack holds the plant and its
+    ``pair.kind`` names the state's space: "sphere" (unit vectors) or
+    "group" (rotation matrices).  The state holds the plant and its
     observers along its row axis (axis -2 of a sphere stack, -3 of a group
-    stack), plant first, and may carry a leading run axis; a co-simulated
-    sphere observer is a lone state beside it.  The primitives broadcast
-    over the rows, and the angle and drift rows carry one entry per
-    observer row.
+    stack), plant first, and may carry a leading run axis.  The primitives
+    broadcast over the rows, and the angle and drift rows carry one entry
+    per observer row.
     The loop is the one place that samples the input: ``pair.rate(t)`` once
     per distinct stage time (t, t + h/2 and t + h for RK4, t for Lie-Euler).
-    ``pair.field(u, state)`` gives each component's velocity in the embedding,
-    ``pair.rates(u, state)`` each component's body rates for one Lie-Euler
-    step.  The initial state, every ``sample_every``-th step and the last step
-    are recorded.  Each recorded state must be finite; its error angles are
-    ``pair.observe(state)``, and its drift, per observer row the worst of the
-    components' drift measures, is computed once: it is what the record
-    reports and what must stay within ORTHOGONALITY_TOL, since the retraction
-    after a step can only keep a state on SO(3) or S^2, not restore it.
+    ``pair.field(u, state)`` gives the state's velocity in the embedding,
+    ``pair.rates(u, state)`` its body rates for one Lie-Euler step.  The
+    initial state, every ``sample_every``-th step and the last step are
+    recorded.  Each recorded state must be finite; its error angles are
+    ``pair.observe(state)``, and its drift, per observer row the worse of
+    the plant row's drift measure and its own, is computed once: it is what
+    the record reports and what must stay within ORTHOGONALITY_TOL, since
+    the retraction after a step can only keep a state on SO(3) or S^2, not
+    restore it.
     """
     h = scenario.integrator.h
     n = _n_steps(scenario.t_end, h)
     every = scenario.sample_every
     rk4 = scenario.integrator.method == "rk4-project"
-    kinds, rate, rk4_field, lie_rates, observe = pair
-    retract, lie_step, drifts = zip(*(_KINDS[k] for k in kinds))
+    kind, rate, field, rates, observe = pair
+    retract, lie_step, measure = _KINDS[kind]
     rows = []
 
     def record(t, state):
-        if not all(np.isfinite(a).all() for a in state):
+        if not np.isfinite(state).all():
             raise SimulationAbort(f"non-finite state at t = {t:.6g} s")
-        drift_ = reduce(np.maximum, [measure(s) for measure, s in zip(drifts, state)])
+        m = measure(state)  # per row; per observer row the worse of the plant's and its own
+        drift_ = np.maximum(m[..., :1], m[..., 1:])
         worst = np.max(drift_)
         if worst > ORTHOGONALITY_TOL:
             raise SimulationAbort(f"state left SO(3) or S^2 (drift {worst:.3g}) at t = {t:.6g} s")
-        rows.append((t, observe(state), drift_, *(state if keep_states else ())))
+        rows.append((t, observe(state), drift_) + ((state,) if keep_states else ()))
 
-    state = list(state)
     record(0.0, state)
     for i in range(n):
         t = i * h
         u = rate(t)
         if rk4:
             u_mid = rate(t + 0.5 * h)
-            k1 = rk4_field(u, state)
-            k2 = rk4_field(u_mid, [s + 0.5 * h * d for s, d in zip(state, k1)])
-            k3 = rk4_field(u_mid, [s + 0.5 * h * d for s, d in zip(state, k2)])
-            k4 = rk4_field(rate(t + h), [s + h * d for s, d in zip(state, k3)])
-            state = [f(s + (h / 6.0) * (a + 2.0 * (b + c) + d))
-                     for f, s, a, b, c, d in zip(retract, state, k1, k2, k3, k4)]
+            k1 = field(u, state)
+            k2 = field(u_mid, state + 0.5 * h * k1)
+            k3 = field(u_mid, state + 0.5 * h * k2)
+            k4 = field(rate(t + h), state + h * k3)
+            state = retract(state + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
         else:
-            state = [f(s, h * w) for f, s, w in zip(lie_step, state, lie_rates(u, state))]
+            state = lie_step(state, h * rates(u, state))
         if (i + 1) % every == 0 or i + 1 == n:
             record((i + 1) * h, state)
     return [np.array(col) for col in zip(*rows)]
@@ -269,36 +259,25 @@ def _sphere_pair(rate, cost) -> _Pair:
     """A stacked sphere pair (see projected_pair_field): the plant row and
     sphere observer rows, which run the internal model alone without a
     cost."""
-    def observe(s):
-        return error_angle(s[0][..., 1:, :], s[0][..., :1, :])
-
-    return _Pair(("sphere",), rate, lambda u, s: [projected_pair_field(cost, s[0], u)],
-                 lambda u, s: [projected_pair_rates(cost, s[0], u)], observe)
+    return _Pair("sphere", rate, lambda u, S: projected_pair_field(cost, S, u),
+                 lambda u, S: projected_pair_rates(cost, S, u),
+                 lambda S: error_angle(S[..., 1:, :], S[..., :1, :]))
 
 
-def _group_pair(rate, cost, y0v, cosim=False) -> _Pair:
+def _group_pair(rate, cost, y0v) -> _Pair:
     """A stacked group pair: the plant and lifted observers.  Its body rates
     are those of the sphere pair of its outputs act(G, y0): the input, and
     for each observer the input minus the horizontal lift of the cost
-    gradient.  With ``cosim`` a second component is a lone sphere observer
-    driven by the plant output (co-simulation)."""
-    def field(u, s):
-        y = act(s[0], y0v)
-        out = [plant_vector_field(s[0], projected_pair_rates(cost, y, u))]
-        return out + [projected_observer_field(cost, s[1], y[0], u)] if cosim else out
+    gradient."""
+    def rates(u, G):
+        return projected_pair_rates(cost, act(G, y0v), u)
 
-    def rates(u, s):
-        y = act(s[0], y0v)
-        out = [projected_pair_rates(cost, y, u)]
-        return out + [observer_body_rate(cost, s[1], y[0], u)] if cosim else out
-
-    def observe(s):
+    def observe(G):
         # Canonical-error angle from the right-invariant group error; equal to
         # the output error angle since the action is by orthogonal matrices.
-        G = s[0]
         return error_angle(canonical_error_from_group(G[..., 1:, :, :], G[..., :1, :, :], y0v), y0v)
 
-    return _Pair(("group",) + ("sphere",) * cosim, rate, field, rates, observe)
+    return _Pair("group", rate, lambda u, G: plant_vector_field(G, rates(u, G)), rates, observe)
 
 
 def simulate_projected(scenario) -> TrajectoryRecord:
@@ -308,7 +287,7 @@ def simulate_projected(scenario) -> TrajectoryRecord:
     cost = None if scenario.mode == "synchrony" else SphereCost(scenario.k)
     pair = _sphere_pair(scenario.body_rates.eval, cost)
     S0 = np.stack(scenario.initial_sphere_pair())
-    t, theta, drift_, S = _integrate(scenario, pair, [S0], True)
+    t, theta, drift_, S = _integrate(scenario, pair, S0, True)
     return TrajectoryRecord(t, S[:, 0], S[:, 1], theta[:, 0], drift_[:, 0])
 
 
@@ -318,24 +297,28 @@ def simulate_lifted(scenario) -> TrajectoryRecord:
     y0v = scenario.y0_vec
     pair = _group_pair(scenario.body_rates.eval, SphereCost(scenario.k), y0v)
     G0 = np.stack(scenario.initial_group_pair())
-    t, theta, drift_, G = _integrate(scenario, pair, [G0], True)
+    t, theta, drift_, G = _integrate(scenario, pair, G0, True)
     X, Xh = G[:, 0], G[:, 1]
     return TrajectoryRecord(t, act(X, y0v), act(Xh, y0v), theta[:, 0], drift_[:, 0], X=X, Xhat=Xh)
 
 
 def simulate_cosim(scenario) -> TrajectoryRecord:
-    """Run the group observer and the sphere observer side by side from
-    matching initial conditions and record how far the group observer's output
-    strays from the directly integrated sphere observer."""
+    """Run the group pair and the sphere pair from matching initial
+    conditions, the sphere pair started on the group pair's outputs
+    act(G0, y0), and record per sample the worse of the plant-output gap
+    ||act(X, y0) - y|| and the observer-output gap ||act(Xhat, y0) - yhat||.
+    The record holds the group pair's run; its drift is the worse of the two
+    runs' drifts."""
     y0v = scenario.y0_vec
-    pair = _group_pair(scenario.body_rates.eval, SphereCost(scenario.k), y0v, cosim=True)
+    rate, cost = scenario.body_rates.eval, SphereCost(scenario.k)
     G0 = np.stack(scenario.initial_group_pair())
-    # The sphere observer starts on the group observer's output.
-    t, theta, drift_, G, yp = _integrate(scenario, pair, [G0, act(G0[1], y0v)], True)
+    t, theta, drift_, G = _integrate(scenario, _group_pair(rate, cost, y0v), G0, True)
+    _, _, drift_s, S = _integrate(scenario, _sphere_pair(rate, cost), act(G0, y0v), True)
     X, Xh = G[:, 0], G[:, 1]
-    yhat = act(Xh, y0v)
-    return TrajectoryRecord(t, act(X, y0v), yhat, theta[:, 0], drift_[:, 0], X=X, Xhat=Xh,
-                            consistency=np.linalg.norm(yhat - yp, axis=1))
+    y, yhat = act(X, y0v), act(Xh, y0v)
+    gap = np.maximum(np.linalg.norm(y - S[:, 0], axis=1), np.linalg.norm(yhat - S[:, 1], axis=1))
+    return TrajectoryRecord(t, y, yhat, theta[:, 0], np.maximum(drift_, drift_s)[:, 0],
+                            X=X, Xhat=Xh, consistency=gap)
 
 
 def _simulate(scenario) -> TrajectoryRecord:
@@ -431,7 +414,7 @@ def monte_carlo(scenario) -> MonteCarloResult:
     # The plant on top of the runs' observers is one pair stack.  Only the
     # per-run angle and drift rows are kept at each sample, not the states.
     state = np.concatenate((plant[None], observers))
-    t_rec, theta, drift_rows = _integrate(scenario, pair, [state], False)
+    t_rec, theta, drift_rows = _integrate(scenario, pair, state, False)
     summaries = _summaries(t_rec, theta.T, drift_rows.T, mc.threshold)
     frac = float(np.mean([s.final_angle < mc.threshold for s in summaries]))
     return MonteCarloResult(summaries, frac)

@@ -36,7 +36,7 @@ from .systems import InputSignal, plant_vector_field, project_dynamics
 
 N_SAMPLES = 1000
 N_AUTONOMY_INPUTS = 6
-COSIM_TOL = 1e-6      # co-simulated group and sphere observer outputs
+COSIM_TOL = 1e-6      # output gaps of the co-simulated group and sphere pairs
 SYNCHRONY_TOL = 1e-8  # innovation-free observer against the plant
 
 
@@ -307,7 +307,7 @@ def _batch_theta(scenario, inputs, cost, S):
     def rates(t):
         return np.array([sig.eval(t) for sig in inputs])
 
-    t, theta = _integrate(scenario, _sphere_pair(rates, cost), [S], False)[:2]
+    t, theta = _integrate(scenario, _sphere_pair(rates, cost), S, False)[:2]
     return t, theta[..., 0]
 
 
@@ -333,7 +333,9 @@ def synchrony_residual(scenario, inputs) -> float:
 
 
 def cosim_residual(scenario) -> float:
-    rec = simulate_cosim(dc_replace(scenario, mode="co-sim"))
+    """Worst plant- or observer-output gap between the group pair and the
+    sphere pair started on its outputs (simulate_cosim)."""
+    rec = simulate_cosim(scenario)
     return float(np.max(rec.consistency))
 
 

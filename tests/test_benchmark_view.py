@@ -24,3 +24,20 @@ def test_benchmark_view_of_invobs_resolves(monkeypatch):
         tracer.remove()
     assert invobs.simulate.orthonormalize is original
     assert invobs.so3.orthonormalize is original
+
+
+def test_traced_cosim_counts_its_steps_once(monkeypatch, make_scenario):
+    """The tracer adds a run's step count at each public stepping entry point
+    it passes through.  Co-simulation steps its two pairs through the private
+    engine, so a traced 0.1 s run at h = 1e-3 counts 100 steps, not 300."""
+    monkeypatch.syspath_prepend(BENCH)
+    import tracing
+
+    sc = make_scenario(mode="co-sim", t_end=0.1, integrator={"h": 1e-3})
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        invobs.simulate.simulate_cosim(sc)
+    finally:
+        tracer.remove()
+    assert tracer.steps == 100

@@ -233,6 +233,32 @@ def test_input_error_exit_codes(tmp_path):
     assert cli.main(["run", "--scenario", str(long_run), "--out", str(tmp_path / "x")]) == 2
 
 
+def test_overflowing_sinusoid_argument_is_an_input_error(tmp_path, capsys):
+    """A sinusoid whose argument 2 pi frequency t + phase overflows within
+    t_end, where math.sin raises, is rejected at parse time with its field
+    named (exit 2): a top-level input, a term of a sum, and an so2-s1 verify
+    document.  The same frequency over a horizon it does not overflow runs."""
+    def sinusoid(frequency, dim=3):
+        return {"kind": "sinusoid", "amplitude": [1.0] * dim, "frequency": frequency}
+
+    cases = [
+        ("run", {"instance": "so3-s2", "t_end": 0.1, "input": sinusoid(1e308)}, "input.frequency"),
+        ("run", {"instance": "so3-s2", "t_end": 1000, "integrator": {"h": 0.01}, "sample_every": 100,
+                 "input": {"kind": "sum", "terms": [{"kind": "constant", "amplitude": [0, 0, 1]},
+                                                    sinusoid(1e306)]}},
+         "input.terms[1].frequency"),
+        ("verify", {"instance": "so2-s1", "mode": "verify", "input": sinusoid(1e307, dim=1)},
+         "input.frequency"),
+    ]
+    for i, (command, doc, field) in enumerate(cases):
+        path = write_scenario(tmp_path, doc, f"overflow{i}.json")
+        assert cli.main([command, "--scenario", path, "--out", str(tmp_path / "x")]) == 2, field
+        assert re.search(rf"error: {re.escape(field)}: .*overflows", capsys.readouterr().err), field
+    short = write_scenario(tmp_path, dict(cases[1][1], t_end=0.01, integrator={"h": 0.001},
+                                          sample_every=1), "short.json")
+    assert cli.main(["run", "--scenario", short, "--out", str(tmp_path / "short"), "--quiet"]) == 0
+
+
 def test_trajectory_csv_matches_row_rendering(tmp_path):
     """trajectory.csv holds each sample as 17 significant digits, as a
     row-by-row f-string rendering writes it, down to signed zeros and

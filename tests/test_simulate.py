@@ -211,6 +211,37 @@ def test_cosim_consistency(make_scenario):
     assert np.max(rec.consistency) <= 1e-6
 
 
+def _doubled_innovation(field):
+    return lambda c, S, u: field(dataclasses.replace(c, k=2.0 * c.k), S, u)
+
+
+def _biased_plant_row(field):
+    def biased(c, S, u):
+        v = field(c, S, u)
+        v[..., 0, :] += (0.0, 0.1, 0.0)
+        return v
+    return biased
+
+
+@pytest.mark.parametrize("perturb", [_doubled_innovation, _biased_plant_row])
+def test_cosim_consistency_detects_a_faulty_sphere_pair(make_scenario, monkeypatch, perturb):
+    """Negative control: a sphere pair field that doubles the innovation or
+    biases the plant row leaves the lifted run bit-identical, but its
+    co-simulation residual goes far past the 1e-6 bound."""
+    import invobs.simulate
+
+    sc = make_scenario(mode="co-sim", input=SINUSOID, t_end=1.0,
+                       init={"plant": "identity", "observer": {"axis_angle": [1.5, 0.4, 0.0]}})
+    lifted = simulate_lifted(sc)
+    monkeypatch.setattr(invobs.simulate, "projected_pair_field",
+                        perturb(invobs.simulate.projected_pair_field))
+    assert np.max(simulate_cosim(sc).consistency) > 1e-3
+    again = simulate_lifted(sc)
+    for f in dataclasses.fields(lifted):
+        a, b = getattr(lifted, f.name), getattr(again, f.name)
+        assert (a is None and b is None) or np.array_equal(a, b), f.name
+
+
 def test_synchrony_mode_freezes_error(make_scenario):
     sc = make_scenario(mode="synchrony", input=SINUSOID, t_end=5.0,
                        init={"plant": "identity", "observer": {"axis_angle": [1.2, 0.3, 0.0]}})
@@ -243,8 +274,8 @@ def test_simulation_abort_on_overflow(make_scenario):
                        init={"plant": "identity", "observer": {"axis_angle": [1.0, 0, 0]}})
     blowup = AnisotropicCost(np.diag([1e200, 1e200, 1e200]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationAbort):
-        _integrate(sc, _sphere_pair(sc.body_rates.eval, blowup),
-                   [np.stack(sc.initial_sphere_pair())], False)
+        _integrate(sc, _sphere_pair(sc.body_rates.eval, blowup), np.stack(sc.initial_sphere_pair()),
+                   False)
 
 
 def _off_sphere_retraction(monkeypatch):
@@ -264,9 +295,9 @@ def _off_sphere_retraction(monkeypatch):
 ])
 def test_direction_leaving_the_sphere_aborts(make_scenario, monkeypatch, doc, run):
     """The drift each sample records is also the guard: a sphere state (the
-    projected pair's, the co-simulated sphere observer, or the planar pair of
-    an so2-s1 run) off S^2 stops the run at its first recorded sample after
-    the initial state."""
+    projected pair's, the sphere pair of a co-simulation, or the planar pair
+    of an so2-s1 run) off S^2 stops the run at its first recorded sample
+    after the initial state."""
     _off_sphere_retraction(monkeypatch)
     sc = make_scenario(t_end=0.1, **doc)
     with pytest.raises(SimulationAbort, match=r"S\^2 \(drift .*\) at t = 0\.01 s"):
@@ -391,7 +422,7 @@ def test_runs_near_the_antipode_follow_the_law(make_scenario):
     eps = np.array([1e-1, 1e-3, 1e-6])
     sc = make_scenario(mode="projected", k=1.0, input=SINUSOID, t_end=10.0)
     S = np.vstack([E3, np.stack([np.zeros(3), np.sin(np.pi - eps), np.cos(np.pi - eps)], axis=1)])
-    t, theta = _integrate(sc, _sphere_pair(sc.body_rates.eval, SphereCost(1.0)), [S], False)[:2]
+    t, theta = _integrate(sc, _sphere_pair(sc.body_rates.eval, SphereCost(1.0)), S, False)[:2]
     assert np.max(np.abs(theta[0] - (np.pi - eps))) <= 1e-12
     for run in theta.T:
         assert np.max(np.abs(run - error_angle_closed_form(run[0], 1.0, t))) <= 1e-8
@@ -475,14 +506,14 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
     """The pairs call the pair field and rate functions that verify checks
     against the per-component fields, under both integrators; a private copy
     of a field or of the observer body rate in the simulator fails here.  A
-    pair stack moves by one call per stage (a co-simulated sphere observer by
-    one more).  The loop samples the input once per distinct stage time:
-    three InputSignal.eval calls per RK4 step (stages 2 and 3 share t + h/2),
-    one per Lie-Euler step."""
+    pair stack moves by one call per stage.  The loop samples the input once
+    per distinct stage time: three InputSignal.eval calls per RK4 step
+    (stages 2 and 3 share t + h/2), one per Lie-Euler step.  Co-simulation
+    steps the group pair and then the sphere pair, so it makes the calls of
+    both."""
     import invobs.simulate
 
-    names = ("projected_pair_field", "projected_pair_rates", "plant_vector_field",
-             "projected_observer_field", "observer_body_rate")
+    names = ("projected_pair_field", "projected_pair_rates", "plant_vector_field")
     calls = dict.fromkeys(names + ("eval",), 0)
 
     def counted(name, fn):
@@ -500,10 +531,10 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
     sweep = dict(mode="monte-carlo", input=SINUSOID, t_end=steps * 1e-2)
     planar = dict(SO2_BASE, t_end=steps * 1e-3)
     # (entry point, document, step size, calls per rk4-project step, per lie-euler step)
-    sphere = {"projected_pair_field": 4}, {"projected_pair_rates": 1}
-    group = {"projected_pair_rates": 4, "plant_vector_field": 4}, {"projected_pair_rates": 1}
-    cosim = (dict(group[0], projected_observer_field=4),
-             dict(group[1], observer_body_rate=1))
+    sphere = {"projected_pair_field": 4, "eval": 3}, {"projected_pair_rates": 1, "eval": 1}
+    group = ({"projected_pair_rates": 4, "plant_vector_field": 4, "eval": 3},
+             {"projected_pair_rates": 1, "eval": 1})
+    cosim = (dict(group[0], projected_pair_field=4, eval=6), {"projected_pair_rates": 2, "eval": 2})
     runs = [
         (simulate_projected, dict(mode="projected", **single), 1e-3, *sphere),
         (simulate_projected, dict(mode="synchrony", **single), 1e-3, *sphere),
@@ -517,7 +548,7 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
         (simulate_circle, dict(planar, mode="co-sim"), 1e-3, *cosim),
     ]
     for fn, doc, h, rk4, lie in runs:
-        for method, per_step in (("rk4-project", dict(rk4, eval=3)), ("lie-euler", dict(lie, eval=1))):
+        for method, per_step in (("rk4-project", rk4), ("lie-euler", lie)):
             calls.update(dict.fromkeys(calls, 0))
             fn(make_scenario(**doc, integrator={"method": method, "h": h}))
             assert calls == {name: per_step.get(name, 0) * steps for name in calls}, \
@@ -534,18 +565,22 @@ SO3_RUN = {"instance": "so3-s2", "input": SINUSOID, "t_end": 0.05}
     dict(SO3_RUN, mode="co-sim"), dict(SO3_RUN, mode="monte-carlo", mc={"runs": 3}),
 ], ids=lambda d: f"{d['instance']}-{d['mode']}")
 def test_run_integrates_once(make_scenario, monkeypatch, tmp_path, doc):
-    """runner.run steps a scenario's pair once; an so2-s1 run takes its
-    trajectory from the circle oracle rather than stepping the pair again."""
+    """runner.run steps a scenario's pair once, and a co-simulation each of
+    its two pairs once; an so2-s1 run takes its trajectory from the circle
+    oracle rather than stepping the pair again."""
     import invobs.simulate
     from invobs import runner
 
     integrate = invobs.simulate._integrate
-    calls = []
+    kinds = []
 
-    def counted(*args):
-        calls.append(None)
-        return integrate(*args)
+    def counted(scenario, pair, *args):
+        kinds.append(pair.kind)
+        return integrate(scenario, pair, *args)
 
     monkeypatch.setattr(invobs.simulate, "_integrate", counted)
     assert runner.run(make_scenario(**doc), str(tmp_path), quiet=True) == 0
-    assert len(calls) == 1
+    if doc["mode"] == "co-sim":
+        assert kinds == ["group", "sphere"]
+    else:
+        assert len(kinds) == 1

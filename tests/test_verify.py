@@ -77,7 +77,7 @@ def test_batched_runs_match_serial_runs(make_scenario, rng, cost):
 
     def serial_theta(r):
         pair = _sphere_pair(r.body_rates.eval, SphereCost(r.k) if cost is None else cost)
-        return _integrate(r, pair, [np.stack(r.initial_sphere_pair())], False)[1][:, 0]
+        return _integrate(r, pair, np.stack(r.initial_sphere_pair()), False)[1][:, 0]
 
     serial = np.stack([serial_theta(r) for r in runs], axis=1)
     t, theta = _batch_theta(sc, inputs, SphereCost(k[:, None, None]) if cost is None else cost,
