@@ -5,9 +5,10 @@ plus an innovation that vanishes when the estimated output matches the
 measurement.  Taking the innovation as minus the Riemannian gradient of an
 invariant cost makes the error-angle dynamics autonomous and almost globally
 contracting; lifting the innovation horizontally gives the matching group
-observer.  This module holds the cost functions, gradients, the observer
-fields, the pair fields that move a plant and its observers stacked in one
-array, the horizontal lift of tangent vectors (plain arrays orthogonal to
+observer.  This module holds the cost functions, their gradients and
+body-rate innovations (``rate``, yhat x grad1; the invariant cost's is the
+closed form k * (y x yhat)), the observer fields, the pair fields that move
+a plant and its observers stacked in one array, the horizontal lift of tangent vectors (plain arrays orthogonal to
 their base output), canonical errors, the closed form of the scalar error
 law theta' = -k sin(theta) that both instances obey, and the runtime
 verification predicates.
@@ -38,8 +39,9 @@ class SphereCost:
     """Invariant cost k * (1 - <yhat, y>), equal to (k/2)||yhat - y||^2.
 
     The gain sets the exponential contraction rate of the error angle.  An
-    array of gains gives ``grad1`` one gain per row of a batch: (n, 1) for
-    (n, 3) rows, (runs, 1, 1) for the observer rows of a (runs, 2, 3) pair.
+    array of gains gives ``grad1`` and ``rate`` one gain per row of a batch:
+    (n, 1) for (n, 3) rows, (runs, 1, 1) for the observer rows of a
+    (runs, 2, 3) pair.
     """
 
     k: float | np.ndarray = 1.0
@@ -60,6 +62,11 @@ class SphereCost:
             return -self.k * (y - yhat * float(np.dot(yhat, y)))
         dot = np.dot(yhat, y) if y.ndim == 1 else np.einsum("...i,...i->...", yhat, y)
         return -self.k * (y - yhat * dot[..., None])
+
+    def rate(self, yhat, y) -> np.ndarray:
+        """Body-rate innovation yhat x grad1(yhat, y) in its closed form
+        k * (y x yhat), over leading axes of either argument."""
+        return self.k * cross(y, yhat)
 
 
 @dataclass(frozen=True)
@@ -82,6 +89,10 @@ class AnisotropicCost:
         yhat = np.asarray(yhat, dtype=float)
         p = (yhat - y) @ (self.A.T @ self.A)  # A^T A is symmetric
         return p - yhat * np.sum(yhat * p, axis=-1, keepdims=True)
+
+    def rate(self, yhat, y) -> np.ndarray:
+        """Body-rate innovation yhat x grad1(yhat, y), over leading axes."""
+        return cross(yhat, self.grad1(yhat, y))
 
 
 def projected_observer_field(c, yhat, y, u) -> np.ndarray:
@@ -169,11 +180,12 @@ class HorizontalSubspace:
 
 
 def observer_body_rate(c, yhat, y, u) -> np.ndarray:
-    """Body rate u - (c.grad1(yhat, y) x yhat) of the observer at output yhat,
-    over leading axes: the sphere observer moves by act(group_exp(h * .), yhat).
-    For the invariant cost this is u + k * (y x yhat), the proportional
-    complementary-filter form."""
-    return np.asarray(u, dtype=float) - cross(c.grad1(yhat, y), yhat)
+    """Body rate u + c.rate(yhat, y) of the observer at output yhat, over
+    leading axes: the sphere observer moves by act(group_exp(h * .), yhat).
+    The cost's rate is the innovation yhat x c.grad1(yhat, y); for the
+    invariant cost it is k * (y x yhat), so the body rate is the proportional
+    complementary-filter form u + k * (y x yhat)."""
+    return np.asarray(u, dtype=float) + c.rate(yhat, y)
 
 
 def lifted_observer_field(c, Xhat, y, u, y0) -> np.ndarray:

@@ -194,6 +194,13 @@ _KINDS = {
 _Pair = namedtuple("_Pair", "kind rate field rates observe")
 
 
+def _ahead(state, dt, k):
+    """state + dt * k, bit for bit, with the product as its one temporary."""
+    out = k * dt
+    out += state
+    return out
+
+
 def _integrate(scenario, pair, state, keep_states):
     """Advance a pair's state array over the scenario's horizon and return
     the recorded times, error angles and drifts, followed by the recorded
@@ -242,10 +249,16 @@ def _integrate(scenario, pair, state, keep_states):
         if rk4:
             u_mid = rate(t + 0.5 * h)
             k1 = field(u, state)
-            k2 = field(u_mid, state + 0.5 * h * k1)
-            k3 = field(u_mid, state + 0.5 * h * k2)
-            k4 = field(rate(t + h), state + h * k3)
-            state = retract(state + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+            k2 = field(u_mid, _ahead(state, 0.5 * h, k1))
+            k3 = field(u_mid, _ahead(state, 0.5 * h, k2))
+            # k1 + 2 (k2 + k3) + k4 accumulated in place, in that order.
+            slope = k2 + k3
+            slope *= 2.0
+            slope += k1
+            slope += field(rate(t + h), _ahead(state, h, k3))
+            slope *= h / 6.0
+            slope += state
+            state = retract(slope)
         else:
             state = lie_step(state, h * rates(u, state))
         if (i + 1) % every == 0 or i + 1 == n:

@@ -26,6 +26,8 @@ _HAT_BASIS = np.array([
     [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
 ])
 _CROSS_ROWS = np.array([[1, 2, 0], [2, 0, 1]])  # last-axis gathers of cross
+# y @ _ACT_BASIS, reshaped to (9, 3), has row 3i + j equal to y_i e_j.
+_ACT_BASIS = np.multiply.outer(IDENTITY, IDENTITY).reshape(3, 27)
 _ONES = np.ones(3)
 
 
@@ -165,11 +167,14 @@ def act(X, y) -> np.ndarray:
     """
     X = np.asarray(X)
     y = np.asarray(y, dtype=float)
-    if X.ndim == 2 and y.ndim == 1:
-        r = X.T @ y
-        return r / math.sqrt(float(r @ r))
-    if X.ndim == 2 or y.ndim == 1:
-        return unit(np.dot(y, X))  # the row vectors y^T X are the (X^T y)^T
+    if y.ndim == 1:
+        if X.ndim == 2:
+            r = X.T @ y
+            return r / math.sqrt(float(r @ r))
+        # One product of the flattened stack with that (9, 3) matrix: entry j
+        # sums X_ij y_i, so each row is X^T y.
+        Y = np.dot(y, _ACT_BASIS).reshape(9, 3)
+        return unit(np.dot(X.reshape(X.shape[:-2] + (9,)), Y))
     return unit((y[..., None, :] @ X)[..., 0, :])
 
 

@@ -24,6 +24,7 @@ from invobs.observer import (
     error_angle_closed_form,
     grad1_lifted_cost,
     lifted_cost,
+    observer_body_rate,
     projected_observer_field,
 )
 from invobs.sampling import random_rotation, random_tangent, random_unit
@@ -100,6 +101,32 @@ def test_innovation_examples(rng):
         yh, y = random_unit(rng), random_unit(rng)
         inn = -c.grad1(yh, y)
         assert np.allclose(inn, c.k * np.cross(np.cross(yh, y), yh), atol=1e-12)
+
+
+def test_sphere_cost_rate_is_the_cross_of_grad1(rng):
+    """SphereCost.rate, the closed form k (y x yhat), is yhat x grad1(yhat, y)
+    on a single pair, a shared-plant stack and a (runs, 2, 3) batch with one
+    gain per run."""
+    c = SphereCost(1.7)
+    yh, y = random_unit(rng), random_unit(rng)
+    Yh = random_unit(rng, 20)
+    S = random_unit(rng, 12).reshape(6, 2, 3)
+    ks = rng.uniform(0.5, 2.0, 6)
+    batch = SphereCost(ks[:, None, None])
+    for cost, a, b in [(c, yh, y), (c, Yh, y), (batch, S[:, 1:], S[:, :1])]:
+        got = cost.rate(a, b)
+        assert got.shape == np.broadcast_shapes(np.shape(a), np.shape(b))
+        assert np.max(np.abs(got - cross(a, cost.grad1(a, b)))) <= 1e-15
+
+
+def test_observer_body_rate_anisotropic_is_unchanged(rng):
+    """With the generic rate yhat x grad1, the anisotropic observer's body
+    rate is bit-identical to u - grad1(yhat, y) x yhat."""
+    c = AnisotropicCost()
+    u = rng.uniform(-1.5, 1.5, 3)
+    for yh, y in [(random_unit(rng), random_unit(rng)), (random_unit(rng, 20), random_unit(rng)),
+                  (random_unit(rng, 20), random_unit(rng, 20))]:
+        assert np.array_equal(observer_body_rate(c, yh, y, u), u - cross(c.grad1(yh, y), yh))
 
 
 def test_projected_observer_field():

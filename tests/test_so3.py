@@ -248,10 +248,25 @@ def test_unit_over_leading_axes(rng):
 
 
 def test_act_over_leading_axes(rng):
-    for n in (1, 2, 9):
+    for n in (1, 2, 9, 201):
         X = random_rotation(rng, n)
         Y = random_unit(rng, n)
         y = random_unit(rng)
         assert np.max(np.abs(act(X, y) - _rows(lambda x: act(x, y), X))) <= ULP2
         assert np.max(np.abs(act(X[0], Y) - _rows(lambda v: act(X[0], v), Y))) <= ULP2
         assert np.max(np.abs(act(X, Y) - _rows(act, X, Y))) <= ULP2
+
+
+def test_act_stack_on_one_direction(rng):
+    """A rotation stack acting on one direction is one product of the
+    flattened stack; each row matches the single-matrix action to 2 ulp for
+    a (runs, 2, 3, 3) stack and for non-contiguous stacks."""
+    y = random_unit(rng)
+    G = random_rotation(rng, 14).reshape(7, 2, 3, 3)  # (runs, 2, 3, 3)
+    got = act(G, y)
+    assert got.shape == (7, 2, 3)
+    assert np.max(np.abs(got.reshape(-1, 3) - _rows(lambda x: act(x, y), G.reshape(-1, 3, 3)))) <= ULP2
+    G = random_rotation(rng, 21)
+    for strided in (G[::2], G.swapaxes(-1, -2)):
+        assert not strided.flags.c_contiguous
+        assert np.max(np.abs(act(strided, y) - _rows(lambda x: act(x, y), strided))) <= ULP2
