@@ -8,10 +8,10 @@ contracting; lifting the innovation horizontally gives the matching group
 observer.  This module holds the cost functions, their gradients and
 body-rate innovations (``rate``, yhat x grad1; the invariant cost's is the
 closed form k * (y x yhat)), the observer fields, the pair fields that move
-a plant and its observers stacked in one array, the horizontal lift of tangent vectors (plain arrays orthogonal to
-their base output), canonical errors, the closed form of the scalar error
-law theta' = -k sin(theta) that both instances obey, and the runtime
-verification predicates.
+a plant and its observers stacked in one array, the horizontal lift of
+tangent vectors (plain arrays orthogonal to their base output), canonical
+errors, the closed form of the scalar error law theta' = -k sin(theta) that
+both instances obey, and the runtime verification predicates.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ class SphereCost:
         leading axes of either argument."""
         yhat = np.asarray(yhat)
         y = np.asarray(y, dtype=float)
-        if yhat.ndim == 1 and y.ndim == 1:
-            return -self.k * (y - yhat * float(np.dot(yhat, y)))
         dot = np.dot(yhat, y) if y.ndim == 1 else np.einsum("...i,...i->...", yhat, y)
         return -self.k * (y - yhat * dot[..., None])
 
@@ -105,7 +103,7 @@ def _plant_row(S):
     """The plant row of a stacked pair, as the reference of its observer rows:
     a plain vector for a shared-plant (1 + n, 3) stack, the (..., 1, 3) rows
     of a stack with a leading run axis."""
-    return S[0] if S.ndim == 2 else S[..., :1, :]
+    return S[0] if S.ndim == 2 else S[..., :1, :]  # a plain vector: grad1 takes np.dot, not einsum
 
 
 def projected_pair_field(c, S, u) -> np.ndarray:

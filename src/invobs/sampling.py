@@ -25,11 +25,7 @@ def random_rotation(rng: np.random.Generator, n: int | None = None) -> np.ndarra
     Q, R = np.linalg.qr(rng.standard_normal(shape))
     Q = Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
     det = np.sum(cross(Q[..., 0], Q[..., 1]) * Q[..., 2], axis=-1)  # columns' triple product
-    if n is None:
-        if det < 0.0:
-            Q[:, 0] *= -1.0
-    else:
-        Q[det < 0.0, :, 0] *= -1.0
+    Q[det < 0.0, :, 0] *= -1.0
     return Q
 
 

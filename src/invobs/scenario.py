@@ -242,6 +242,15 @@ def _check_sinusoid_horizon(sig: InputSignal, path: str, t_last: float):
         _check_sinusoid_horizon(term, f"{path}.terms[{i}]", t_last)
 
 
+def _finite_rotation(omega, path: str) -> np.ndarray:
+    """group_exp(omega), rejected with the field named where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        R = group_exp(omega)
+    if not np.all(np.isfinite(R)):
+        raise ScenarioError(f"{path} does not give a finite rotation")
+    return R
+
+
 def _parse_init(spec, instance: str, path: str) -> InitState:
     if spec == "identity":
         if instance == "so2-s1":
@@ -251,7 +260,9 @@ def _parse_init(spec, instance: str, path: str) -> InitState:
         raise ScenarioError(f'{path} must be "identity" or an object')
     if instance == "so2-s1":
         _check_keys(spec, {"angle"}, path)
-        return InitState("angle", _number(spec, "angle", None, path))
+        angle = _number(spec, "angle", None, path)
+        _finite_rotation([0.0, 0.0, angle], f"{path}.angle")
+        return InitState("angle", angle)
     _check_keys(spec, {"rotation", "direction", "axis_angle"}, path)
     forms = [k for k in ("rotation", "direction", "axis_angle") if k in spec]
     if len(forms) != 1:
@@ -266,11 +277,8 @@ def _parse_init(spec, instance: str, path: str) -> InitState:
             raise ScenarioError(f"{path}.rotation is not special-orthogonal")
         return InitState("rotation", R)
     if form == "axis_angle":
-        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-            R = group_exp(_vector(spec["axis_angle"], 3, f"{path}.axis_angle"))
-        if not np.all(np.isfinite(R)):
-            raise ScenarioError(f"{path}.axis_angle does not give a finite rotation")
-        return InitState("rotation", R)
+        return InitState("rotation", _finite_rotation(
+            _vector(spec["axis_angle"], 3, f"{path}.axis_angle"), f"{path}.axis_angle"))
     d = _vector(spec["direction"], 3, f"{path}.direction")
     if abs(float(np.linalg.norm(d)) - 1.0) > 1e-9:
         raise ScenarioError(f"{path}.direction not unit norm")

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 
-from invobs import cli, preset, simulate_lifted
+from invobs import cli, parse_scenario, preset, simulate_lifted
 from invobs.runner import CSV_COLUMNS, write_trajectory_csv
 from invobs.simulate import SimulationAbort, TrajectoryRecord
 from invobs.verify import PropertyCheck
@@ -186,7 +186,7 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
         [(1.0, False), (None, False), (None, False), (None, True)]
 
 
-def test_input_error_exit_codes(tmp_path):
+def test_input_error_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"instance": "so3-s2", "k": -3}')
     assert cli.main(["run", "--scenario", str(bad), "--out", str(tmp_path / "x")]) == 2
@@ -223,6 +223,16 @@ def test_input_error_exit_codes(tmp_path):
         bad = tmp_path / f"hole{i}.json"
         bad.write_text('{"instance": "so3-s2", %s}' % doc)
         assert cli.main(["run", "--scenario", str(bad), "--out", str(tmp_path / "x")]) == 2, doc
+    # An so2-s1 angle whose rotation overflows is named at parse, for run and verify alike;
+    # one just below the overflow still parses.
+    for name in ("plant", "observer"):
+        doc = {"instance": "so2-s1", "t_end": 0.01, "init": {name: {"angle": -1.4e154}}}
+        for command in ("run", "verify"):
+            path = write_scenario(tmp_path, doc, f"angle-{name}.json")
+            assert cli.main([command, "--scenario", path, "--out", str(tmp_path / "x")]) == 2, name
+            assert f"error: init.{name}.angle does not give a finite rotation" in capsys.readouterr().err
+        doc["init"][name]["angle"] = 1.3e154
+        assert getattr(parse_scenario(json.dumps(doc)), name).value == 1.3e154
     # A sweep of a run document is held to the sweep bounds too.
     long_run = tmp_path / "long.json"
     long_run.write_text('{"instance": "so3-s2", "t_end": 100000, "sample_every": 1}')

@@ -83,6 +83,23 @@ def test_grad1_over_leading_axes(rng):
             SphereCost(bad)
 
 
+def test_grad1_of_two_plain_vectors(rng):
+    """On two plain vectors grad1 is -k (y - yhat <yhat, y>), summed here on
+    Python floats, and the matching row of the stacked calls, each to the
+    rounding of k (its largest entry)."""
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        c = SphereCost(float(rng.uniform(0.5, 2.0)))
+        yh, y = random_unit(rng), random_unit(rng)
+        d = sum(a * b for a, b in zip(yh.tolist(), y.tolist()))
+        got = c.grad1(yh, y)
+        assert got.shape == (3,)
+        Yh = np.stack([random_unit(rng), yh])
+        for want in ([-c.k * (b - a * d) for a, b in zip(yh.tolist(), y.tolist())],
+                     c.grad1(Yh, y)[1], c.grad1(Yh, np.stack([-y, y]))[1]):
+            assert np.max(np.abs(got - want)) <= 2 * eps * c.k
+
+
 def test_grad1_matches_finite_differences(rng):
     for _ in range(1000):
         c = SphereCost(float(rng.uniform(0.5, 2.0)))

@@ -20,10 +20,16 @@ def rodrigues_rotate(v, axis, angle):
             + axis * float(axis @ v) * (1.0 - np.cos(angle)))
 
 
-def test_hat_layout():
+def test_hat_layout(rng):
     assert np.array_equal(hat((0, 0, 1)), [[0, -1, 0], [1, 0, 0], [0, 0, 0]])
     assert np.array_equal(hat((0, 0, 0)), np.zeros((3, 3)))
     assert np.array_equal(hat((1, 2, 3)), [[0, -3, 2], [3, 0, -1], [-2, 1, 0]])
+    # Random vectors over 16 decades, one at a time and as a stack, bit for bit.
+    W = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-8, 8, (50, 1))
+    explicit = np.array([[[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]] for x, y, z in W.tolist()])
+    assert np.array_equal(hat(W), explicit)
+    for w, H in zip(W, explicit):
+        assert np.array_equal(hat(w), H)
 
 
 def test_hat_is_linear_cross_product(rng):
@@ -245,6 +251,26 @@ def test_unit_over_leading_axes(rng):
     V[2, 3] = 0.0
     with pytest.raises(ValueError, match="zero vector"):
         unit(V)
+    with pytest.raises(ValueError, match="zero vector"):
+        unit(np.zeros(3))
+
+
+def test_random_rotation_single_draw():
+    """One draw is the one-row stack's draw, bit for bit, and the sign-fixed
+    QR factor of the same Gaussian matrix with its first column negated where
+    its determinant (numpy's) is negative."""
+    flipped = 0
+    for seed in range(64):
+        Q = random_rotation(np.random.default_rng(seed))
+        assert np.array_equal(Q, random_rotation(np.random.default_rng(seed), 1)[0])
+        ref, R = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+        ref = ref * np.sign(np.diag(R))
+        if np.linalg.det(ref) < 0.0:
+            ref[:, 0] *= -1.0
+            flipped += 1
+        assert np.array_equal(Q, ref)
+        assert abs(np.linalg.det(Q) - 1.0) <= 1e-14
+    assert 10 <= flipped <= 54  # the sign fix is exercised both ways
 
 
 def test_act_over_leading_axes(rng):
