@@ -106,18 +106,19 @@ def _plant_row(S):
     return S[0] if S.ndim == 2 else S[..., :1, :]  # a plain vector: grad1 takes np.dot, not einsum
 
 
-def projected_pair_field(c, S, u) -> np.ndarray:
+def projected_pair_field(c, S, H) -> np.ndarray:
     """Velocity of a stacked sphere pair: axis -2 of S holds the plant row and
     the observer rows after it, (1 + n, 3) or, with one plant and input per
     run, (runs, 2, 3).
 
-    Every row moves by its internal model y x u = (S @ hat(u)) row by row; the
-    observer rows add the innovation -c.grad1 against the plant row, as
-    projected_observer_field does.  ``c = None`` leaves the internal model
-    alone (synchrony).  u is one rate, or one per run.
+    H = hat(u) is the input's generator: every row moves by its internal
+    model y x u = (S @ H) row by row; the observer rows add the innovation
+    -c.grad1 against the plant row, as projected_observer_field does.
+    ``c = None`` leaves the internal model alone (synchrony).  H is one
+    (3, 3) generator, or one per run.  Taking the generator rather than u
+    lets a caller build hat of a whole table of inputs in one call.
     """
     S = np.asarray(S)
-    H = hat(u)
     v = np.dot(S, H) if H.ndim == 2 else S @ H  # dot costs less for one rate
     if c is not None:
         v[..., 1:, :] -= c.grad1(S[..., 1:, :], _plant_row(S))

@@ -234,7 +234,7 @@ def _parse_input(spec, dim: int, path: str) -> InputSignal:
 
 def _check_sinusoid_horizon(sig: InputSignal, path: str, t_last: float):
     """Reject a sinusoid whose argument 2 pi frequency t + phase (as eval forms
-    it; math.sin raises on inf) overflows by t_last; it grows with t."""
+    it; its sine of inf is NaN) overflows by t_last; it grows with t."""
     if sig.kind == "sinusoid":
         _require(np.isfinite(2.0 * np.pi * sig.frequency * t_last + sig.phase),
                  f"{path}.frequency: 2 pi frequency t + phase overflows within t_end")

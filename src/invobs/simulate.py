@@ -8,16 +8,19 @@ one Björck retraction step (group) or renormalisation (sphere); it is the defau
 since the continuous-time theory says nothing about discretisation and fourth
 order keeps the integrator far below every property tolerance.
 
-Both integrators live in one time loop, ``_integrate``, which samples the
-input once per stage time and steps one state array.  Every run (projected,
-lifted, each Monte Carlo sweep and each batch of verify runs) is a pair on
-it: its kind ("sphere" or "group"), the input's rate function, a velocity
-field and a body-rates function of (u, state), and the error angle of each
-observer.  The plant and every observer obey the same kinematics, so a
-pair's state is one stacked array whose row axis holds the plant first and
-its observers after it: (1 + n, 3) on the sphere, (1 + n, 3, 3) on the
-group, and (runs, 2, 3) for a batch with one plant and input per run.  One
-call of a public pair field moves every row: the sphere pair steps
+Both integrators live in one time loop, ``_integrate``, which steps one
+state array.  The input does not depend on the state, so the loop evaluates
+it for a block of steps at once, at every stage time of the block, before
+stepping through them.  Every run (projected, lifted, each Monte Carlo sweep
+and each batch of verify runs) is a pair on it: its kind ("sphere" or
+"group"), the input's rate function, the map from an input table to its
+field's drive, a velocity field of (drive, state), a body-rates function of
+(u, state), and the error angle of each observer.  The plant and every
+observer obey the same kinematics, so a pair's state is one stacked array
+whose row axis holds the plant first and its observers after it: (1 + n, 3)
+on the sphere, (1 + n, 3, 3) on the group, and (runs, 2, 3) for a batch
+with one plant and input per run.  One call of a public pair field moves
+every row: the sphere pair steps
 ``projected_pair_field`` (``projected_pair_rates`` under Lie-Euler), the
 group pair ``plant_vector_field`` of the rates ``projected_pair_rates``
 gives at its outputs.  Co-simulation is two runs, the group pair and the
@@ -45,7 +48,7 @@ from .observer import (
     projected_pair_field,
     projected_pair_rates,
 )
-from .so3 import act, compose, drift, group_exp, orthonormalize, unit
+from .so3 import _actor, act, compose, drift, group_exp, hat, orthonormalize, unit
 from .sampling import random_rotation, random_unit
 from .systems import plant_vector_field
 
@@ -54,6 +57,9 @@ RATE_WINDOW = (1e-6, 0.1)   # rad; log-linear fit window for the decay rate
 CONVERGENCE_THRESHOLD = 1e-3  # rad; final-angle threshold of runs, a sweep's default
 MIN_RATE_SAMPLES = 10
 ORTHOGONALITY_TOL = 1e-9  # drift beyond which a state has left SO(3) or S^2
+# Steps per input table: hat tables for all of scenario.MAX_STEPS (1e8) RK4
+# steps at once would take 22 GB.
+BLOCK_STEPS = 1024
 
 
 class SimulationAbort(RuntimeError):
@@ -189,9 +195,11 @@ _KINDS = {
 
 
 # A plant-observer pair on the stepping engine (see _integrate): a function of
-# the input u and the state, with ``rate(t)`` the input it is driven by;
-# ``observe`` maps a state to the error angle of each observer row.
-_Pair = namedtuple("_Pair", "kind rate field rates observe")
+# the input and the state, with ``rate(t)`` the input it is driven by,
+# evaluated over leading axes of t, and ``drive`` the map from a table of
+# inputs to the table its RK4 ``field`` takes; ``observe`` maps a state to
+# the error angle of each observer row.
+_Pair = namedtuple("_Pair", "kind rate drive field rates observe")
 
 
 def _ahead(state, dt, k):
@@ -212,10 +220,13 @@ def _integrate(scenario, pair, state, keep_states):
     stack), plant first, and may carry a leading run axis.  The primitives
     broadcast over the rows, and the angle and drift rows carry one entry
     per observer row.
-    The loop is the one place that samples the input: ``pair.rate(t)`` once
-    per distinct stage time (t, t + h/2 and t + h for RK4, t for Lie-Euler).
-    ``pair.field(u, state)`` gives the state's velocity in the embedding,
-    ``pair.rates(u, state)`` its body rates for one Lie-Euler step.  The
+    The loop is the one place that samples the input, BLOCK_STEPS steps at
+    a time: one ``pair.rate`` call takes the table of every distinct stage
+    time of the block (i h, i h + h/2 and i h + h of step i for RK4, i h for
+    Lie-Euler), and the steps then index its rows.  ``pair.field(v, state)``
+    gives the state's velocity in the embedding at a row v of
+    ``pair.drive`` of the RK4 table, ``pair.rates(u, state)`` its body
+    rates for one Lie-Euler step at a row u of the table.  The
     initial state, every ``sample_every``-th step and the last step are
     recorded.  Each recorded state must be finite; its error angles are
     ``pair.observe(state)``, and its drift, per observer row the worse of
@@ -228,7 +239,7 @@ def _integrate(scenario, pair, state, keep_states):
     n = _n_steps(scenario.t_end, h)
     every = scenario.sample_every
     rk4 = scenario.integrator.method == "rk4-project"
-    kind, rate, field, rates, observe = pair
+    kind, rate, drive, field, rates, observe = pair
     retract, lie_step, measure = _KINDS[kind]
     rows = []
 
@@ -243,26 +254,32 @@ def _integrate(scenario, pair, state, keep_states):
         rows.append((t, observe(state), drift_) + ((state,) if keep_states else ()))
 
     record(0.0, state)
-    for i in range(n):
-        t = i * h
-        u = rate(t)
+    for start in range(0, n, BLOCK_STEPS):
+        steps = range(start, min(start + BLOCK_STEPS, n))
+        t = np.arange(steps.start, steps.stop) * h  # i h, as the float i * h
         if rk4:
-            u_mid = rate(t + 0.5 * h)
-            k1 = field(u, state)
-            k2 = field(u_mid, _ahead(state, 0.5 * h, k1))
-            k3 = field(u_mid, _ahead(state, 0.5 * h, k2))
-            # k1 + 2 (k2 + k3) + k4 accumulated in place, in that order.
-            slope = k2 + k3
-            slope *= 2.0
-            slope += k1
-            slope += field(rate(t + h), _ahead(state, h, k3))
-            slope *= h / 6.0
-            slope += state
-            state = retract(slope)
+            # (steps, 3, ...): the drive at i h, i h + h/2 and i h + h; the
+            # last is i h + h, not (i + 1) h, which can differ in the last bit.
+            table = drive(rate(np.stack((t, t + 0.5 * h, t + h), axis=1)))
         else:
-            state = lie_step(state, h * rates(u, state))
-        if (i + 1) % every == 0 or i + 1 == n:
-            record((i + 1) * h, state)
+            table = rate(t)
+        for i, v in zip(steps, table):
+            if rk4:
+                k1 = field(v[0], state)
+                k2 = field(v[1], _ahead(state, 0.5 * h, k1))
+                k3 = field(v[1], _ahead(state, 0.5 * h, k2))
+                # k1 + 2 (k2 + k3) + k4 accumulated in place, in that order.
+                slope = k2 + k3
+                slope *= 2.0
+                slope += k1
+                slope += field(v[2], _ahead(state, h, k3))
+                slope *= h / 6.0
+                slope += state
+                state = retract(slope)
+            else:
+                state = lie_step(state, h * rates(v, state))
+            if (i + 1) % every == 0 or i + 1 == n:
+                record((i + 1) * h, state)
     return [np.array(col) for col in zip(*rows)]
 
 
@@ -271,8 +288,9 @@ def _integrate(scenario, pair, state, keep_states):
 def _sphere_pair(rate, cost) -> _Pair:
     """A stacked sphere pair (see projected_pair_field): the plant row and
     sphere observer rows, which run the internal model alone without a
-    cost."""
-    return _Pair("sphere", rate, lambda u, S: projected_pair_field(cost, S, u),
+    cost.  Its RK4 field takes the generators hat(u), built for a whole
+    table of inputs in one call."""
+    return _Pair("sphere", rate, hat, lambda H, S: projected_pair_field(cost, S, H),
                  lambda u, S: projected_pair_rates(cost, S, u),
                  lambda S: error_angle(S[..., 1:, :], S[..., :1, :]))
 
@@ -281,16 +299,20 @@ def _group_pair(rate, cost, y0v) -> _Pair:
     """A stacked group pair: the plant and lifted observers.  Its body rates
     are those of the sphere pair of its outputs act(G, y0): the input, and
     for each observer the input minus the horizontal lift of the cost
-    gradient."""
+    gradient.  The outputs act(G, y0) take the action's matrix built once
+    for the pair."""
+    outputs = _actor(y0v)
+
     def rates(u, G):
-        return projected_pair_rates(cost, act(G, y0v), u)
+        return projected_pair_rates(cost, outputs(G), u)
 
     def observe(G):
         # Canonical-error angle from the right-invariant group error; equal to
         # the output error angle since the action is by orthogonal matrices.
         return error_angle(canonical_error_from_group(G[..., 1:, :, :], G[..., :1, :, :], y0v), y0v)
 
-    return _Pair("group", rate, lambda u, G: plant_vector_field(G, rates(u, G)), rates, observe)
+    return _Pair("group", rate, lambda u: u, lambda u, G: plant_vector_field(G, rates(u, G)),
+                 rates, observe)
 
 
 def simulate_projected(scenario) -> TrajectoryRecord:

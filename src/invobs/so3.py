@@ -153,11 +153,19 @@ def act(X, y) -> np.ndarray:
         if X.ndim == 2:  # kept for its rounding: the bench reference of verify residuals pins it
             r = X.T @ y
             return r / math.sqrt(float(r @ r))
-        # One product of the flattened stack with that (9, 3) matrix: entry j
-        # sums X_ij y_i, so each row is X^T y.
-        Y = np.dot(y, _ACT_BASIS).reshape(9, 3)
-        return unit(np.dot(X.reshape(X.shape[:-2] + (9,)), Y))
+        return _actor(y)(X)
     return unit((y[..., None, :] @ X)[..., 0, :])
+
+
+def _actor(y):
+    """act(., y) on rotation stacks, with its (9, 3) matrix built once for a
+    caller that acts on many stacks with one direction y.
+
+    Row 3i + j of the matrix is y_i e_j, so the product of a stack flattened
+    to (..., 9) with it sums X_ij y_i in entry j: each row is X^T y.
+    """
+    Y = np.dot(np.asarray(y, dtype=float), _ACT_BASIS).reshape(9, 3)
+    return lambda X: unit(np.dot(X.reshape(X.shape[:-2] + (9,)), Y))
 
 
 def section(y, y0) -> np.ndarray:

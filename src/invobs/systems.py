@@ -93,15 +93,22 @@ class InputSignal:
             return self.values.shape[1]
         return self.terms[0].dim
 
-    def eval(self, t: float) -> np.ndarray:
-        """Value at time t.  Callers must treat the result as read-only."""
+    def eval(self, t) -> np.ndarray:
+        """Value at time t, over leading axes of t: a new array of shape
+        t.shape + (dim,), which shares no memory with the signal."""
+        t = np.asarray(t, dtype=float)
         if self.kind == "constant":
-            return self.amplitude
+            # Filled, not broadcast: a broadcast view costs more per call.
+            out = np.empty(t.shape + self.amplitude.shape)
+            out[...] = self.amplitude
+            return out
         if self.kind == "sinusoid":
-            return self.amplitude * math.sin(2.0 * math.pi * self.frequency * t + self.phase)
+            wave = np.sin(2.0 * math.pi * self.frequency * t + self.phase)
+            return self.amplitude * wave[..., None]
         if self.kind == "piecewise-constant":
-            return self.values[np.searchsorted(self.times, t, side="right")]
-        out = self.terms[0].eval(t).copy()
+            # take copies the rows, where indexing by one time gives a view.
+            return self.values.take(np.searchsorted(self.times, t, side="right"), axis=0)
+        out = self.terms[0].eval(t)
         for term in self.terms[1:]:
             out += term.eval(t)
         return out

@@ -228,7 +228,7 @@ def pair_fields_residual(rng, y0, n=N_SAMPLES) -> float:
         return field, rates, group
 
     def stacked(c, S, G, u):
-        out = projected_pair_field(c, S, u), projected_pair_rates(c, S, u)
+        out = projected_pair_field(c, S, hat(u)), projected_pair_rates(c, S, u)
         if c is None:
             return out
         return out + (plant_vector_field(G, projected_pair_rates(c, act(G, y0), u)),)
@@ -305,7 +305,7 @@ def _batch_theta(scenario, inputs, cost, S):
     as one batch: run i has input inputs[i] and starts at the plant and
     observer rows S[i] of the (n, 2, 3) pair stack S."""
     def rates(t):
-        return np.array([sig.eval(t) for sig in inputs])
+        return np.stack([sig.eval(t) for sig in inputs], axis=-2)  # (..., n, 3)
 
     t, theta = _integrate(scenario, _sphere_pair(rates, cost), S, False)[:2]
     return t, theta[..., 0]

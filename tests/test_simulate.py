@@ -19,6 +19,7 @@ from invobs import (
 )
 from invobs.observer import AnisotropicCost, error_angle_closed_form
 from invobs.simulate import (
+    BLOCK_STEPS,
     MIN_RATE_SAMPLES,
     RATE_WINDOW,
     IntegratorSpec,
@@ -530,15 +531,19 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
     """The pairs call the pair field and rate functions that verify checks
     against the per-component fields, under both integrators; a private copy
     of a field or of the observer body rate in the simulator fails here.  A
-    pair stack moves by one call per stage.  The loop samples the input once
-    per distinct stage time: three InputSignal.eval calls per RK4 step
-    (stages 2 and 3 share t + h/2), one per Lie-Euler step.  Co-simulation
-    steps the group pair and then the sphere pair, so it makes the calls of
-    both."""
+    pair stack moves by one call per stage.  The input is evaluated before
+    the steps it drives: each integration makes one InputSignal.eval call
+    per block of steps, whose times are i h, i h + h/2 and i h + h for each
+    RK4 step i (i h for each Lie-Euler step), each stage once and bit for
+    bit that scalar expression.  hat of the sphere pair's RK4 table and the
+    group pair's action matrix are built once per integration, not per
+    step.  Co-simulation steps the group pair and then the sphere pair, so
+    it makes the calls of both."""
     import invobs.simulate
 
-    names = ("projected_pair_field", "projected_pair_rates", "plant_vector_field")
-    calls = dict.fromkeys(names + ("eval",), 0)
+    names = ("projected_pair_field", "projected_pair_rates", "plant_vector_field", "hat", "_actor")
+    calls = dict.fromkeys(names, 0)
+    times = []
 
     def counted(name, fn):
         def wrapper(*args):
@@ -546,19 +551,25 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
             return fn(*args)
         return wrapper
 
+    def recorded(evaluate):
+        def wrapper(self, t):
+            times.append(np.array(t, dtype=float))
+            return evaluate(self, t)
+        return wrapper
+
     for name in names:
         monkeypatch.setattr(invobs.simulate, name, counted(name, getattr(invobs.simulate, name)))
-    monkeypatch.setattr(InputSignal, "eval", counted("eval", InputSignal.eval))
+    monkeypatch.setattr(InputSignal, "eval", recorded(InputSignal.eval))
     steps = 20  # rk4-project: four field evaluations per step; lie-euler: one rate
     single = dict(input=SINUSOID, t_end=steps * 1e-3,
                   init={"observer": {"axis_angle": [1.7, -0.4, 0.3]}})
     sweep = dict(mode="monte-carlo", input=SINUSOID, t_end=steps * 1e-2)
     planar = dict(SO2_BASE, t_end=steps * 1e-3)
-    # (entry point, document, step size, calls per rk4-project step, per lie-euler step)
-    sphere = {"projected_pair_field": 4, "eval": 3}, {"projected_pair_rates": 1, "eval": 1}
-    group = ({"projected_pair_rates": 4, "plant_vector_field": 4, "eval": 3},
-             {"projected_pair_rates": 1, "eval": 1})
-    cosim = (dict(group[0], projected_pair_field=4, eval=6), {"projected_pair_rates": 2, "eval": 2})
+    # (entry point, document, step size, pairs stepped, calls per rk4-project
+    # step, per lie-euler step)
+    sphere = ("sphere",), {"projected_pair_field": 4}, {"projected_pair_rates": 1}
+    group = ("group",), {"projected_pair_rates": 4, "plant_vector_field": 4}, {"projected_pair_rates": 1}
+    cosim = ("group", "sphere"), dict(group[1], projected_pair_field=4), {"projected_pair_rates": 2}
     runs = [
         (simulate_projected, dict(mode="projected", **single), 1e-3, *sphere),
         (simulate_projected, dict(mode="synchrony", **single), 1e-3, *sphere),
@@ -571,12 +582,50 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
         (simulate_circle, dict(planar, mode="lifted"), 1e-3, *group),
         (simulate_circle, dict(planar, mode="co-sim"), 1e-3, *cosim),
     ]
-    for fn, doc, h, rk4, lie in runs:
+    for fn, doc, h, pairs, rk4, lie in runs:
         for method, per_step in (("rk4-project", rk4), ("lie-euler", lie)):
             calls.update(dict.fromkeys(calls, 0))
+            times.clear()
             fn(make_scenario(**doc, integrator={"method": method, "h": h}))
-            assert calls == {name: per_step.get(name, 0) * steps for name in calls}, \
-                (doc["mode"], method)
+            per_run = {"_actor": pairs.count("group"),
+                       "hat": pairs.count("sphere") if method == "rk4-project" else 0}
+            want = {name: per_step.get(name, 0) * steps + per_run.get(name, 0) for name in calls}
+            assert calls == want, (doc["mode"], method)
+            if method == "rk4-project":
+                stages = [t for i in range(steps) for t in (i * h, i * h + 0.5 * h, i * h + h)]
+            else:
+                stages = [i * h for i in range(steps)]
+            assert len(times) == len(pairs), (doc["mode"], method)
+            for got in times:
+                assert sorted(got.ravel().tolist()) == sorted(stages), (doc["mode"], method)
+
+
+@pytest.mark.parametrize("offset", [(1, -1), (1, 0), (1, 1), (2, 1)], ids=lambda o: f"{o[0]}B{o[1]:+d}")
+def test_so2_runs_across_block_edges_meet_the_oracle(make_scenario, offset):
+    """RK4 runs of B - 1, B, B + 1 and 2B + 1 steps, B the steps per input
+    table: each meets the exact circle solution and records exactly its
+    sample times, the initial state, every tenth step and the last."""
+    n = offset[0] * BLOCK_STEPS + offset[1]
+    h = 1e-3
+    res = so2_oracle_run(make_scenario(**dict(SO2_BASE, t_end=n * h, integrator={"h": h})))
+    assert res.max_deviation <= 1e-8
+    want = [0.0] + [(i + 1) * h for i in range(n) if (i + 1) % 10 == 0 or i + 1 == n]
+    assert res.record.t.tolist() == want
+
+
+@pytest.mark.parametrize("method,band", [("rk4-project", (14.0, 18.0)), ("lie-euler", (1.9, 2.1))])
+def test_so2_order_under_a_nonzero_input(make_scenario, method, band):
+    """Halving h divides the so2-s1 oracle deviation under a sinusoidal
+    input by 2^4 for RK4 and 2 for Lie-Euler.  An RK4 stage that samples
+    the input at the wrong time drops the method to first order; the oracle
+    integrates the input in closed form, apart from the integrator."""
+    def deviation(h):
+        doc = dict(SO2_BASE, t_end=5.0, sample_every=1, integrator={"method": method, "h": h},
+                   input={"kind": "sinusoid", "amplitude": [2.0], "frequency": 1.5, "phase": 0.4})
+        return so2_oracle_run(make_scenario(**doc)).max_deviation
+
+    ratio = deviation(0.01) / deviation(0.005)
+    assert band[0] <= ratio <= band[1]
 
 
 SO2_RUN = {"instance": "so2-s1", "t_end": 0.05}

@@ -101,6 +101,55 @@ def test_eval_input_examples():
     assert np.array_equal(total.eval(1.0), [0, 2, 1])
 
 
+SWITCHES = [1.25, 4.75]
+SIGNALS = {
+    "constant": InputSignal.constant([0.3, -1.2, 0.7]),
+    "sinusoid": InputSignal.sinusoid([1.2, -0.4, 0.7], frequency=0.37, phase=0.9),
+    "piecewise": InputSignal.piecewise(SWITCHES, [[0.3, 0, -0.2], [-0.5, 0.4, 0.1],
+                                                  [0.2, -0.1, 0.6]]),
+}
+SIGNALS["sum"] = InputSignal.sum_of(*SIGNALS.values())
+SO2_SUM = {"kind": "sum", "terms": [
+    {"kind": "sinusoid", "amplitude": [2.0], "frequency": 1.5, "phase": 0.4},
+    {"kind": "piecewise-constant", "times": SWITCHES, "values": [[0.5], [-1.0], [0.25]]},
+    {"kind": "constant", "amplitude": [0.3]}]}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNALS) + ["so2-s1 sum"])
+def test_eval_over_time_arrays_matches_scalar_eval(make_scenario, name):
+    """eval over an array of times gives, row for row and bit for bit, what
+    it gives at each time alone, for every kind and for an so2-s1 signal
+    padded to the body rate (0, 0, w); the switch times and their
+    neighbouring floats included."""
+    if name == "so2-s1 sum":
+        sig = make_scenario(instance="so2-s1", input=SO2_SUM).body_rates
+    else:
+        sig = SIGNALS[name]
+    near = [np.nextafter(t, d) for t in SWITCHES for d in (-np.inf, np.inf)]
+    ts = np.concatenate((np.linspace(0.0, 6.0, 600), SWITCHES, near))
+    flat = sig.eval(ts)
+    assert flat.shape == (len(ts), 3)
+    for t, row in zip(ts.tolist(), flat):
+        one = sig.eval(t)
+        assert one.shape == (3,)
+        assert one.tobytes() == row.tobytes(), t
+    grid = sig.eval(ts.reshape(-1, 3))
+    assert grid.shape == (len(ts) // 3, 3, 3)
+    assert grid.tobytes() == flat.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SIGNALS))
+def test_eval_does_not_write_through(name):
+    """A value at one time or many is a new array: writing to it leaves the
+    signal's amplitude or segment values as they were."""
+    sig = SIGNALS[name]
+    params = [getattr(s, a) for s in (sig,) + sig.terms for a in ("amplitude", "values")]
+    params = [p for p in params if p is not None]
+    for t in (2.0, np.linspace(0.0, 1.0, 4)):
+        out = sig.eval(t)
+        assert not any(np.shares_memory(out, p) for p in params)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         InputSignal("wobble", amplitude=[1, 0, 0])
@@ -113,8 +162,8 @@ def test_input_validation():
 
 
 def _grid_values(sig, ts):
-    """The signal's closed form over an array of times, term by term (the
-    test's own reference; ``eval`` takes one time)."""
+    """The signal's closed form over an array of times, term by term: the
+    test's own reference, independent of ``eval``."""
     if sig.kind == "constant":
         return np.broadcast_to(sig.amplitude, (len(ts), sig.dim))
     if sig.kind == "sinusoid":

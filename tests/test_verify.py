@@ -95,12 +95,11 @@ def test_pair_fields_match_the_component_fields(rng, monkeypatch):
     (right for a single pair, wrong for several observers on one plant)
     fails."""
     import invobs.verify
-    from invobs.so3 import hat
 
     assert pair_fields_residual(rng, E3, 100) <= 1e-12
 
-    def against_row_above(c, S, u):
-        v = np.asarray(S) @ hat(u)
+    def against_row_above(c, S, H):
+        v = np.asarray(S) @ H
         if c is not None:
             v[..., 1:, :] -= c.grad1(S[..., 1:, :], S[..., :-1, :])
         return v
