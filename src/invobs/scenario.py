@@ -88,11 +88,14 @@ class Scenario:
             return np.array([np.cos(self.y0), np.sin(self.y0), 0.0])
         return self.y0
 
-    @property
-    def body_rates(self) -> InputSignal:
-        """The input as body rates; an so2-s1 angular rate w is the body
-        rate (0, 0, w) about the z axis."""
-        return self.input if self.instance == "so3-s2" else _about_z(self.input)
+    def body_rates(self, t, at=None) -> np.ndarray:
+        """The input at times t, segments held at ``at`` (see
+        InputSignal.eval), as body rates; an so2-s1 angular rate w is the
+        body rate (0, 0, w) about the z axis."""
+        u = self.input.eval(t, at)
+        if self.instance == "so3-s2":
+            return u
+        return np.concatenate((np.zeros(u.shape[:-1] + (2,)), u), axis=-1)
 
     @property
     def y0_angle(self) -> float:
@@ -125,16 +128,6 @@ def _rotation(init: InitState, y0v: np.ndarray) -> np.ndarray:
     if init.kind == "angle":  # its output is the equator point at angle y0 - phi
         return group_exp(np.array([0.0, 0.0, init.value]))
     return np.array(init.value, dtype=float)
-
-
-def _about_z(sig: InputSignal) -> InputSignal:
-    """A scalar rate signal w as the body rate (0, 0, w)."""
-    if sig.kind == "sum":
-        return InputSignal.sum_of(*map(_about_z, sig.terms))
-    if sig.kind == "piecewise-constant":
-        return InputSignal.piecewise(sig.times, np.pad(sig.values, ((0, 0), (2, 0))))
-    return InputSignal(sig.kind, amplitude=np.pad(sig.amplitude, (2, 0)),
-                       frequency=sig.frequency, phase=sig.phase)
 
 
 # --- parsing ----------------------------------------------------------------

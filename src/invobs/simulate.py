@@ -195,10 +195,10 @@ _KINDS = {
 
 
 # A plant-observer pair on the stepping engine (see _integrate): a function of
-# the input and the state, with ``rate(t)`` the input it is driven by,
-# evaluated over leading axes of t, and ``drive`` the map from a table of
-# inputs to the table its RK4 ``field`` takes; ``observe`` maps a state to
-# the error angle of each observer row.
+# the input and the state, with ``rate(t, at)`` the input it is driven by,
+# over leading axes of t in the segments at ``at``, and ``drive`` the map
+# from a table of inputs to the table its RK4 ``field`` takes; ``observe``
+# maps a state to the error angle of each observer row.
 _Pair = namedtuple("_Pair", "kind rate drive field rates observe")
 
 
@@ -223,10 +223,11 @@ def _integrate(scenario, pair, state, keep_states):
     The loop is the one place that samples the input, BLOCK_STEPS steps at
     a time: one ``pair.rate`` call takes the table of every distinct stage
     time of the block (i h, i h + h/2 and i h + h of step i for RK4, i h for
-    Lie-Euler), and the steps then index its rows.  ``pair.field(v, state)``
-    gives the state's velocity in the embedding at a row v of
-    ``pair.drive`` of the RK4 table, ``pair.rates(u, state)`` its body
-    rates for one Lie-Euler step at a row u of the table.  The
+    Lie-Euler) in the input segment of the step's midpoint, which neither
+    i h nor i h + h can round across, and the steps then index its rows.
+    ``pair.field(v, state)`` gives the state's velocity in the embedding
+    at a row v of ``pair.drive`` of the RK4 table, ``pair.rates(u, state)``
+    its body rates for one Lie-Euler step at a row u of the table.  The
     initial state, every ``sample_every``-th step and the last step are
     recorded.  Each recorded state must be finite; its error angles are
     ``pair.observe(state)``, and its drift, per observer row the worse of
@@ -257,12 +258,13 @@ def _integrate(scenario, pair, state, keep_states):
     for start in range(0, n, BLOCK_STEPS):
         steps = range(start, min(start + BLOCK_STEPS, n))
         t = np.arange(steps.start, steps.stop) * h  # i h, as the float i * h
+        mid = t + 0.5 * h  # every stage of a step takes its midpoint's segment
         if rk4:
-            # (steps, 3, ...): the drive at i h, i h + h/2 and i h + h; the
-            # last is i h + h, not (i + 1) h, which can differ in the last bit.
-            table = drive(rate(np.stack((t, t + 0.5 * h, t + h), axis=1)))
+            # (steps, 3, ...): the drive at i h, i h + h/2 and i h + h, not
+            # (i + 1) h, which can differ in the last bit.
+            table = drive(rate(np.stack((t, mid, t + h), axis=1), mid[:, None]))
         else:
-            table = rate(t)
+            table = rate(t, mid)
         for i, v in zip(steps, table):
             if rk4:
                 k1 = field(v[0], state)
@@ -320,7 +322,7 @@ def simulate_projected(scenario) -> TrajectoryRecord:
     stack, with the invariant cost at the scenario gain; synchrony mode
     disables the innovation entirely."""
     cost = None if scenario.mode == "synchrony" else SphereCost(scenario.k)
-    pair = _sphere_pair(scenario.body_rates.eval, cost)
+    pair = _sphere_pair(scenario.body_rates, cost)
     S0 = np.stack(scenario.initial_sphere_pair())
     t, theta, drift_, S = _integrate(scenario, pair, S0, True)
     return TrajectoryRecord(t, S[:, 0], S[:, 1], theta[:, 0], drift_[:, 0])
@@ -330,7 +332,7 @@ def simulate_lifted(scenario) -> TrajectoryRecord:
     """Integrate plant and observer on the group as one (2, 3, 3) pair stack;
     the error angle is derived from the right-invariant group error."""
     y0v = scenario.y0_vec
-    pair = _group_pair(scenario.body_rates.eval, SphereCost(scenario.k), y0v)
+    pair = _group_pair(scenario.body_rates, SphereCost(scenario.k), y0v)
     G0 = np.stack(scenario.initial_group_pair())
     t, theta, drift_, G = _integrate(scenario, pair, G0, True)
     X, Xh = G[:, 0], G[:, 1]
@@ -345,7 +347,7 @@ def simulate_cosim(scenario) -> TrajectoryRecord:
     The record holds the group pair's run; its drift is the worse of the two
     runs' drifts."""
     y0v = scenario.y0_vec
-    rate, cost = scenario.body_rates.eval, SphereCost(scenario.k)
+    rate, cost = scenario.body_rates, SphereCost(scenario.k)
     G0 = np.stack(scenario.initial_group_pair())
     t, theta, drift_, G = _integrate(scenario, _group_pair(rate, cost, y0v), G0, True)
     _, _, drift_s, S = _integrate(scenario, _sphere_pair(rate, cost), act(G0, y0v), True)
@@ -441,11 +443,11 @@ def monte_carlo(scenario) -> MonteCarloResult:
         plant = scenario.initial_group_pair()[0]
         observers = _sample_observers(rng, mc.runs, random_rotation, lambda S: act(S, y0v),
                                       act(plant, y0v))
-        pair = _group_pair(scenario.body_rates.eval, cost, y0v)
+        pair = _group_pair(scenario.body_rates, cost, y0v)
     else:
         plant = scenario.initial_sphere_pair()[0]
         observers = _sample_observers(rng, mc.runs, random_unit, lambda S: S, plant)
-        pair = _sphere_pair(scenario.body_rates.eval, cost)
+        pair = _sphere_pair(scenario.body_rates, cost)
     # The plant on top of the runs' observers is one pair stack.  Only the
     # per-run angle and drift rows are kept at each sample, not the states.
     state = np.concatenate((plant[None], observers))

@@ -28,13 +28,25 @@ def project_dynamics(y, u) -> np.ndarray:
     return cross(y, u)
 
 
+def _primitive(s, f, phase):
+    """The primitive of sin(2 pi f s + phase) in s that vanishes at s = 0."""
+    w = 2.0 * math.pi * f
+    return np.sin(phase) * s if w == 0.0 else (np.cos(phase) - np.cos(w * s + phase)) / w
+
+
 class InputSignal:
     """Deterministic, piecewise-smooth velocity signal evaluable at any t >= 0.
 
     Kinds: constant, sinusoid (amplitude * sin(2 pi f t + phase)),
     piecewise-constant (right-continuous at switch times), and sums of those.
-    ``integral`` is the exact running integral from 0, used by the circle
-    oracle.
+    Every kind is evaluated in one form, a sum of leaves
+    ``values[segment(t)] * sin(2 pi f t + phase)``, each stored once at
+    construction as (times, values, f, phase): a sinusoid is one segment, a
+    constant or piecewise-constant signal has f = 0 and phase = pi/2 (whose
+    sine is exactly 1.0), and a sum is its terms' leaves, added in order.
+    The kind, its parameters and ``terms`` stay for validation and the
+    scenario echo.  ``integral`` is the exact running integral from 0, used
+    by the circle oracle.
     """
 
     KINDS = ("constant", "sinusoid", "piecewise-constant", "sum")
@@ -50,11 +62,13 @@ class InputSignal:
         self.times = np.asarray(times, dtype=float)
         self.values = np.asarray(values, dtype=float)
         self.terms = tuple(terms)
+        for name in ("amplitude", "frequency", "phase", "times", "values"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         if kind in ("constant", "sinusoid"):
             if self.amplitude is None or self.amplitude.ndim != 1:
                 raise ValueError(f"{kind} input needs a 1-d amplitude vector")
-            if not np.all(np.isfinite(self.amplitude)):
-                raise ValueError("amplitude must be finite")
         if kind == "sinusoid" and self.frequency < 0.0:
             raise ValueError("frequency must be nonnegative")
         if kind == "piecewise-constant":
@@ -68,6 +82,12 @@ class InputSignal:
             dims = {t.dim for t in self.terms}
             if len(dims) != 1:
                 raise ValueError("sum terms must share one dimension")
+            self._leaves = tuple(leaf for term in self.terms for leaf in term._leaves)
+        elif kind == "piecewise-constant":
+            self._leaves = ((self.times, self.values, 0.0, math.pi / 2),)
+        else:
+            wave = (self.frequency, self.phase) if kind == "sinusoid" else (0.0, math.pi / 2)
+            self._leaves = ((np.empty(0), self.amplitude[None], *wave),)
 
     @classmethod
     def constant(cls, amplitude) -> "InputSignal":
@@ -87,52 +107,35 @@ class InputSignal:
 
     @property
     def dim(self) -> int:
-        if self.kind in ("constant", "sinusoid"):
-            return len(self.amplitude)
-        if self.kind == "piecewise-constant":
-            return self.values.shape[1]
-        return self.terms[0].dim
+        return self._leaves[0][1].shape[1]
 
-    def eval(self, t) -> np.ndarray:
+    def eval(self, t, at=None) -> np.ndarray:
         """Value at time t, over leading axes of t: a new array of shape
-        t.shape + (dim,), which shares no memory with the signal."""
+        t.shape + (dim,), which shares no memory with the signal.  Segments
+        are looked up at ``at`` (default t), broadcast to the shape of t: a
+        stepper passes one time per step to hold its segment at every stage."""
         t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            # Filled, not broadcast: a broadcast view costs more per call.
-            out = np.empty(t.shape + self.amplitude.shape)
-            out[...] = self.amplitude
-            return out
-        if self.kind == "sinusoid":
-            wave = np.sin(2.0 * math.pi * self.frequency * t + self.phase)
-            return self.amplitude * wave[..., None]
-        if self.kind == "piecewise-constant":
-            # take copies the rows, where indexing by one time gives a view.
-            return self.values.take(np.searchsorted(self.times, t, side="right"), axis=0)
-        out = self.terms[0].eval(t)
-        for term in self.terms[1:]:
-            out += term.eval(t)
+        at = t if at is None else np.broadcast_to(at, t.shape)
+        parts = (values.take(np.searchsorted(times, at, side="right"), axis=0)
+                 * np.sin(2.0 * math.pi * f * t + phase)[..., None]
+                 for times, values, f, phase in self._leaves)
+        out = next(parts)
+        for part in parts:
+            out += part
         return out
 
     def integral(self, t) -> np.ndarray:
-        """Exact integral of the signal over [0, t], over leading axes of t."""
+        """Exact integral of the signal over [0, t], over leading axes of t.
+        Per leaf, with F the primitive of its wave and F(0) = 0: a running
+        sum of the whole segments before each switch, then the part of the
+        current segment up to t."""
         t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return self.amplitude * t[..., None]
-        if self.kind == "sinusoid":
-            w = 2.0 * np.pi * self.frequency
-            if w == 0.0:
-                return self.amplitude * (np.sin(self.phase) * t[..., None])
-            tc = t[..., None]
-            return self.amplitude * ((np.cos(self.phase) - np.cos(w * tc + self.phase)) / w)
-        if self.kind == "piecewise-constant":
-            # Running sum of the whole segments before each switch, then the
-            # part of the current segment up to t.
-            starts = np.concatenate(([0.0], self.times))
-            whole = np.cumsum(np.concatenate((np.zeros((1, self.dim)),
-                                              self.values[:-1] * np.diff(starts)[:, None])), axis=0)
-            i = np.searchsorted(self.times, t, side="right")
-            return whole[i] + self.values[i] * np.maximum(0.0, t - starts[i])[..., None]
-        out = self.terms[0].integral(t)
-        for term in self.terms[1:]:
-            out = out + term.integral(t)
+        out = 0.0
+        for times, values, f, phase in self._leaves:
+            starts = np.concatenate(([0.0], times))
+            F = _primitive(starts, f, phase)
+            whole = np.cumsum(np.concatenate((np.zeros((1, values.shape[1])),
+                                              values[:-1] * np.diff(F)[:, None])), axis=0)
+            i = np.searchsorted(times, t, side="right")
+            out = out + (whole[i] + values[i] * (_primitive(t, f, phase) - F[i])[..., None])
         return out

@@ -41,3 +41,15 @@ def test_traced_cosim_counts_its_steps_once(monkeypatch, make_scenario):
     finally:
         tracer.remove()
     assert tracer.steps == 100
+
+
+def test_benchmark_input_signals_resolve():
+    """bench's input microbenchmarks evaluate the autonomy-demo preset's
+    input, its piecewise term (``terms[1]``) and a constant signal at one
+    time."""
+    from invobs import InputSignal, preset
+
+    autonomy = preset("autonomy-demo").input
+    for sig in (autonomy, autonomy.terms[1], InputSignal.constant([0.3, -0.2, 0.5])):
+        assert sig.eval(3.7).shape == (3,)
+    assert autonomy.terms[1].kind == "piecewise-constant"

@@ -275,7 +275,7 @@ def test_simulation_abort_on_overflow(make_scenario):
                        init={"plant": "identity", "observer": {"axis_angle": [1.0, 0, 0]}})
     blowup = AnisotropicCost(np.diag([1e200, 1e200, 1e200]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationAbort):
-        _integrate(sc, _sphere_pair(sc.body_rates.eval, blowup), np.stack(sc.initial_sphere_pair()),
+        _integrate(sc, _sphere_pair(sc.body_rates, blowup), np.stack(sc.initial_sphere_pair()),
                    False)
 
 
@@ -423,7 +423,7 @@ def test_runs_near_the_antipode_follow_the_law(make_scenario):
     eps = np.array([1e-1, 1e-3, 1e-6])
     sc = make_scenario(mode="projected", k=1.0, input=SINUSOID, t_end=10.0)
     S = np.vstack([E3, np.stack([np.zeros(3), np.sin(np.pi - eps), np.cos(np.pi - eps)], axis=1)])
-    t, theta = _integrate(sc, _sphere_pair(sc.body_rates.eval, SphereCost(1.0)), S, False)[:2]
+    t, theta = _integrate(sc, _sphere_pair(sc.body_rates, SphereCost(1.0)), S, False)[:2]
     assert np.max(np.abs(theta[0] - (np.pi - eps))) <= 1e-12
     for run in theta.T:
         assert np.max(np.abs(run - error_angle_closed_form(run[0], 1.0, t))) <= 1e-8
@@ -535,7 +535,8 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
     the steps it drives: each integration makes one InputSignal.eval call
     per block of steps, whose times are i h, i h + h/2 and i h + h for each
     RK4 step i (i h for each Lie-Euler step), each stage once and bit for
-    bit that scalar expression.  hat of the sphere pair's RK4 table and the
+    bit that scalar expression, and whose segment times hold each step's
+    segment at i h + h/2.  hat of the sphere pair's RK4 table and the
     group pair's action matrix are built once per integration, not per
     step.  Co-simulation steps the group pair and then the sphere pair, so
     it makes the calls of both."""
@@ -543,7 +544,7 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
 
     names = ("projected_pair_field", "projected_pair_rates", "plant_vector_field", "hat", "_actor")
     calls = dict.fromkeys(names, 0)
-    times = []
+    times, holds = [], []
 
     def counted(name, fn):
         def wrapper(*args):
@@ -552,9 +553,10 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
         return wrapper
 
     def recorded(evaluate):
-        def wrapper(self, t):
+        def wrapper(self, t, at=None):
             times.append(np.array(t, dtype=float))
-            return evaluate(self, t)
+            holds.append(np.array(at, dtype=float))
+            return evaluate(self, t, at)
         return wrapper
 
     for name in names:
@@ -586,6 +588,7 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
         for method, per_step in (("rk4-project", rk4), ("lie-euler", lie)):
             calls.update(dict.fromkeys(calls, 0))
             times.clear()
+            holds.clear()
             fn(make_scenario(**doc, integrator={"method": method, "h": h}))
             per_run = {"_actor": pairs.count("group"),
                        "hat": pairs.count("sphere") if method == "rk4-project" else 0}
@@ -595,9 +598,11 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
                 stages = [t for i in range(steps) for t in (i * h, i * h + 0.5 * h, i * h + h)]
             else:
                 stages = [i * h for i in range(steps)]
-            assert len(times) == len(pairs), (doc["mode"], method)
-            for got in times:
+            hold = [i * h + 0.5 * h for i in range(steps)]
+            assert len(times) == len(holds) == len(pairs), (doc["mode"], method)
+            for got, at in zip(times, holds):
                 assert sorted(got.ravel().tolist()) == sorted(stages), (doc["mode"], method)
+                assert at.ravel().tolist() == hold, (doc["mode"], method)
 
 
 @pytest.mark.parametrize("offset", [(1, -1), (1, 0), (1, 1), (2, 1)], ids=lambda o: f"{o[0]}B{o[1]:+d}")
@@ -626,6 +631,32 @@ def test_so2_order_under_a_nonzero_input(make_scenario, method, band):
 
     ratio = deviation(0.01) / deviation(0.005)
     assert band[0] <= ratio <= band[1]
+
+
+@pytest.mark.parametrize("method,h,times", [
+    ("rk4-project", 1e-3, [0.5]),
+    ("rk4-project", 5e-4, [0.5]),
+    # The float i h + h of the step ending on a switch: 5 h + h lies above
+    # 0.06, 6 h + h below 0.07.
+    ("rk4-project", 0.01, [0.06, 0.07]),
+    # The float 3 h lies below 0.027; 4 h is 0.036.
+    ("lie-euler", 0.009, [0.027]),
+    ("lie-euler", 0.009, [0.036]),
+])
+def test_so2_oracle_across_grid_aligned_switches(make_scenario, method, h, times):
+    """Both integrators hold each step's input segment, the one at its
+    midpoint, at every stage, so a jump on the step grid is integrated as
+    exactly as a constant rate: every sample of an so2-s1 run across it,
+    the observer started on the plant, meets the exact solution.  Taking
+    the next segment at RK4's last stage i h + h integrated it with weight
+    1/6 over one step (1.67e-4 per unit jump at h = 1e-3), and sampling it
+    at Lie-Euler's step start i h, which can round below the switch, held
+    the old segment for a whole step (9.0e-3 at h = 0.009)."""
+    doc = dict(SO2_BASE, t_end=0.9, sample_every=1, integrator={"method": method, "h": h},
+               init={"plant": {"angle": 0.4}, "observer": {"angle": 0.4}},
+               input={"kind": "piecewise-constant", "times": times,
+                      "values": [[0.0], [1.0], [-0.5]][:len(times) + 1]})
+    assert so2_oracle_run(make_scenario(**doc)).max_deviation <= 1e-8
 
 
 SO2_RUN = {"instance": "so2-s1", "t_end": 0.05}

@@ -122,18 +122,18 @@ def test_eval_over_time_arrays_matches_scalar_eval(make_scenario, name):
     padded to the body rate (0, 0, w); the switch times and their
     neighbouring floats included."""
     if name == "so2-s1 sum":
-        sig = make_scenario(instance="so2-s1", input=SO2_SUM).body_rates
+        evaluate = make_scenario(instance="so2-s1", input=SO2_SUM).body_rates
     else:
-        sig = SIGNALS[name]
+        evaluate = SIGNALS[name].eval
     near = [np.nextafter(t, d) for t in SWITCHES for d in (-np.inf, np.inf)]
     ts = np.concatenate((np.linspace(0.0, 6.0, 600), SWITCHES, near))
-    flat = sig.eval(ts)
+    flat = evaluate(ts)
     assert flat.shape == (len(ts), 3)
     for t, row in zip(ts.tolist(), flat):
-        one = sig.eval(t)
+        one = evaluate(t)
         assert one.shape == (3,)
         assert one.tobytes() == row.tobytes(), t
-    grid = sig.eval(ts.reshape(-1, 3))
+    grid = evaluate(ts.reshape(-1, 3))
     assert grid.shape == (len(ts) // 3, 3, 3)
     assert grid.tobytes() == flat.tobytes()
 
@@ -159,6 +159,16 @@ def test_input_validation():
         InputSignal.piecewise([1.0], [[1, 0, 0]])
     with pytest.raises(ValueError):
         InputSignal.sum_of()
+    # Every parameter of a leaf is finite; the message names it first.
+    for make, name in [
+        (lambda: InputSignal.constant([1.0, np.inf]), "amplitude"),
+        (lambda: InputSignal.piecewise([np.nan], [[1.0], [2.0]]), "times"),
+        (lambda: InputSignal.piecewise([1.0], [[np.inf], [2.0]]), "values"),
+        (lambda: InputSignal.sinusoid([1.0], np.inf), "frequency"),
+        (lambda: InputSignal.sinusoid([1.0], 0.5, phase=np.nan), "phase"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make()
 
 
 def _grid_values(sig, ts):

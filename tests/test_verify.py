@@ -76,7 +76,7 @@ def test_batched_runs_match_serial_runs(make_scenario, rng, cost):
             for sig, ki, yi, yhi in zip(inputs, k, y, yhat)]
 
     def serial_theta(r):
-        pair = _sphere_pair(r.body_rates.eval, SphereCost(r.k) if cost is None else cost)
+        pair = _sphere_pair(r.body_rates, SphereCost(r.k) if cost is None else cost)
         return _integrate(r, pair, np.stack(r.initial_sphere_pair()), False)[1][:, 0]
 
     serial = np.stack([serial_theta(r) for r in runs], axis=1)
