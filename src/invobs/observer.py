@@ -119,7 +119,12 @@ def projected_pair_field(c, S, H) -> np.ndarray:
     lets a caller build hat of a whole table of inputs in one call.
     """
     S = np.asarray(S)
-    v = np.dot(S, H) if H.ndim == 2 else S @ H  # dot costs less for one rate
+    if H.ndim == 2:
+        v = np.dot(S, H)  # dot costs less for one rate
+    elif H.ndim > 2:
+        v = S @ H
+    else:
+        raise ValueError(f"H must be a generator hat(u) of shape (..., 3, 3), not shape {H.shape}")
     if c is not None:
         v[..., 1:, :] -= c.grad1(S[..., 1:, :], _plant_row(S))
     return v
@@ -259,14 +264,15 @@ def error_angle_closed_form(theta0: float, k: float, t):
     return float(out) if out.ndim == 0 else out
 
 
-def check_synchrony(record) -> float:
-    """Largest excursion |theta(t) - theta(0)| over a recorded trajectory.
+def check_synchrony(theta) -> float:
+    """Largest excursion |theta(t) - theta(0)| of recorded error angles, time
+    along the first axis and, for a batch, one column per run.
 
     For a pair running the internal model only (innovation disabled) this is
     zero up to integrator tolerance; a nonzero value witnesses a correction
     term acting.
     """
-    theta = np.asarray(record.theta, dtype=float)
+    theta = np.asarray(theta, dtype=float)
     return float(np.max(np.abs(theta - theta[0])))
 
 

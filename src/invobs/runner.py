@@ -115,7 +115,7 @@ def run(sc: Scenario, out_dir: str, quiet: bool = False) -> int:
             payload["summary"]["consistency_max_residual"] = resid
             payload["summary"]["consistency_passed"] = resid <= COSIM_TOL
         if sc.mode == "synchrony":
-            delta = check_synchrony(rec)
+            delta = check_synchrony(rec.theta)
             payload["summary"]["synchrony_max_delta"] = delta
             payload["summary"]["synchrony_passed"] = delta <= SYNCHRONY_TOL
         if oracle:

@@ -102,15 +102,17 @@ class Scenario:
         return float(self.y0)
 
     def initial_sphere_pair(self):
-        """(y(0), yhat(0)) on the sphere for projected-space runs."""
-        return (_sphere_point(self.plant, self.y0_vec),
-                _sphere_point(self.observer, self.y0_vec))
+        """The (2, 3) pair stack [y(0), yhat(0)] on the sphere for
+        projected-space runs."""
+        return np.stack((_sphere_point(self.plant, self.y0_vec),
+                         _sphere_point(self.observer, self.y0_vec)))
 
     def initial_group_pair(self):
-        """(X(0), Xhat(0)) on the group for lifted runs.  Direction-form
-        initial conditions are lifted through the minimal-rotation section."""
-        return (_rotation(self.plant, self.y0_vec),
-                _rotation(self.observer, self.y0_vec))
+        """The (2, 3, 3) pair stack [X(0), Xhat(0)] on the group for lifted
+        runs.  Direction-form initial conditions are lifted through the
+        minimal-rotation section."""
+        return np.stack((_rotation(self.plant, self.y0_vec),
+                         _rotation(self.observer, self.y0_vec)))
 
     def initial_angle_pair(self):
         return float(self.plant.value), float(self.observer.value)

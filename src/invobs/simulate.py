@@ -9,27 +9,24 @@ since the continuous-time theory says nothing about discretisation and fourth
 order keeps the integrator far below every property tolerance.
 
 Both integrators live in one time loop, ``_integrate``, which steps one
-state array.  The input does not depend on the state, so the loop evaluates
-it for a block of steps at once, at every stage time of the block, before
-stepping through them.  Every run (projected, lifted, each Monte Carlo sweep
-and each batch of verify runs) is a pair on it: its kind ("sphere" or
-"group"), the input's rate function, the map from an input table to its
-field's drive, a velocity field of (drive, state), a body-rates function of
-(u, state), and the error angle of each observer.  The plant and every
-observer obey the same kinematics, so a pair's state is one stacked array
-whose row axis holds the plant first and its observers after it: (1 + n, 3)
-on the sphere, (1 + n, 3, 3) on the group, and (runs, 2, 3) for a batch
-with one plant and input per run.  One call of a public pair field moves
-every row: the sphere pair steps
-``projected_pair_field`` (``projected_pair_rates`` under Lie-Euler), the
-group pair ``plant_vector_field`` of the rates ``projected_pair_rates``
-gives at its outputs.  Co-simulation is two runs, the group pair and the
-sphere pair started on its outputs, compared sample by sample.  One table
-gives each kind its retraction, Lie-Euler update and drift measure; the
-drift of each recorded state, per observer row the worse of its own and the
-plant's, is both the run's record and the loop's guard against a state that
-left its manifold.  An so2-s1 document steps the same pairs, restricted to
-rotations about the z axis by its scenario.
+state array.  The input does not depend on the state, so the loop takes the
+input's rate function and evaluates it for a block of steps at once, at
+every stage time of the block, before stepping through them.  Every run
+(projected, lifted, each Monte Carlo sweep and each batch of verify runs)
+is a pair on it, a function of the input and the state alone: a velocity
+field and body rates of (u, state), the error angle of each observer, and
+its state space's retraction, Lie-Euler update and drift measure.  The
+plant and every observer obey the same kinematics, so a pair's state is one
+stacked array whose row axis holds the plant first and its observers after
+it: (1 + n, 3) on the sphere, (1 + n, 3, 3) on the group, and (runs, 2, 3)
+for a batch with one plant and input per run.  One call of a public pair
+field moves every row: the sphere pair steps ``projected_pair_field``
+(``projected_pair_rates`` under Lie-Euler), the group pair
+``plant_vector_field`` of the rates ``projected_pair_rates`` gives at its
+outputs.  Co-simulation is two runs, the group pair and the sphere pair
+started on its outputs, compared sample by sample.  An so2-s1 document
+steps the same pairs, restricted to rotations about the z axis by its
+scenario.
 """
 
 from __future__ import annotations
@@ -180,26 +177,16 @@ def _n_steps(t_end: float, h: float) -> int:
     return round(t_end / h)
 
 
-# Per pair kind, over leading axes: the retraction after an RK4 step, the
+# A plant-observer pair on the stepping engine (see _integrate): a function
+# of the input and the state.  ``drive`` maps a table of inputs to the table
+# its RK4 ``field`` takes, ``rates`` gives the body rates of a Lie-Euler step
+# and ``observe`` the error angle of each observer row.  Over leading axes,
+# ``retract`` is the retraction after an RK4 step, ``lie_step`` the
 # Lie-Euler update by the step-scaled body rates hw (group rows move to
-# X exp(hw), sphere rows to act(exp(hw), y)), and the drift measure of each
-# row, which the state guard checks.  The primitives are looked up per call,
-# so a replaced module attribute takes effect.
-_Kind = namedtuple("_Kind", "retract lie_step drift")
-_KINDS = {
-    "sphere": _Kind(lambda v: unit(v), lambda y, hw: act(group_exp(hw), y),
-                    lambda y: np.abs(np.linalg.norm(y, axis=-1) - 1.0)),
-    "group": _Kind(lambda X: orthonormalize(X), lambda X, hw: compose(X, group_exp(hw)),
-                   lambda X: drift(X)),
-}
-
-
-# A plant-observer pair on the stepping engine (see _integrate): a function of
-# the input and the state, with ``rate(t, at)`` the input it is driven by,
-# over leading axes of t in the segments at ``at``, and ``drive`` the map
-# from a table of inputs to the table its RK4 ``field`` takes; ``observe``
-# maps a state to the error angle of each observer row.
-_Pair = namedtuple("_Pair", "kind rate drive field rates observe")
+# X exp(hw), sphere rows to act(exp(hw), y)), and ``drift`` the drift
+# measure of each row, which the state guard checks; they look the
+# primitives up per call, so a replaced module attribute takes effect.
+_Pair = namedtuple("_Pair", "drive field rates observe retract lie_step drift")
 
 
 def _ahead(state, dt, k):
@@ -209,39 +196,38 @@ def _ahead(state, dt, k):
     return out
 
 
-def _integrate(scenario, pair, state, keep_states):
-    """Advance a pair's state array over the scenario's horizon and return
-    the recorded times, error angles and drifts, followed by the recorded
-    states when ``keep_states`` is set.
+def _integrate(scenario, rate, pair, state, keep_states):
+    """Advance a pair's state array over the scenario's horizon, driven by
+    the input ``rate(t, at)``, and return the recorded times, error angles
+    and drifts, followed by the recorded states when ``keep_states`` is set.
 
-    ``pair.kind`` names the state's space: "sphere" (unit vectors) or
-    "group" (rotation matrices).  The state holds the plant and its
-    observers along its row axis (axis -2 of a sphere stack, -3 of a group
-    stack), plant first, and may carry a leading run axis.  The primitives
-    broadcast over the rows, and the angle and drift rows carry one entry
-    per observer row.
+    The state holds the plant and its observers along its row axis (axis -2
+    of a sphere stack, -3 of a group stack), plant first, and may carry a
+    leading run axis.  The primitives broadcast over the rows, and the angle
+    and drift rows carry one entry per observer row.
     The loop is the one place that samples the input, BLOCK_STEPS steps at
-    a time: one ``pair.rate`` call takes the table of every distinct stage
-    time of the block (i h, i h + h/2 and i h + h of step i for RK4, i h for
-    Lie-Euler) in the input segment of the step's midpoint, which neither
-    i h nor i h + h can round across, and the steps then index its rows.
-    ``pair.field(v, state)`` gives the state's velocity in the embedding
-    at a row v of ``pair.drive`` of the RK4 table, ``pair.rates(u, state)``
-    its body rates for one Lie-Euler step at a row u of the table.  The
-    initial state, every ``sample_every``-th step and the last step are
-    recorded.  Each recorded state must be finite; its error angles are
-    ``pair.observe(state)``, and its drift, per observer row the worse of
-    the plant row's drift measure and its own, is computed once: it is what
-    the record reports and what must stay within ORTHOGONALITY_TOL, since
-    the retraction after a step can only keep a state on SO(3) or S^2, not
-    restore it.
+    a time: one ``rate`` call takes the table of every distinct stage time
+    of the block (i h, i h + h/2 and i h + h of step i for RK4, i h for
+    Lie-Euler) over leading axes of t, each in the input segment of the
+    step's midpoint ``at``, which neither i h nor i h + h can round across,
+    and the steps then index its rows.  ``scenario.body_rates`` drives a
+    single run or a sweep; a batch of runs passes a function stacking its
+    inputs' rates.  ``pair.field(v, state)`` gives the state's velocity in
+    the embedding at a row v of ``pair.drive`` of the RK4 table,
+    ``pair.rates(u, state)`` its body rates for one Lie-Euler step at a row
+    u of the table.  The initial state, every ``sample_every``-th step and
+    the last step are recorded.  Each recorded state must be finite; its
+    error angles are ``pair.observe(state)``, and its drift, per observer
+    row the worse of the plant row's ``pair.drift`` and its own, is computed
+    once: it is what the record reports and what must stay within
+    ORTHOGONALITY_TOL, since the retraction after a step can only keep a
+    state on SO(3) or S^2, not restore it.
     """
     h = scenario.integrator.h
     n = _n_steps(scenario.t_end, h)
     every = scenario.sample_every
     rk4 = scenario.integrator.method == "rk4-project"
-    kind, rate, drive, field, rates, observe = pair
-    retract, lie_step, measure = _KINDS[kind]
+    drive, field, rates, observe, retract, lie_step, measure = pair
     rows = []
 
     def record(t, state):
@@ -287,17 +273,19 @@ def _integrate(scenario, pair, state, keep_states):
 
 # --- pairs: stacked [y, yhat...] on the sphere, [X, Xhat...] on the group -----
 
-def _sphere_pair(rate, cost) -> _Pair:
+def _sphere_pair(cost) -> _Pair:
     """A stacked sphere pair (see projected_pair_field): the plant row and
     sphere observer rows, which run the internal model alone without a
     cost.  Its RK4 field takes the generators hat(u), built for a whole
     table of inputs in one call."""
-    return _Pair("sphere", rate, hat, lambda H, S: projected_pair_field(cost, S, H),
+    return _Pair(hat, lambda H, S: projected_pair_field(cost, S, H),
                  lambda u, S: projected_pair_rates(cost, S, u),
-                 lambda S: error_angle(S[..., 1:, :], S[..., :1, :]))
+                 lambda S: error_angle(S[..., 1:, :], S[..., :1, :]),
+                 lambda v: unit(v), lambda y, hw: act(group_exp(hw), y),
+                 lambda y: np.abs(np.linalg.norm(y, axis=-1) - 1.0))
 
 
-def _group_pair(rate, cost, y0v) -> _Pair:
+def _group_pair(cost, y0v) -> _Pair:
     """A stacked group pair: the plant and lifted observers.  Its body rates
     are those of the sphere pair of its outputs act(G, y0): the input, and
     for each observer the input minus the horizontal lift of the cost
@@ -313,8 +301,9 @@ def _group_pair(rate, cost, y0v) -> _Pair:
         # the output error angle since the action is by orthogonal matrices.
         return error_angle(canonical_error_from_group(G[..., 1:, :, :], G[..., :1, :, :], y0v), y0v)
 
-    return _Pair("group", rate, lambda u: u, lambda u, G: plant_vector_field(G, rates(u, G)),
-                 rates, observe)
+    return _Pair(lambda u: u, lambda u, G: plant_vector_field(G, rates(u, G)), rates, observe,
+                 lambda X: orthonormalize(X), lambda X, hw: compose(X, group_exp(hw)),
+                 lambda X: drift(X))
 
 
 def simulate_projected(scenario) -> TrajectoryRecord:
@@ -322,9 +311,8 @@ def simulate_projected(scenario) -> TrajectoryRecord:
     stack, with the invariant cost at the scenario gain; synchrony mode
     disables the innovation entirely."""
     cost = None if scenario.mode == "synchrony" else SphereCost(scenario.k)
-    pair = _sphere_pair(scenario.body_rates, cost)
-    S0 = np.stack(scenario.initial_sphere_pair())
-    t, theta, drift_, S = _integrate(scenario, pair, S0, True)
+    S0 = scenario.initial_sphere_pair()
+    t, theta, drift_, S = _integrate(scenario, scenario.body_rates, _sphere_pair(cost), S0, True)
     return TrajectoryRecord(t, S[:, 0], S[:, 1], theta[:, 0], drift_[:, 0])
 
 
@@ -332,9 +320,9 @@ def simulate_lifted(scenario) -> TrajectoryRecord:
     """Integrate plant and observer on the group as one (2, 3, 3) pair stack;
     the error angle is derived from the right-invariant group error."""
     y0v = scenario.y0_vec
-    pair = _group_pair(scenario.body_rates, SphereCost(scenario.k), y0v)
-    G0 = np.stack(scenario.initial_group_pair())
-    t, theta, drift_, G = _integrate(scenario, pair, G0, True)
+    pair = _group_pair(SphereCost(scenario.k), y0v)
+    t, theta, drift_, G = _integrate(scenario, scenario.body_rates, pair,
+                                     scenario.initial_group_pair(), True)
     X, Xh = G[:, 0], G[:, 1]
     return TrajectoryRecord(t, act(X, y0v), act(Xh, y0v), theta[:, 0], drift_[:, 0], X=X, Xhat=Xh)
 
@@ -348,9 +336,9 @@ def simulate_cosim(scenario) -> TrajectoryRecord:
     runs' drifts."""
     y0v = scenario.y0_vec
     rate, cost = scenario.body_rates, SphereCost(scenario.k)
-    G0 = np.stack(scenario.initial_group_pair())
-    t, theta, drift_, G = _integrate(scenario, _group_pair(rate, cost, y0v), G0, True)
-    _, _, drift_s, S = _integrate(scenario, _sphere_pair(rate, cost), act(G0, y0v), True)
+    G0 = scenario.initial_group_pair()
+    t, theta, drift_, G = _integrate(scenario, rate, _group_pair(cost, y0v), G0, True)
+    _, _, drift_s, S = _integrate(scenario, rate, _sphere_pair(cost), act(G0, y0v), True)
     X, Xh = G[:, 0], G[:, 1]
     y, yhat = act(X, y0v), act(Xh, y0v)
     gap = np.maximum(np.linalg.norm(y - S[:, 0], axis=1), np.linalg.norm(yhat - S[:, 1], axis=1))
@@ -443,15 +431,15 @@ def monte_carlo(scenario) -> MonteCarloResult:
         plant = scenario.initial_group_pair()[0]
         observers = _sample_observers(rng, mc.runs, random_rotation, lambda S: act(S, y0v),
                                       act(plant, y0v))
-        pair = _group_pair(scenario.body_rates, cost, y0v)
+        pair = _group_pair(cost, y0v)
     else:
         plant = scenario.initial_sphere_pair()[0]
         observers = _sample_observers(rng, mc.runs, random_unit, lambda S: S, plant)
-        pair = _sphere_pair(scenario.body_rates, cost)
+        pair = _sphere_pair(cost)
     # The plant on top of the runs' observers is one pair stack.  Only the
     # per-run angle and drift rows are kept at each sample, not the states.
     state = np.concatenate((plant[None], observers))
-    t_rec, theta, drift_rows = _integrate(scenario, pair, state, False)
+    t_rec, theta, drift_rows = _integrate(scenario, scenario.body_rates, pair, state, False)
     summaries = _summaries(t_rec, theta.T, drift_rows.T, mc.threshold)
     frac = float(np.mean([s.final_angle < mc.threshold for s in summaries]))
     return MonteCarloResult(summaries, frac)

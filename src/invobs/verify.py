@@ -19,6 +19,7 @@ from .observer import (
     SectionedCost,
     SphereCost,
     check_innovation_equivariance,
+    check_synchrony,
     grad1_lifted_cost,
     lifted_cost,
     lifted_observer_field,
@@ -308,20 +309,16 @@ def _batch_theta(scenario, inputs, cost, S):
     def rates(t, at):
         return np.stack([sig.eval(t, at) for sig in inputs], axis=-2)  # (..., n, 3)
 
-    t, theta = _integrate(scenario, _sphere_pair(rates, cost), S, False)[:2]
+    t, theta = _integrate(scenario, rates, _sphere_pair(cost), S, False)[:2]
     return t, theta[..., 0]
-
-
-def _tiled_pair(scenario, n):
-    """The scenario's initial sphere pair, once per run: an (n, 2, 3) stack."""
-    return np.tile(np.stack(scenario.initial_sphere_pair()), (n, 1, 1))
 
 
 def autonomy_spread(scenario, inputs, cost=None) -> float:
     """Pointwise spread of the error angle across runs differing only in the
     input signal, stepped as one batch from the scenario's initial pair."""
     cost = SphereCost(scenario.k) if cost is None else cost
-    _, theta = _batch_theta(scenario, inputs, cost, _tiled_pair(scenario, len(inputs)))
+    S = np.tile(scenario.initial_sphere_pair(), (len(inputs), 1, 1))
+    _, theta = _batch_theta(scenario, inputs, cost, S)
     return float(np.max(np.ptp(theta, axis=1)))
 
 
@@ -329,8 +326,8 @@ def synchrony_residual(scenario, inputs) -> float:
     """Largest excursion of the error angle from its initial value over runs
     of the innovation-free pair (the internal model alone), one per input,
     stepped as one batch from the scenario's initial pair."""
-    _, theta = _batch_theta(scenario, inputs, None, _tiled_pair(scenario, len(inputs)))
-    return float(np.max(np.abs(theta - theta[0])))
+    S = np.tile(scenario.initial_sphere_pair(), (len(inputs), 1, 1))
+    return check_synchrony(_batch_theta(scenario, inputs, None, S)[1])
 
 
 def cosim_residual(scenario) -> float:

@@ -28,7 +28,6 @@ from invobs.verify import (
     _random_piecewise,
     _random_sinusoid,
     _smooth_inputs,
-    _tiled_pair,
     autonomy_spread,
     gradient_fd_residual,
     lifted_gradient_fd_residual,
@@ -183,7 +182,8 @@ def test_criterion_10_local_rate():
     sc = scenario(mode="projected", t_end=20.0,
                   input={"kind": "sinusoid", "amplitude": [0.8, 0.5, 0.6], "frequency": 0.4},
                   init={"plant": "identity", "observer": {"axis_angle": [1.0, 0, 0]}})
-    t, theta = _batch_theta(sc, [sc.input] * 3, SphereCost(k[:, None, None]), _tiled_pair(sc, 3))
+    S = np.tile(sc.initial_sphere_pair(), (3, 1, 1))
+    t, theta = _batch_theta(sc, [sc.input] * 3, SphereCost(k[:, None, None]), S)
     worst_rel = float(np.max(np.abs(_fit_rates(t, theta.T) - k) / k))
     report(10, "gain sets the local rate", worst_rel <= 0.02,
            f"worst relative rate error {worst_rel:.3%} <= 2% for k in {{0.5, 1, 2}}")

@@ -26,6 +26,7 @@ from invobs.observer import (
     lifted_cost,
     observer_body_rate,
     projected_observer_field,
+    projected_pair_field,
 )
 from invobs.sampling import random_rotation, random_tangent, random_unit
 from invobs.simulate import TrajectoryRecord
@@ -348,16 +349,31 @@ def test_error_angle_closed_form_against_ode_oracle():
             assert abs(error_angle_closed_form(theta0, k, t) - sol.sol(t)[0]) <= 1e-9
 
 
+@pytest.mark.parametrize("cost", [None, SphereCost(1.0)], ids=["no-cost", "cost"])
+def test_projected_pair_field_rejects_a_rate_for_its_generator(cost):
+    """The pair field takes the generator H = hat(u), not the rate u: a rate
+    raises a ValueError naming hat(u), where without a cost it gave S @ u
+    and with one a bare IndexError."""
+    S = np.stack((E3, unit(np.array([1.0, 0.0, 1.0]))))
+    u = np.array([0.3, -0.2, 0.5])
+    with pytest.raises(ValueError, match=r"hat\(u\)"):
+        projected_pair_field(cost, S, u)
+    assert np.allclose(projected_pair_field(cost, S, hat(u))[0], cross(E3, u), rtol=0, atol=1e-15)
+
+
 def test_check_synchrony_on_records():
     t = np.linspace(0.0, 1.0, 11)
     y = np.tile(E3, (11, 1))
     flat = TrajectoryRecord(t=t, y=y, yhat=y, theta=np.full(11, 0.7),
                             drift=np.zeros(11))
-    assert check_synchrony(flat) == 0.0
+    assert check_synchrony(flat.theta) == 0.0
     wobble = TrajectoryRecord(t=t, y=y, yhat=y,
                               theta=0.7 + 0.01 * np.sin(np.linspace(0, 3, 11)),
                               drift=np.zeros(11))
-    assert check_synchrony(wobble) > 1e-3
+    assert check_synchrony(wobble.theta) > 1e-3
+    # A batch: time along the first axis, one column per run.
+    batch = np.stack((flat.theta, wobble.theta), axis=1)
+    assert check_synchrony(batch) == check_synchrony(wobble.theta)
 
 
 def test_equivariance_and_negative_control():

@@ -275,8 +275,7 @@ def test_simulation_abort_on_overflow(make_scenario):
                        init={"plant": "identity", "observer": {"axis_angle": [1.0, 0, 0]}})
     blowup = AnisotropicCost(np.diag([1e200, 1e200, 1e200]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationAbort):
-        _integrate(sc, _sphere_pair(sc.body_rates, blowup), np.stack(sc.initial_sphere_pair()),
-                   False)
+        _integrate(sc, sc.body_rates, _sphere_pair(blowup), sc.initial_sphere_pair(), False)
 
 
 def _off_sphere_retraction(monkeypatch):
@@ -423,7 +422,7 @@ def test_runs_near_the_antipode_follow_the_law(make_scenario):
     eps = np.array([1e-1, 1e-3, 1e-6])
     sc = make_scenario(mode="projected", k=1.0, input=SINUSOID, t_end=10.0)
     S = np.vstack([E3, np.stack([np.zeros(3), np.sin(np.pi - eps), np.cos(np.pi - eps)], axis=1)])
-    t, theta = _integrate(sc, _sphere_pair(sc.body_rates, SphereCost(1.0)), S, False)[:2]
+    t, theta = _integrate(sc, sc.body_rates, _sphere_pair(SphereCost(1.0)), S, False)[:2]
     assert np.max(np.abs(theta[0] - (np.pi - eps))) <= 1e-12
     for run in theta.T:
         assert np.max(np.abs(run - error_angle_closed_form(run[0], 1.0, t))) <= 1e-8
@@ -434,28 +433,75 @@ def test_runs_near_the_antipode_follow_the_law(make_scenario):
     assert closed_form_deviation(lifted, 1.0) <= 1e-8
 
 
-def test_lifted_group_error_follows_the_full_state_law(make_scenario):
-    """The group error E = Xhat X^T of a lifted run under a sinusoid input
-    obeys E(t) = E0 exp((theta0 - theta(t)) n) with the fixed axis
-    n = unit(y0 x E0^T y0) and theta from the closed-form angle law.  This
-    pins the stabiliser component, which the angle law cannot see: to 1e-12
-    under rk4-project, and at first order under lie-euler."""
+def _full_state_law(rec, sc):
+    """The group error E(t) = E0 exp((theta0 - theta(t)) n) of a lifted run's
+    samples, with the fixed axis n = unit(y0 x E0^T y0) and theta from the
+    closed-form angle law, started from the recorded E0 = Xhat0 X0^T."""
     from invobs import group_exp
     from invobs.so3 import cross, unit
 
-    def gap(method, h):
-        sc = make_scenario(mode="lifted", k=1.3, y0=[0.6, 0.0, 0.8], input=SINUSOID, t_end=5.0,
-                           integrator={"method": method, "h": h})
-        rec = simulate_lifted(sc)
-        E = rec.Xhat @ rec.X.swapaxes(-1, -2)
-        y0 = sc.y0_vec
-        axis = unit(cross(y0, E[0].T @ y0))
-        theta = error_angle_closed_form(float(rec.theta[0]), 1.3, rec.t)
-        law = E[0] @ group_exp((rec.theta[0] - theta)[:, None] * axis)
-        return float(np.max(np.linalg.norm(E - law, axis=(-2, -1))))
+    E0 = rec.Xhat[0] @ rec.X[0].T
+    axis = unit(cross(sc.y0_vec, E0.T @ sc.y0_vec))
+    theta = error_angle_closed_form(float(rec.theta[0]), sc.k, rec.t)
+    return E0 @ group_exp((rec.theta[0] - theta)[:, None] * axis)
 
-    assert gap("rk4-project", 1e-3) <= 1e-12
-    assert 1.9 <= gap("lie-euler", 1e-3) / gap("lie-euler", 5e-4) <= 2.1
+
+def _full_state_gap(make_scenario, method, h, **doc):
+    """Worst Frobenius gap between a lifted run's group error Xhat X^T and
+    the full-state law, k = 1.3 and y0 = (0.6, 0, 0.8) over 5 s."""
+    base = dict(mode="lifted", k=1.3, y0=[0.6, 0.0, 0.8], input=SINUSOID, t_end=5.0,
+                integrator={"method": method, "h": h})
+    sc = make_scenario(**dict(base, **doc))
+    rec = simulate_lifted(sc)
+    E = rec.Xhat @ rec.X.swapaxes(-1, -2)
+    return float(np.max(np.linalg.norm(E - _full_state_law(rec, sc), axis=(-2, -1))))
+
+
+def test_lifted_group_error_follows_the_full_state_law(make_scenario):
+    """The group error E = Xhat X^T of a lifted run under a sinusoid input
+    obeys the full-state law E(t) = E0 exp((theta0 - theta(t)) n).  This
+    pins the stabiliser component, which the angle law cannot see: to 1e-12
+    under rk4-project, and at first order under lie-euler."""
+    assert _full_state_gap(make_scenario, "rk4-project", 1e-3) <= 1e-12
+    assert 1.9 <= (_full_state_gap(make_scenario, "lie-euler", 1e-3)
+                   / _full_state_gap(make_scenario, "lie-euler", 5e-4)) <= 2.1
+
+
+@pytest.mark.parametrize("method,band", [("rk4-project", (14.0, 18.0)), ("lie-euler", (1.9, 2.1))])
+def test_so3_order_under_a_nonzero_input(make_scenario, method, band):
+    """Halving h divides the lifted run's gap to the full-state law under a
+    sinusoidal input, read at every sample, by 2^4 for RK4 and 2 for
+    Lie-Euler: both integrators keep their order on SO(3) when the input
+    moves the plant, as test_so2_order_under_a_nonzero_input checks on the
+    circle."""
+    def gap(h):
+        return _full_state_gap(make_scenario, method, h, sample_every=1)
+
+    ratio = gap(0.01) / gap(0.005)
+    assert band[0] <= ratio <= band[1]
+
+
+@pytest.mark.parametrize("method", ["rk4-project", "lie-euler"])
+def test_whole_pair_at_constant_input(make_scenario, method):
+    """At a constant input u the plant follows X(t) = X0 exp(t hat(u)), and
+    the observer Xhat(t) = E(t) X(t) with E from the full-state law: both
+    rows of a lifted run meet them to 1e-12 under rk4-project at h = 1e-3.
+    Lie-Euler steps the plant by exactly exp(h hat(u)), so its plant meets
+    the law too; its observer is first order and is not checked here."""
+    from invobs import group_exp
+
+    u = np.array([0.4, -0.7, 0.3])
+    sc = make_scenario(mode="lifted", k=1.3, y0=[0.6, 0.0, 0.8], t_end=5.0,
+                       input={"kind": "constant", "amplitude": u.tolist()},
+                       init={"plant": {"axis_angle": [0.3, -0.5, 0.2]},
+                             "observer": {"axis_angle": [1.0, 0.4, -0.6]}},
+                       integrator={"method": method, "h": 1e-3})
+    rec = simulate_lifted(sc)
+    X = rec.X[0] @ group_exp(rec.t[:, None] * u)
+    assert np.max(np.linalg.norm(rec.X - X, axis=(-2, -1))) <= 1e-12
+    if method == "rk4-project":
+        Xhat = _full_state_law(rec, sc) @ X
+        assert np.max(np.linalg.norm(rec.Xhat - Xhat, axis=(-2, -1))) <= 1e-12
 
 
 def test_monte_carlo_exclusion_cap(rng):
@@ -678,9 +724,9 @@ def test_run_integrates_once(make_scenario, monkeypatch, tmp_path, doc):
     integrate = invobs.simulate._integrate
     kinds = []
 
-    def counted(scenario, pair, *args):
-        kinds.append(pair.kind)
-        return integrate(scenario, pair, *args)
+    def counted(scenario, rate, pair, state, *args):
+        kinds.append("group" if state.ndim == 3 else "sphere")  # (rows, 3, 3) or (rows, 3)
+        return integrate(scenario, rate, pair, state, *args)
 
     monkeypatch.setattr(invobs.simulate, "_integrate", counted)
     assert runner.run(make_scenario(**doc), str(tmp_path), quiet=True) == 0

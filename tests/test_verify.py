@@ -76,8 +76,8 @@ def test_batched_runs_match_serial_runs(make_scenario, rng, cost):
             for sig, ki, yi, yhi in zip(inputs, k, y, yhat)]
 
     def serial_theta(r):
-        pair = _sphere_pair(r.body_rates, SphereCost(r.k) if cost is None else cost)
-        return _integrate(r, pair, np.stack(r.initial_sphere_pair()), False)[1][:, 0]
+        pair = _sphere_pair(SphereCost(r.k) if cost is None else cost)
+        return _integrate(r, r.body_rates, pair, r.initial_sphere_pair(), False)[1][:, 0]
 
     serial = np.stack([serial_theta(r) for r in runs], axis=1)
     t, theta = _batch_theta(sc, inputs, SphereCost(k[:, None, None]) if cost is None else cost,
