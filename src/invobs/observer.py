@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampling import random_rotation, random_unit
+from .sampling import _draws, random_rotation, random_unit
 from .systems import project_dynamics
 from .so3 import (
     act,
@@ -168,13 +168,18 @@ class HorizontalSubspace:
         Finite differences of t -> act(Xhat @ group_exp(t * w), y0) with
         w = vec x base recover vec; the zero-component-along-base constraint
         picks w out of the one-parameter family of generators.  Raises
-        ValueError when |<vec, base>| exceeds 1e-9 max(1, ||vec||).
+        ValueError when |<vec, base>| / max(1, ||vec||) exceeds 1e-9 on any
+        row of the leading axes Xhat and vec may carry, naming the worst.
         """
-        base = act(Xhat, self.y0)
+        # act(Xhat, y0) rounded as act's one-matrix branch rounds it, on every
+        # row: a stack lifts bit for bit as its rows do one at a time.
+        r = self.y0 @ np.asarray(Xhat)
+        base = r / np.sqrt((r[..., None, :] @ r[..., None])[..., 0])
         vec = np.asarray(vec, dtype=float)
-        defect = abs(float(base @ vec))
-        if defect > 1e-9 * max(1.0, float(np.linalg.norm(vec))):
-            raise ValueError(f"vector is not tangent at act(Xhat, y0): |<vec, base>| = {defect:.3e}")
+        defect = np.abs(np.sum(base * vec, axis=-1)) / np.maximum(1.0, np.linalg.norm(vec, axis=-1))
+        if np.any(defect > 1e-9):
+            raise ValueError("vector is not tangent at act(Xhat, y0): "
+                             f"|<vec, base>| / max(1, ||vec||) = {np.max(defect):.3e}")
         return np.asarray(Xhat) @ hat(cross(vec, base))
 
     def contains(self, Xhat, V, tol: float = 1e-9) -> bool:
@@ -290,16 +295,9 @@ def check_innovation_equivariance(c, samples: int = 1000, seed: int = 0) -> floa
     anisotropic negative control.
     """
     rng = np.random.default_rng(seed)
-
-    def residual():
-        S = random_rotation(rng)
-        yhat = random_unit(rng)
-        y = random_unit(rng)
-        lhs = S.T @ c.grad1(yhat, y)
-        rhs = c.grad1(act(S, yhat), act(S, y))
-        return float(np.linalg.norm(lhs - rhs))
-
-    return worst_residual(residual() for _ in range(samples))
+    S, yhat, y = _draws(samples, lambda: (random_rotation(rng), random_unit(rng), random_unit(rng)))
+    lhs = (c.grad1(yhat, y)[..., None, :] @ S)[..., 0, :]  # S^T grad1, row by row
+    return worst_residual(np.linalg.norm(lhs - c.grad1(act(S, yhat), act(S, y)), axis=-1))
 
 
 class SectionedCost:

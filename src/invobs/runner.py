@@ -119,7 +119,7 @@ def run(sc: Scenario, out_dir: str, quiet: bool = False) -> int:
             payload["summary"]["synchrony_max_delta"] = delta
             payload["summary"]["synchrony_passed"] = delta <= SYNCHRONY_TOL
         if oracle:
-            payload["summary"]["oracle_max_deviation"] = oracle.max_deviation
+            payload["summary"]["oracle_max_deviation"] = oracle.worst_deviation
             payload["summary"]["final_state_error"] = oracle.final_state_error
         write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), rec)
         say(f"final error angle: {summary.final_angle:.3e} rad "

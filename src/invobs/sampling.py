@@ -29,6 +29,12 @@ def random_rotation(rng: np.random.Generator, n: int | None = None) -> np.ndarra
     return Q
 
 
+def _draws(n: int, draw) -> tuple[np.ndarray, ...]:
+    """n calls of ``draw()``, each a tuple of fields, stacked field by field
+    along a new first axis: the generator advances exactly as n serial draws."""
+    return tuple(np.stack(f) for f in zip(*(draw() for _ in range(n))))
+
+
 def random_tangent(rng: np.random.Generator, base: np.ndarray) -> np.ndarray:
     """Unit vector tangent to the sphere at ``base``."""
     base = np.asarray(base, dtype=float)

@@ -172,16 +172,16 @@ def section(y, y0) -> np.ndarray:
     """A group element carrying the reference to y: act(section(y, y0), y0) = y.
 
     Chooses the minimal-angle rotation, whose axis is y0 x y.  The antipode is
-    refused: every axis is equally valid there, and the construction loses
-    accuracy smoothly as y approaches -y0.
+    refused: every axis is equally valid there.  Near it the result stays a
+    rotation to rounding: the axis y0 x y = y0 x d and the denominator
+    1 + <y0, y> = ||d||^2 / 2 come from d = y + y0, which does not cancel.
     """
-    y = unit(y)
-    y0 = unit(y0)
-    if float(np.linalg.norm(y + y0)) <= _ANTIPODAL_TOL:
+    y, y0 = unit(y), unit(y0)
+    d = y + y0
+    if float(np.linalg.norm(d)) <= _ANTIPODAL_TOL:
         raise AntipodalError("section undefined: y is antipodal to y0")
-    K = hat(cross(y0, y))
-    c = float(y0 @ y)
+    K = hat(cross(y0, d))
     # Exact rotation R with R @ y0 == y; the action uses the transpose.
-    R = IDENTITY + K + (K @ K) / (1.0 + c)
+    R = IDENTITY + K + (K @ K) / (0.5 * float(d @ d))
     return R.T
 

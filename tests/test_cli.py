@@ -5,6 +5,7 @@ import json
 import re
 
 import numpy as np
+import pytest
 
 from invobs import cli, parse_scenario, preset, simulate_lifted
 from invobs.runner import CSV_COLUMNS, write_trajectory_csv
@@ -319,6 +320,21 @@ def test_rotation_leaving_so3_aborts(tmp_path, capsys):
                      "--out", str(out), "--quiet"])
     assert code == 0
     assert json.loads((out / "summary.json").read_text())["summary"]["max_drift"] <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["plant", "observer"])
+def test_lifted_run_from_near_the_antipode(tmp_path, name):
+    """A direction 1e-6 rad off -y0 lifts through the section to a rotation:
+    the run exits 0 and starts with drift <= 1e-15, where a section formed
+    with 1 + <y0, y> left SO(3) at t = 0 and the run exited 3."""
+    a = 1e-6
+    doc = {"instance": "so3-s2", "mode": "lifted", "t_end": 0.1,
+           "init": {name: {"direction": [np.sin(a), 0.0, -np.cos(a)]}}}
+    out = tmp_path / "out"
+    code = cli.main(["run", "--scenario", write_scenario(tmp_path, doc), "--out", str(out), "--quiet"])
+    assert code == 0
+    first = (out / "trajectory.csv").read_text().splitlines()[1].split(",")
+    assert float(first[CSV_COLUMNS.index("drift")]) <= 1e-15
 
 
 def test_preset_commands(capsys):

@@ -370,6 +370,27 @@ def test_so2_oracle_random_scenario(make_scenario):
     over = dict(SO2_BASE, integrator={"h": 1e-4}, sample_every=100)
     res = so2_oracle_run(make_scenario(**over))
     assert res.max_deviation <= 1e-8
+    assert res.worst_deviation <= 1e-8
+
+
+def test_so2_oracle_checks_the_plant(make_scenario, monkeypatch):
+    """The oracle holds the plant angle to its exact solution too: a plant
+    output turned by 1e-6 rad after the run shows in the worst deviation,
+    while the observer's gap stays at rounding."""
+    import invobs.simulate
+
+    run = invobs.simulate._simulate
+
+    def turned_plant(scenario):
+        rec = run(scenario)
+        c, s = np.cos(1e-6), np.sin(1e-6)
+        return dataclasses.replace(rec, y=rec.y @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]))
+
+    monkeypatch.setattr(invobs.simulate, "_simulate", turned_plant)
+    res = so2_oracle_run(make_scenario(**dict(SO2_BASE, integrator={"h": 1e-4}, t_end=2.0)))
+    assert res.max_deviation <= 1e-12
+    assert res.plant_deviation == pytest.approx(1e-6, rel=1e-6)
+    assert res.worst_deviation == res.plant_deviation
 
 
 def test_so2_full_state_convergence(make_scenario):

@@ -162,6 +162,22 @@ def test_section_act_consistency(rng):
         assert np.linalg.norm(act(section(y, y0), y0) - y) <= 1e-9
 
 
+@pytest.mark.parametrize("y0", [E3, unit([0.3, -0.5, 0.8])], ids=["e3", "oblique"])
+def test_section_near_the_antipode(y0):
+    """From 1e-2 down to 2e-9 rad off -y0 the section still carries y0 to y
+    and stays a rotation: 1 + <y0, y> is formed as ||y + y0||^2 / 2, which
+    keeps its digits where the sum 1 + <y0, y> cancels (7.5e-4 drift at
+    1e-6 rad, NaN at 1e-8 rad)."""
+    rng = np.random.default_rng(11)
+    for angle in np.geomspace(1e-2, 2e-9, 12):
+        axis = unit(cross(y0, rng.standard_normal(3)))
+        y = act(group_exp((angle - np.pi) * axis), y0)
+        assert np.linalg.norm(y + y0) == pytest.approx(angle, rel=1e-4)  # the chord
+        X = section(y, y0)
+        assert np.max(np.abs(act(X, y0) - y)) <= 1e-15
+        assert drift(X) <= 1e-13
+
+
 def test_compose_bounds_drift_over_long_products(rng):
     step = group_exp([1e-3, 2e-3, -1.5e-3])
     X = np.eye(3)

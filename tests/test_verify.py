@@ -22,11 +22,23 @@ from invobs.verify import (
     observer_two_forms_residual,
     pair_fields_residual,
 )
-from invobs.observer import AnisotropicCost, SphereCost, check_innovation_equivariance, worst_residual
+from invobs.observer import (
+    AnisotropicCost,
+    HorizontalSubspace,
+    SphereCost,
+    check_innovation_equivariance,
+    grad1_lifted_cost,
+    lifted_observer_field,
+    worst_residual,
+)
+from invobs.sampling import _draws, random_rotation, random_tangent, random_unit
 from invobs.scenario import InitState
 from invobs.simulate import _integrate, _sphere_pair
+from invobs.so3 import act, cross, hat
+from invobs.systems import plant_vector_field
 
 E3 = np.array([0.0, 0.0, 1.0])
+Y0 = np.array([1.0, 2.0, 2.0]) / 3.0
 
 
 def test_property_check_bounds():
@@ -106,6 +118,137 @@ def test_pair_fields_match_the_component_fields(rng, monkeypatch):
 
     monkeypatch.setattr(invobs.verify, "projected_pair_field", against_row_above)
     assert pair_fields_residual(rng, E3, 20) > 1e-3
+
+
+# The per-sample forms of the checks that evaluate one array expression over
+# their stacked draws: each draws a sample and evaluates the identity on it.
+
+def _serial_cross_form(rng, n):
+    def residual():
+        c = SphereCost(float(rng.uniform(0.5, 2.0)))
+        yh, y = random_unit(rng), random_unit(rng)
+        return float(np.linalg.norm(-c.grad1(yh, y) - c.k * np.cross(np.cross(yh, y), yh)))
+
+    return worst_residual(residual() for _ in range(n))
+
+
+def _serial_metric(rng, n):
+    def residual():
+        base = random_unit(rng)
+        v = rng.uniform(0.2, 2.0) * random_tangent(rng, base)
+        w = rng.uniform(0.2, 2.0) * random_tangent(rng, base)
+        return abs(float(v @ w) - 0.5 * float(np.trace(hat(cross(base, v)).T @ hat(cross(base, w)))))
+
+    return worst_residual(residual() for _ in range(n))
+
+
+def _serial_lifted_gradient(rng, n):
+    H = HorizontalSubspace(Y0)
+
+    def residual():
+        c = SphereCost(float(rng.uniform(0.5, 2.0)))
+        Xh, X = random_rotation(rng), random_rotation(rng)
+        lifted = H.lift(Xh, c.grad1(act(Xh, Y0), act(X, Y0)))
+        return float(np.linalg.norm(grad1_lifted_cost(c, Xh, X, Y0) - lifted))
+
+    return worst_residual(residual() for _ in range(n))
+
+
+def _serial_two_forms(rng, n):
+    H = HorizontalSubspace(Y0)
+
+    def residual():
+        c = SphereCost(float(rng.uniform(0.5, 2.0)))
+        Xh, X = random_rotation(rng), random_rotation(rng)
+        yh, y = act(Xh, Y0), act(X, Y0)
+        u = rng.uniform(-1.5, 1.5, 3)
+        explicit = Xh @ hat(u + c.k * np.cross(y, yh))
+        body = lifted_observer_field(c, Xh, y, u, Y0)
+        via_lift = plant_vector_field(Xh, u) - H.lift(Xh, c.grad1(yh, y))
+        return (float(np.linalg.norm(Xh @ hat(body) - via_lift)),
+                float(np.linalg.norm(explicit - via_lift)))
+
+    return worst_residual(residual() for _ in range(n))
+
+
+def _serial_equivariance(c):
+    def check(rng, n):
+        def residual():
+            S, yhat, y = random_rotation(rng), random_unit(rng), random_unit(rng)
+            return float(np.linalg.norm(S.T @ c.grad1(yhat, y) - c.grad1(act(S, yhat), act(S, y))))
+
+        return worst_residual(residual() for _ in range(n))
+
+    return check
+
+
+STACKED_CHECKS = {
+    "innovation_cross_form": (innovation_cross_form_residual, _serial_cross_form),
+    "metric_trace_identity": (metric_identity_residual, _serial_metric),
+    "lifted_gradient_identity": (lambda rng, n: lifted_gradient_identity_residual(rng, Y0, n),
+                                 _serial_lifted_gradient),
+    "observer_two_forms": (lambda rng, n: observer_two_forms_residual(rng, Y0, n), _serial_two_forms),
+    # check_innovation_equivariance makes its generator from a seed; the test
+    # hands it the one under comparison through np.random.default_rng.
+    "innovation_equivariance": (lambda rng, n: check_innovation_equivariance(SphereCost(1.3), n),
+                                _serial_equivariance(SphereCost(1.3))),
+    "equivariance_negative_control": (lambda rng, n: check_innovation_equivariance(AnisotropicCost(), n),
+                                      _serial_equivariance(AnisotropicCost())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_CHECKS))
+def test_stacked_checks_draw_as_the_serial_checks(name, monkeypatch):
+    """Each check evaluated over its stacked draws consumes the generator as
+    its per-sample form does and finds the same worst residual to rounding."""
+    stacked, serial = STACKED_CHECKS[name]
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+    got, want = stacked(rng, 50), serial(ref, 50)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert abs(got - want) <= 1e-13
+
+
+def _tangent_stack(rng, H, n):
+    """n rotations and, at each output, a tangent vector of norm below 1."""
+    Xh = random_rotation(rng, n)
+    v = cross(random_unit(rng, n), act(Xh, H.y0))
+    return Xh, 0.9 * v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def test_lift_of_a_stack_is_the_lift_of_each_row(rng):
+    for y0 in (E3, Y0):
+        H = HorizontalSubspace(y0)
+        Xh, v = _tangent_stack(rng, H, 200)
+        lifted = H.lift(Xh, v)
+        assert lifted.shape == (200, 3, 3)
+        assert all(np.array_equal(L, H.lift(X, w)) for L, X, w in zip(lifted, Xh, v))
+        assert np.array_equal(H.lift(Xh.reshape(20, 10, 3, 3), v.reshape(20, 10, 3)),
+                              lifted.reshape(20, 10, 3, 3))
+
+
+def test_lift_rejects_a_stack_with_a_non_tangent_row(rng):
+    """One row off the tangent plane fails the whole stack; the message names
+    the worst row's defect."""
+    H = HorizontalSubspace(Y0)
+    Xh, v = _tangent_stack(rng, H, 30)
+    v[4] += 1e-6 * act(Xh[4], Y0)
+    v[17] += 1e-3 * act(Xh[17], Y0)
+    with pytest.raises(ValueError, match=r"= 1\.000e-03"):
+        H.lift(Xh, v)
+    with pytest.raises(ValueError, match=r"= 1\.000e-06"):
+        H.lift(Xh[:10], v[:10])
+    H.lift(Xh[5:15], v[5:15])
+
+
+def test_draws_stack_the_serial_draws():
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    k, X, y = _draws(20, lambda: (rng.uniform(), random_rotation(rng), random_unit(rng)))
+    assert (k.shape, X.shape, y.shape) == ((20,), (20, 3, 3), (20, 3))
+    for i in range(20):
+        assert k[i] == ref.uniform()
+        assert np.array_equal(X[i], random_rotation(ref)) and np.array_equal(y[i], random_unit(ref))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_run_verification_circle(make_scenario):
