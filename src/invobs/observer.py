@@ -23,6 +23,7 @@ import numpy as np
 from .sampling import _draws, random_rotation, random_unit
 from .systems import project_dynamics
 from .so3 import (
+    _sum_squares,
     act,
     cross,
     hat,
@@ -59,7 +60,11 @@ class SphereCost:
         yhat = np.asarray(yhat)
         y = np.asarray(y, dtype=float)
         dot = np.dot(yhat, y) if y.ndim == 1 else np.einsum("...i,...i->...", yhat, y)
-        return -self.k * (y - yhat * dot[..., None])
+        # -k (y - yhat <yhat, y>), built in the one temporary yhat <yhat, y>.
+        g = yhat * dot[..., None]
+        np.subtract(y, g, out=g)
+        g *= -self.k
+        return g
 
     def rate(self, yhat, y) -> np.ndarray:
         """Body-rate innovation yhat x grad1(yhat, y) in its closed form
@@ -248,7 +253,7 @@ def error_angle(yhat, y):
     """
     yhat = np.asarray(yhat, dtype=float)
     y = np.asarray(y, dtype=float)
-    return 2.0 * np.arctan2(np.linalg.norm(yhat - y, axis=-1), np.linalg.norm(yhat + y, axis=-1))
+    return 2.0 * np.arctan2(np.sqrt(_sum_squares(yhat - y)), np.sqrt(_sum_squares(yhat + y)))
 
 
 def error_angle_closed_form(theta0: float, k: float, t):

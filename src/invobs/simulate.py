@@ -39,13 +39,12 @@ import numpy as np
 from . import circle
 from .observer import (
     SphereCost,
-    canonical_error_from_group,
     error_angle,
     error_angle_closed_form,
     projected_pair_field,
     projected_pair_rates,
 )
-from .so3 import _actor, act, compose, drift, group_exp, hat, orthonormalize, unit
+from .so3 import _actor, _sum_squares, act, compose, drift, group_exp, hat, orthonormalize, unit
 from .sampling import random_rotation, random_unit
 from .systems import plant_vector_field
 
@@ -155,9 +154,11 @@ def _summaries(t, theta, drift_, threshold) -> list[RunSummary]:
     last axis)."""
     below = theta < threshold
     t_conv = np.where(below.any(axis=-1), t[np.argmax(below, axis=-1)], np.nan)
-    # Angles and drifts are finite (the stepping checks them); NaN marks "none".
-    columns = zip(theta[:, -1], t_conv, _fit_rates(t, theta), drift_.max(axis=-1))
-    return [RunSummary(*(None if np.isnan(v) else float(v) for v in row)) for row in columns]
+    # Angles and drifts are finite (the stepping checks them); NaN marks
+    # "none", and is the one float v with v != v.
+    columns = (theta[:, -1], t_conv, _fit_rates(t, theta), drift_.max(axis=-1))
+    return [RunSummary(*(None if v != v else v for v in row))
+            for row in zip(*(c.tolist() for c in columns))]
 
 
 def closed_form_deviation(record: TrajectoryRecord, k: float) -> float | None:
@@ -282,7 +283,7 @@ def _sphere_pair(cost) -> _Pair:
                  lambda u, S: projected_pair_rates(cost, S, u),
                  lambda S: error_angle(S[..., 1:, :], S[..., :1, :]),
                  lambda v: unit(v), lambda y, hw: act(group_exp(hw), y),
-                 lambda y: np.abs(np.linalg.norm(y, axis=-1) - 1.0))
+                 lambda y: np.abs(np.sqrt(_sum_squares(y)) - 1.0))
 
 
 def _group_pair(cost, y0v) -> _Pair:
@@ -297,9 +298,10 @@ def _group_pair(cost, y0v) -> _Pair:
         return projected_pair_rates(cost, outputs(G), u)
 
     def observe(G):
-        # Canonical-error angle from the right-invariant group error; equal to
-        # the output error angle since the action is by orthogonal matrices.
-        return error_angle(canonical_error_from_group(G[..., 1:, :, :], G[..., :1, :, :], y0v), y0v)
+        # The output error angle, equal to the canonical-error angle of the
+        # right-invariant group error since the action is by orthogonal matrices.
+        O = outputs(G)
+        return error_angle(O[..., 1:, :], O[..., :1, :])
 
     return _Pair(lambda u: u, lambda u, G: plant_vector_field(G, rates(u, G)), rates, observe,
                  lambda X: orthonormalize(X), lambda X, hw: compose(X, group_exp(hw)),
@@ -318,7 +320,8 @@ def simulate_projected(scenario) -> TrajectoryRecord:
 
 def simulate_lifted(scenario) -> TrajectoryRecord:
     """Integrate plant and observer on the group as one (2, 3, 3) pair stack;
-    the error angle is derived from the right-invariant group error."""
+    the error angle is the angle between their outputs act(G, y0), equal to
+    that of the canonical error act(Xhat X^T, y0) to y0."""
     y0v = scenario.y0_vec
     pair = _group_pair(SphereCost(scenario.k), y0v)
     t, theta, drift_, G = _integrate(scenario, scenario.body_rates, pair,

@@ -26,9 +26,14 @@ _HAT_BASIS = np.array([
     [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
 ])
 _CROSS_ROWS = np.array([[1, 2, 0], [2, 0, 1]])  # last-axis gathers of cross
+# Flat positions in a (2, 3, 3) pair of matrices [P, Q] of the entries a0,
+# a1, a2 of a vector a, then a0, a1, a2 again: b @ P holds the products
+# a1 b2, a2 b0, a0 b1 and b @ Q the products a2 b1, a0 b2, a1 b0.
+_CROSS_SLOTS = np.array([5, 6, 1, 16, 11, 12])
 # y @ _ACT_BASIS, reshaped to (9, 3), has row 3i + j equal to y_i e_j.
 _ACT_BASIS = np.multiply.outer(IDENTITY, IDENTITY).reshape(3, 27)
 _ONES = np.ones(3)
+_ONES9 = np.ones(9)
 
 
 class AntipodalError(ValueError):
@@ -44,21 +49,27 @@ def hat(omega) -> np.ndarray:
     return np.dot(w, _HAT_BASIS).reshape(w.shape[:-1] + (3, 3))
 
 
-def _sum_squares(v):
-    """Squared norms along the last axis: one elementwise square and one dot
-    product with ones, which costs less per call than einsum or vecdot from
-    2 to 1000 rows."""
-    return np.dot(v * v, _ONES)
+def _sum_squares(v, ones=_ONES):
+    """Squared norms along the last axis, of the length of ``ones``: one
+    elementwise square and one dot product with ones, which costs less per
+    call than np.linalg.norm, einsum or vecdot from 2 to 1000 rows."""
+    return np.dot(v * v, ones)
 
 
 def cross(a, b) -> np.ndarray:
     """Cross product over the last axis, broadcasting leading axes.
 
     Same arithmetic as ``np.cross`` (``a1*b2 - a2*b1`` and so on), so the
-    result is bit-for-bit equal for float64 and integer input, without its
-    per-call overhead.  Two 3-element arguments (plain vectors or one-row
-    stacks) are computed on Python scalars; stacks by one gather of each
-    argument and one product.
+    result is bit-for-bit equal for finite float64 and integer input (up to
+    the sign of a zero on the one-vector path), without its per-call
+    overhead.  Two 3-element arguments (plain vectors or one-row
+    stacks) are computed on Python scalars.  A float64 vector against a
+    float64 stack takes two BLAS products of the stack with (3, 3) matrices
+    holding the vector's entries, one per column, so that each product entry
+    is the one rounded product np.cross forms.  A non-finite stack entry
+    makes NaN of its whole row there (0 * inf), where np.cross gives +-inf
+    or finite entries.  Other stacks, and integer or mixed-dtype input, take
+    one gather of each argument and one product.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -69,6 +80,17 @@ def cross(a, b) -> np.ndarray:
         b0, b1, b2 = b.ravel().tolist()
         out = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
         return out.reshape(a.shape if a.ndim >= b.ndim else b.shape)
+    if (a.ndim == 1 or b.ndim == 1) and a.dtype == b.dtype == np.float64:
+        v, stack = (a, b) if a.ndim == 1 else (b, a)
+        M = np.zeros(18)
+        M.put(_CROSS_SLOTS, v)  # placed, not scaled from a 0/1 basis: inf stays inf
+        P, Q = M.reshape(2, 3, 3)
+        if v is b:  # a stack a times the vector b: a x b = a @ Q - a @ P
+            P, Q = Q, P
+        rows = stack.reshape(-1, 3)
+        out = np.dot(rows, P)
+        out -= np.dot(rows, Q)
+        return out.reshape(stack.shape)
     # Rows [a1 a2 a0], [a2 a0 a1] of a times rows [b2 b0 b1], [b1 b2 b0] of b:
     # the first product row minus the second is a x b.
     p = a[..., _CROSS_ROWS] * b[..., _CROSS_ROWS[::-1]]
@@ -116,7 +138,8 @@ def _gram(X):
 
 def drift(X):
     """Frobenius distance of X^T X from the identity, over leading axes."""
-    return np.linalg.norm(_gram(np.asarray(X)) - IDENTITY, axis=(-2, -1))
+    D = _gram(np.asarray(X)) - IDENTITY
+    return np.sqrt(_sum_squares(D.reshape(D.shape[:-2] + (9,)), _ONES9))
 
 
 def orthonormalize(X) -> np.ndarray:

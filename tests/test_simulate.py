@@ -554,6 +554,56 @@ def test_right_invariant_error_projects_to_canonical(rng):
         assert np.allclose(act(Er, y0), canonical_error_from_group(Xh, X, y0), atol=1e-12)
 
 
+def test_lifted_angle_is_the_canonical_error_angle(make_scenario, monkeypatch, rng):
+    """The group pair observes the angle between its outputs; on every
+    recorded sample of a lifted run and of a 50-run lifted sweep it equals
+    the angle of the canonical error act(Xhat X^T, y0) to y0 within 1e-15.
+    The norms taken as products with ones (error_angle, so3.drift, the
+    sphere pair's drift) agree with their np.linalg.norm forms to 2 ulp."""
+    import invobs.simulate
+    from invobs.observer import canonical_error_from_group, error_angle
+    from invobs.sampling import random_rotation, random_unit
+    from invobs.so3 import drift
+
+    def canonical_angle(G, y0):
+        return error_angle(canonical_error_from_group(G[..., 1:, :, :], G[..., :1, :, :], y0), y0)
+
+    y0 = [0.0, 0.6, 0.8]
+    sc = make_scenario(mode="lifted", input=SINUSOID, t_end=3.0, y0=y0, sample_every=5,
+                       init={"observer": {"axis_angle": [0.4, -2.6, 0.9]}})
+    rec = simulate_lifted(sc)
+    G = np.stack((rec.X, rec.Xhat), axis=1)
+    assert np.max(np.abs(rec.theta - canonical_angle(G, sc.y0_vec)[:, 0])) <= 1e-15
+
+    kept = []
+    integrate = invobs.simulate._integrate
+
+    def keeping(scenario, rate, pair, state, keep_states):
+        out = integrate(scenario, rate, pair, state, True)
+        kept.append(out)
+        return out if keep_states else out[:3]
+
+    monkeypatch.setattr(invobs.simulate, "_integrate", keeping)
+    sc = make_scenario(mode="monte-carlo", input=SINUSOID, t_end=2.0, seed=4, y0=y0, sample_every=1,
+                       integrator={"h": 0.01}, mc={"runs": 50, "space": "lifted"})
+    res = monte_carlo(sc)
+    (_, theta, _, G), = kept
+    assert theta.shape == (201, 50)
+    assert [s.final_angle for s in res.summaries] == theta[-1].tolist()
+    assert np.max(np.abs(theta - canonical_angle(G, sc.y0_vec))) <= 1e-15
+
+    ulp2 = 2.0 * np.finfo(float).eps
+    Y, Yh = random_unit(rng, 1000), random_unit(rng, 1000)
+    norm_form = 2.0 * np.arctan2(np.linalg.norm(Yh - Y, axis=-1), np.linalg.norm(Yh + Y, axis=-1))
+    assert np.max(np.abs(error_angle(Yh, Y) - norm_form)) <= ulp2
+    M = random_rotation(rng, 200) + 1e-10 * rng.standard_normal((200, 3, 3))
+    norm_form = np.linalg.norm(np.swapaxes(M, -1, -2) @ M - np.eye(3), axis=(-2, -1))
+    assert np.max(np.abs(drift(M) / norm_form - 1.0)) <= ulp2
+    S = Y * (1.0 + 1e-12 * rng.standard_normal((1000, 1)))
+    norm_form = np.abs(np.linalg.norm(S, axis=-1) - 1.0)
+    assert np.max(np.abs(_sphere_pair(None).drift(S) - norm_form)) <= ulp2
+
+
 @pytest.mark.parametrize("method", ["rk4-project", "lie-euler"])
 def test_runs_bit_identical_with_numpy_cross(make_scenario, monkeypatch, method):
     import invobs.observer

@@ -51,6 +51,32 @@ def test_cross_is_bit_identical_to_numpy(rng):
         assert cross(x, y).shape == np.cross(x, y).shape
 
 
+@pytest.mark.parametrize("n", [200, 1000])
+def test_cross_of_one_vector_and_a_stack_is_bit_identical_to_numpy(rng, n):
+    """The one-vector path (two BLAS products of the stack) at sweep sizes,
+    both argument orders, (n, 3) and (n, 1, 3) stacks, strided stacks too."""
+    a = rng.standard_normal(3)
+    B = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 8, (n, 1))
+    for stack in (B, B[:, None], B[::-1], np.zeros((n, 3))):
+        for x, y in [(a, stack), (stack, a)]:
+            got, want = cross(x, y), np.cross(x, y)
+            assert np.array_equal(got, want)
+            assert got.shape == want.shape and got.dtype == want.dtype
+
+
+def test_cross_of_a_non_finite_vector_and_a_stack_matches_numpy(rng):
+    """The vector's entries are placed in the products' matrices, not scaled
+    from a 0/1 basis, so an infinite or NaN entry of the vector gives what
+    np.cross gives; only a non-finite stack entry may differ (see cross)."""
+    B = rng.standard_normal((20, 3))
+    B[3] = [0.0, 1.0, -2.0]
+    for a in ([np.inf, 1.0, -2.0], [0.5, -np.inf, 3.0], [1.0, 2.0, np.nan]):
+        a = np.array(a)
+        with np.errstate(invalid="ignore"):
+            for x, y in [(a, B), (B, a)]:
+                np.testing.assert_array_equal(cross(x, y), np.cross(x, y))
+
+
 def test_cross_accepts_int_and_list_input():
     for x, y in [([1, 2, 3], [4, 5, 6]), (np.array([1, 2, 3]), [0.5, -1.0, 2.0]),
                  (np.arange(12).reshape(4, 3), [1, -1, 2]), ([[1, 2, 3]], [[4, -5, 6]]),

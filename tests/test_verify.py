@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from invobs import run_verification, simulate_projected
+from invobs import closed_form_deviation, run_verification, simulate_projected
 from invobs.verify import (
+    N_AUTONOMY_INPUTS,
     PropertyCheck,
     _autonomy_inputs,
     _batch_theta,
@@ -99,6 +100,24 @@ def test_batched_runs_match_serial_runs(make_scenario, rng, cost):
     same_start = np.stack([serial_theta(dataclasses.replace(sc, input=sig)) for sig in inputs])
     want = np.max(same_start.max(axis=0) - same_start.min(axis=0))
     assert abs(autonomy_spread(sc, inputs, cost=cost) - want) <= 1e-12
+
+
+def test_lie_euler_autonomy_spread_needs_a_fine_step(make_scenario):
+    """Under lie-euler the input-dependent part of the error angle, which
+    autonomy_spread measures, falls as h^2 (about 100x from h = 1e-2 to
+    1e-3), while the angle's own error falls as h (about 10x): the spread
+    exceeds its fixed 1e-6 bound at h = 1e-2 and meets it at h = 1e-3."""
+    spread, deviation = [], []
+    for h in (1e-2, 1e-3):
+        sc = make_scenario(mode="verify", seed=3, t_end=1.0,
+                           integrator={"method": "lie-euler", "h": h})
+        inputs = _autonomy_inputs(np.random.default_rng(3), N_AUTONOMY_INPUTS, h)
+        spread.append(autonomy_spread(sc, inputs))
+        rec = simulate_projected(dataclasses.replace(sc, mode="projected"))
+        deviation.append(closed_form_deviation(rec, sc.k))
+    assert spread[0] > 1e-6 >= spread[1]
+    assert 80.0 <= spread[0] / spread[1] <= 125.0
+    assert 9.0 <= deviation[0] / deviation[1] <= 11.0
 
 
 def test_pair_fields_match_the_component_fields(rng, monkeypatch):
