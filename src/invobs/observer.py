@@ -131,7 +131,8 @@ def projected_pair_field(c, S, H) -> np.ndarray:
     else:
         raise ValueError(f"H must be a generator hat(u) of shape (..., 3, 3), not shape {H.shape}")
     if c is not None:
-        v[..., 1:, :] -= c.grad1(S[..., 1:, :], _plant_row(S))
+        observers = v[..., 1:, :]
+        observers -= c.grad1(S[..., 1:, :], _plant_row(S))
     return v
 
 
@@ -147,9 +148,13 @@ def projected_pair_rates(c, S, u) -> np.ndarray:
     plant_vector_field(G, rates)."""
     S = np.asarray(S)
     u = np.asarray(u, dtype=float)[..., None, :]
+    if c is None:
+        return np.full(S.shape, u)
+    # The observer rows' u + c.rate written in place, the plant row's copy of u
+    # beside them: np.concatenate cannot broadcast a shared u against a batch.
     w = np.empty(S.shape)
     w[..., :1, :] = u
-    w[..., 1:, :] = u if c is None else observer_body_rate(c, S[..., 1:, :], _plant_row(S), u)
+    np.add(c.rate(S[..., 1:, :], _plant_row(S)), u, out=w[..., 1:, :])
     return w
 
 

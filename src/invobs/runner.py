@@ -34,11 +34,19 @@ EXIT_INPUT_ERROR = 2
 EXIT_RUNTIME_ABORT = 3
 
 CSV_COLUMNS = ("t", "y_x", "y_y", "y_z", "yhat_x", "yhat_y", "yhat_z", "theta", "drift")
+CSV_CHUNK_ROWS = 64  # rows formatted per write: the text of a long run never sits whole in memory
 
 
 def write_trajectory_csv(path: str, rec: TrajectoryRecord):
+    """One line per sample, each value printed as "%.17g" (the text
+    np.savetxt writes), a chunk of rows formatted by one % operation."""
     rows = np.column_stack((rec.t, rec.y, rec.yhat, rec.theta, rec.drift))
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=",".join(CSV_COLUMNS), comments="")
+    line = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for start in range(0, len(rows), CSV_CHUNK_ROWS):
+            chunk = rows[start:start + CSV_CHUNK_ROWS]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def _write_summary(path: str, payload: dict):

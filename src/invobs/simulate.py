@@ -126,7 +126,11 @@ def _fit_rates(t, theta) -> np.ndarray:
     enough = count >= MIN_RATE_SAMPLES
     n = np.maximum(count, 1)[..., None]
     # One work array, zero outside the window: the centred times, then the centred logs.
-    work = np.where(mask, t, 0.0)
+    # It is C-ordered whatever the layout of theta, so that every row is
+    # reduced as a contiguous row: a sweep's rows, strided columns of its
+    # angle history, then round as a single run's row does.
+    work = np.empty(theta.shape)
+    np.multiply(t, mask, out=work)
     t_mean = work.sum(axis=-1, keepdims=True) / n
     np.subtract(work, t_mean, out=work, where=mask)
     var = np.einsum("...i,...i->...", work, work)
@@ -159,12 +163,8 @@ def _summaries(t, theta, max_drift, threshold) -> list[RunSummary]:
     of about SUMMARY_VALUES angles, so that the work arrays do not grow
     with the sweep."""
     out = []
-    # A sweep's rows are the columns of its angle history.  One such column
-    # alone would take numpy's contiguous reductions and round differently
-    # from the rows beside it, so a chunk holds at least two rows and a lone
-    # last row joins the chunk before it.
-    size = max(SUMMARY_VALUES // theta.shape[-1], 2)
-    edges = [*range(0, max(len(theta) - 1, 1), size), len(theta)]
+    size = max(SUMMARY_VALUES // theta.shape[-1], 1)
+    edges = [*range(0, len(theta), size), len(theta)]
     for lo, hi in zip(edges, edges[1:]):
         rows = theta[lo:hi]
         below = rows < threshold

@@ -34,6 +34,8 @@ _CROSS_SLOTS = np.array([5, 6, 1, 16, 11, 12])
 _ACT_BASIS = np.multiply.outer(IDENTITY, IDENTITY).reshape(3, 27)
 _ONES = np.ones(3)
 _ONES9 = np.ones(9)
+_ONES33 = np.ones((3, 3))  # v @ _ONES33 repeats the sum of each row of v along it
+_I15 = 1.5 * IDENTITY
 
 
 class AntipodalError(ValueError):
@@ -52,7 +54,8 @@ def hat(omega) -> np.ndarray:
 def _sum_squares(v, ones=_ONES):
     """Squared norms along the last axis, of the length of ``ones``: one
     elementwise square and one dot product with ones, which costs less per
-    call than np.linalg.norm, einsum or vecdot from 2 to 1000 rows."""
+    call than np.linalg.norm, einsum or vecdot from 2 to 1000 rows.  With
+    _ONES33 each norm comes repeated along its row."""
     return np.dot(v * v, ones)
 
 
@@ -127,7 +130,13 @@ def group_exp(omega) -> np.ndarray:
         theta = np.sqrt(t2)
         a = np.sin(theta) / theta
         b = (1.0 - np.cos(theta)) / t2
-    return IDENTITY + a * K + b * (K @ K)
+    # I + a K + b K^2, summed in that order in place: a K + I is the same sum.
+    out = a * K
+    out += IDENTITY
+    K2 = K @ K
+    K2 *= b
+    out += K2
+    return out
 
 
 def _gram(X):
@@ -147,7 +156,10 @@ def orthonormalize(X) -> np.ndarray:
     leading axes.  For X near SO(3) only, where it squares the drift and
     matches the SVD polar factor to rounding."""
     X = np.asarray(X, dtype=float)
-    return X @ (1.5 * IDENTITY - 0.5 * _gram(X))
+    g = _gram(X)  # 1.5 I - 0.5 X^T X, formed in place: -0.5 g + 1.5 I is the same sum
+    g *= -0.5
+    g += _I15
+    return X @ g
 
 
 def compose(X, Y) -> np.ndarray:
@@ -156,9 +168,14 @@ def compose(X, Y) -> np.ndarray:
 
 
 def unit(v) -> np.ndarray:
-    """v scaled to unit norm along its last axis."""
+    """v scaled to unit norm along its last axis.
+
+    The norm is repeated along each row, one sum of the three squares per
+    entry, so the division is elementwise, with no short broadcast loop.
+    Each sum equals the one _sum_squares(v) forms as long as BLAS adds the
+    three squares (each times an exact 1) the same way in gemm as in gemv."""
     v = np.asarray(v, dtype=float)
-    n = np.sqrt(_sum_squares(v))[..., None]
+    n = np.sqrt(_sum_squares(v, _ONES33))
     if np.count_nonzero(n) < n.size:
         raise ValueError("cannot normalise the zero vector")
     return v / n

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from invobs import cli, parse_scenario, preset, simulate_lifted
-from invobs.runner import CSV_COLUMNS, write_trajectory_csv
+from invobs.runner import CSV_CHUNK_ROWS, CSV_COLUMNS, write_trajectory_csv
 from invobs.simulate import SimulationAbort, TrajectoryRecord
 from invobs.verify import PropertyCheck
 
@@ -272,14 +272,19 @@ def test_overflowing_sinusoid_argument_is_an_input_error(tmp_path, capsys):
 
 def test_trajectory_csv_matches_row_rendering(tmp_path):
     """trajectory.csv holds each sample as 17 significant digits, as a
-    row-by-row f-string rendering writes it, down to signed zeros and
-    subnormals."""
+    row-by-row f-string rendering and np.savetxt write it, down to signed
+    zeros and subnormals, across the chunks of rows it is formatted in."""
     sc = dataclasses.replace(preset("explicit-complementary"), t_end=1.0)
     edges = np.array([0.0, -0.0, 5e-324, -1e-310, 1e300, 0.1, 1.0 / 3.0])
     t = np.arange(7.0)
+    n = CSV_CHUNK_ROWS + 3
+    rng = np.random.default_rng(4)
     records = [simulate_lifted(sc),
                TrajectoryRecord(t, np.stack([edges] * 3, axis=1), -np.stack([edges] * 3, axis=1),
-                                edges[::-1], np.abs(edges))]
+                                edges[::-1], np.abs(edges)),
+               TrajectoryRecord(np.arange(n) * 1e-3, rng.standard_normal((n, 3)),
+                                rng.standard_normal((n, 3)), rng.uniform(0.0, 3.0, n),
+                                rng.uniform(0.0, 1e-15, n))]
     for i, rec in enumerate(records):
         path = tmp_path / f"trajectory-{i}.csv"
         write_trajectory_csv(str(path), rec)
@@ -288,6 +293,9 @@ def test_trajectory_csv_matches_row_rendering(tmp_path):
                                            rec.drift[j])) + "\n"
             for j in range(len(rec.t)))
         assert path.read_bytes() == want.encode()
+        np.savetxt(tmp_path / "savetxt.csv", np.column_stack((rec.t, rec.y, rec.yhat, rec.theta, rec.drift)),
+                   fmt="%.17g", delimiter=",", header=",".join(CSV_COLUMNS), comments="")
+        assert path.read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
 
 def test_runtime_abort_exit_code(tmp_path, monkeypatch):

@@ -405,20 +405,49 @@ def test_sweep_max_drift_is_the_worst_of_its_history(make_scenario, monkeypatch,
     assert min(s.max_drift for s in res.summaries) > 0.0  # a maximum over something nonzero
 
 
-def test_sweep_summaries_round_as_one_fit(rng):
+def test_sweep_summaries_round_as_one_fit(rng, monkeypatch):
     """_summaries works through a sweep's (samples, runs) history in chunks
-    of rows, and every rate rounds as one fit over all rows would, a lone
-    last row included (alone, a column takes numpy's contiguous reductions)."""
+    of rows, and every rate is, bit for bit, fit_rate of its row alone: in
+    chunks of many rows, with a lone last row, and in chunks of one row."""
+    import invobs.simulate
+
     t = np.linspace(0.0, 15.0, 301)
     size = SUMMARY_VALUES // len(t)
-    for runs in (1, 2, size + 1, 2 * size + 1, 2 * size + 2):
-        k = rng.uniform(0.3, 2.5, runs)
-        history = 2.0 * np.arctan(np.tan(0.5 * rng.uniform(0.05, 3.0, runs)) * np.exp(-np.outer(t, k)))
-        history *= 1.0 + 1e-3 * rng.standard_normal(history.shape)
-        got = _summaries(t, history.T, np.zeros(runs), 1e-3)
-        rates = np.array([s.fitted_rate for s in got], dtype=float)  # None reads as NaN
-        assert np.array_equal(rates, _fit_rates(t, history.T), equal_nan=True), runs
-        assert [s.final_angle for s in got] == history[-1].tolist()
+    for values in (SUMMARY_VALUES, len(t)):  # the default chunks, then one row per chunk
+        monkeypatch.setattr(invobs.simulate, "SUMMARY_VALUES", values)
+        for runs in (1, 2, size + 1, 2 * size + 1, 2 * size + 2):
+            k = rng.uniform(0.3, 2.5, runs)
+            history = 2.0 * np.arctan(np.tan(0.5 * rng.uniform(0.05, 3.0, runs)) * np.exp(-np.outer(t, k)))
+            history *= 1.0 + 1e-3 * rng.standard_normal(history.shape)
+            got = _summaries(t, history.T, np.zeros(runs), 1e-3)
+            assert [s.fitted_rate for s in got] == [fit_rate(t, row) for row in history.T], runs
+            assert [s.final_angle for s in got] == history[-1].tolist()
+
+
+@pytest.mark.parametrize("space", ["projected", "lifted"])
+def test_sweep_rates_are_each_runs_own_fit(make_scenario, monkeypatch, space):
+    """Every run of a sweep has, bit for bit, the fitted_rate that summarize
+    gives its own angle row: the fit reduces each row as a contiguous row,
+    whether it is a strided column of the sweep's history or a single run's
+    record."""
+    import invobs.simulate
+
+    integrate = invobs.simulate._integrate
+    kept = []
+
+    def keeping(scenario, rate, pair, state, keep_states):
+        kept.append(integrate(scenario, rate, pair, state, keep_states))
+        return kept[-1]
+
+    monkeypatch.setattr(invobs.simulate, "_integrate", keeping)
+    sc = make_scenario(mode="monte-carlo", input=SINUSOID, t_end=15.0, seed=7, sample_every=1,
+                       integrator={"h": 0.01}, mc={"runs": 50, "space": space})
+    res = monte_carlo(sc)
+    (t, theta, _), = kept
+    want = [summarize(TrajectoryRecord(t, None, None, row.copy(), np.zeros(1))).fitted_rate
+            for row in theta.T]
+    assert [s.fitted_rate for s in res.summaries] == want
+    assert sum(r is not None for r in want) >= 45
 
 
 def test_sweep_holds_one_angle_history(make_scenario):
