@@ -71,6 +71,16 @@ def _load_scenario(args) -> Scenario:
     return sc
 
 
+def _run(sc: Scenario, out_dir: str, quiet: bool) -> int:
+    """runner.run, with numpy's RuntimeWarning raised as an error (under a
+    filter such as ``python -W error``) reported as the abort it stands for:
+    a diverging run overflows before its state turns non-finite."""
+    try:
+        return runner.run(sc, out_dir, quiet=quiet)
+    except RuntimeWarning as exc:
+        raise SimulationAbort(str(exc)) from exc
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -94,9 +104,9 @@ def main(argv=None) -> int:
         if args.command == "verify" and args.out is None:
             import tempfile
             with tempfile.TemporaryDirectory() as tmp:
-                return runner.run(sc, tmp, quiet=args.quiet)
-        return runner.run(sc, args.out, quiet=args.quiet)
-    except ScenarioError as exc:
+                return _run(sc, tmp, args.quiet)
+        return _run(sc, args.out, args.quiet)
+    except (ScenarioError, RuntimeWarning) as exc:  # a warning raised as an error while parsing
         print(f"error: {exc}", file=sys.stderr)
         return runner.EXIT_INPUT_ERROR
     except SimulationAbort as exc:

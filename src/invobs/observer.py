@@ -59,7 +59,7 @@ class SphereCost:
         leading axes of either argument."""
         yhat = np.asarray(yhat)
         y = np.asarray(y, dtype=float)
-        dot = np.dot(yhat, y) if y.ndim == 1 else np.einsum("...i,...i->...", yhat, y)
+        dot = yhat.dot(y) if y.ndim == 1 else np.einsum("...i,...i->...", yhat, y)
         # -k (y - yhat <yhat, y>), built in the one temporary yhat <yhat, y>.
         g = yhat * dot[..., None]
         np.subtract(y, g, out=g)
@@ -108,7 +108,7 @@ def _plant_row(S):
     """The plant row of a stacked pair, as the reference of its observer rows:
     a plain vector for a shared-plant (1 + n, 3) stack, the (..., 1, 3) rows
     of a stack with a leading run axis."""
-    return S[0] if S.ndim == 2 else S[..., :1, :]  # a plain vector: grad1 takes np.dot, not einsum
+    return S[0] if S.ndim == 2 else S[..., :1, :]  # a plain vector: grad1 takes one dot, not einsum
 
 
 def projected_pair_field(c, S, H) -> np.ndarray:
@@ -125,7 +125,7 @@ def projected_pair_field(c, S, H) -> np.ndarray:
     """
     S = np.asarray(S)
     if H.ndim == 2:
-        v = np.dot(S, H)  # dot costs less for one rate
+        v = S.dot(H)  # dot costs less for one rate
     elif H.ndim > 2:
         v = S @ H
     else:

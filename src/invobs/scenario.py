@@ -15,6 +15,7 @@ along z, so both instances run on the same pairs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,14 +271,17 @@ def _parse_init(spec, instance: str, path: str) -> InitState:
         if not isinstance(rows, (list, tuple)) or len(rows) != 3:
             raise ScenarioError(f"{path}.rotation must be a 3x3 matrix")
         R = np.array([_vector(r, 3, f"{path}.rotation[{i}]") for i, r in enumerate(rows)])
-        if drift(R) > 1e-9 or float(cross(R[0], R[1]) @ R[2]) < 0.0:  # det < 0
+        # A rotation's entries are at most 1 in magnitude; checked first, since
+        # huge entries overflow X^T X in drift.
+        too_large = np.abs(R).max() > 1.0 + 1e-9
+        if too_large or drift(R) > 1e-9 or float(cross(R[0], R[1]) @ R[2]) < 0.0:  # det < 0
             raise ScenarioError(f"{path}.rotation is not special-orthogonal")
         return InitState("rotation", R)
     if form == "axis_angle":
         return InitState("rotation", _finite_rotation(
             _vector(spec["axis_angle"], 3, f"{path}.axis_angle"), f"{path}.axis_angle"))
     d = _vector(spec["direction"], 3, f"{path}.direction")
-    if abs(float(np.linalg.norm(d)) - 1.0) > 1e-9:
+    if abs(math.hypot(*d) - 1.0) > 1e-9:  # hypot does not overflow on huge entries
         raise ScenarioError(f"{path}.direction not unit norm")
     return InitState("direction", d)
 
@@ -301,7 +305,7 @@ def scenario_from_dict(d: dict) -> Scenario:
 
     if instance == "so3-s2":
         y0 = _vector(d.get("y0", [0.0, 0.0, 1.0]), 3, "y0")
-        if abs(float(np.linalg.norm(y0)) - 1.0) > 1e-9:
+        if abs(math.hypot(*y0) - 1.0) > 1e-9:
             raise ScenarioError("y0 not unit norm")
         dim = 3
     else:

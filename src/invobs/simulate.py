@@ -268,7 +268,7 @@ def _integrate(scenario, rate, pair, state, keep_states):
             raise SimulationAbort(f"non-finite state at t = {t:.6g} s")
         m = measure(state)  # per row; per observer row the worse of the plant's and its own
         drift_ = np.maximum(m[..., :1], m[..., 1:])
-        worst = np.max(drift_)
+        worst = drift_.max()
         if worst > ORTHOGONALITY_TOL:
             raise SimulationAbort(f"state left SO(3) or S^2 (drift {worst:.3g}) at t = {t:.6g} s")
         row = (observe(state), drift_, state) if keep_states else (observe(state),)
@@ -322,7 +322,7 @@ def _sphere_pair(cost) -> _Pair:
     """A stacked sphere pair (see projected_pair_field): the plant row and
     sphere observer rows, which run the internal model alone without a
     cost.  Its RK4 field takes the generators hat(u), built for a whole
-    table of inputs in one call on the table flattened to (rows, 3): np.dot
+    table of inputs in one call on the table flattened to (rows, 3): a dot
     of more than two dimensions loops row by row instead of calling BLAS."""
     return _Pair(lambda U: hat(U.reshape(-1, 3)).reshape(U.shape + (3,)),
                  lambda H, S: projected_pair_field(cost, S, H),

@@ -48,7 +48,7 @@ def hat(omega) -> np.ndarray:
     Leading axes are kept: an (n, 3) stack gives an (n, 3, 3) stack.
     """
     w = np.asarray(omega, dtype=float)
-    return np.dot(w, _HAT_BASIS).reshape(w.shape[:-1] + (3, 3))
+    return w.dot(_HAT_BASIS).reshape(w.shape[:-1] + (3, 3))
 
 
 def _sum_squares(v, ones=_ONES):
@@ -56,7 +56,7 @@ def _sum_squares(v, ones=_ONES):
     elementwise square and one dot product with ones, which costs less per
     call than np.linalg.norm, einsum or vecdot from 2 to 1000 rows.  With
     _ONES33 each norm comes repeated along its row."""
-    return np.dot(v * v, ones)
+    return (v * v).dot(ones)
 
 
 def cross(a, b) -> np.ndarray:
@@ -91,8 +91,8 @@ def cross(a, b) -> np.ndarray:
         if v is b:  # a stack a times the vector b: a x b = a @ Q - a @ P
             P, Q = Q, P
         rows = stack.reshape(-1, 3)
-        out = np.dot(rows, P)
-        out -= np.dot(rows, Q)
+        out = rows.dot(P)
+        out -= rows.dot(Q)
         return out.reshape(stack.shape)
     # Rows [a1 a2 a0], [a2 a0 a1] of a times rows [b2 b0 b1], [b1 b2 b0] of b:
     # the first product row minus the second is a x b.
@@ -204,8 +204,8 @@ def _actor(y):
     Row 3i + j of the matrix is y_i e_j, so the product of a stack flattened
     to (..., 9) with it sums X_ij y_i in entry j: each row is X^T y.
     """
-    Y = np.dot(np.asarray(y, dtype=float), _ACT_BASIS).reshape(9, 3)
-    return lambda X: unit(np.dot(X.reshape(X.shape[:-2] + (9,)), Y))
+    Y = np.asarray(y, dtype=float).dot(_ACT_BASIS).reshape(9, 3)
+    return lambda X: unit(X.reshape(X.shape[:-2] + (9,)).dot(Y))
 
 
 def section(y, y0) -> np.ndarray:

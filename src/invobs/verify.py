@@ -242,7 +242,7 @@ def pair_fields_residual(rng, y0, n=N_SAMPLES) -> float:
                        for r in range(m))
         return worst_residual(out)
 
-    # Per sample: its single-pair and shared-plant layouts exercise the np.dot branches.
+    # Per sample: its single-pair and shared-plant layouts exercise the dot branches.
     return worst_residual(residual() for _ in range(n))
 
 

@@ -270,6 +270,37 @@ def test_overflowing_sinusoid_argument_is_an_input_error(tmp_path, capsys):
     assert cli.main(["run", "--scenario", short, "--out", str(tmp_path / "short"), "--quiet"]) == 0
 
 
+HUGE_ENTRIES = [
+    ({"y0": [1e200, 1e200, 1e200]}, "error: y0 not unit norm"),
+    ({"init": {"observer": {"direction": [1e200, 1e200, 0]}}},
+     "error: init.observer.direction not unit norm"),
+    ({"init": {"observer": {"rotation": [[1e200, 0, 0], [0, 1, 0], [0, 0, 1]]}}},
+     "error: init.observer.rotation is not special-orthogonal"),
+]
+DIVERGING = [
+    ("run", {"k": 1e308}),
+    ("sweep", {"k": 1e308, "mode": "monte-carlo", "mc": {"runs": 4}}),
+    ("run", {"input": {"kind": "constant", "amplitude": [1e308, 0, 0]}}),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflow_under_the_warning_filter_exits_with_one_line(tmp_path, capsys):
+    """With RuntimeWarning raised as an error (python -W error, as Tier-1
+    runs), huge finite entries that overflow a norm or X^T X are still an
+    input error naming the field (exit 2), and a diverging admitted run is a
+    runtime abort (exit 3), each with one stderr line and no traceback."""
+    cases = [("run", doc, 2, want) for doc, want in HUGE_ENTRIES]
+    cases += [(command, doc, 3, "simulation aborted: overflow encountered in ")
+              for command, doc in DIVERGING]
+    for i, (command, doc, code, want) in enumerate(cases):
+        doc = dict({"instance": "so3-s2", "t_end": 1}, **doc)
+        path = write_scenario(tmp_path, doc, f"huge{i}.json")
+        assert cli.main([command, "--scenario", path, "--out", str(tmp_path / "x")]) == code, doc
+        err = capsys.readouterr().err
+        assert err.startswith(want) and err.count("\n") == 1, (doc, err)
+
+
 def test_trajectory_csv_matches_row_rendering(tmp_path):
     """trajectory.csv holds each sample as 17 significant digits, as a
     row-by-row f-string rendering and np.savetxt write it, down to signed

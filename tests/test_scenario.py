@@ -215,7 +215,10 @@ def test_presets():
 # --- fuzzing: one field of a preset document replaced by arbitrary JSON -----
 
 HUGE_INTS = st.sampled_from([2 ** 64, -2 ** 63 - 1, 10 ** 30, 10 ** 400, -10 ** 400])
-NUMBERS = st.integers() | HUGE_INTS | st.floats()  # floats include +-inf and nan
+# Finite floats whose squares or products overflow: a norm or X^T X of them
+# warns of overflow, which the RuntimeWarning filter turns into an error.
+HUGE_FLOATS = st.sampled_from([1e200, -1e200, 1e308])
+NUMBERS = st.integers() | HUGE_INTS | HUGE_FLOATS | st.floats()  # floats include +-inf and nan
 SCALARS = st.none() | st.booleans() | st.text(max_size=8) | NUMBERS
 JSON = st.recursive(
     SCALARS,
@@ -225,8 +228,10 @@ JSON = st.recursive(
 )
 # Shapes the parser reads as vectors and matrices, so that fuzzing reaches
 # the checks behind the shape checks.
+HUGE_ROWS = st.lists(HUGE_FLOATS | st.just(0.0), min_size=3, max_size=3)
 VALUES = (JSON | st.lists(NUMBERS, min_size=1, max_size=4)
-          | st.lists(st.lists(NUMBERS, min_size=3, max_size=3), min_size=1, max_size=4))
+          | st.lists(st.lists(NUMBERS, min_size=3, max_size=3), min_size=1, max_size=4)
+          | HUGE_ROWS | st.lists(HUGE_ROWS, min_size=3, max_size=3))
 
 EXTRA_DOCS = [
     {"instance": "so3-s2", "mode": "co-sim", "y0": [0.0, 0.6, 0.8],

@@ -1,6 +1,8 @@
 """Integrators, trajectory records, summaries, Monte Carlo, circle oracle."""
 
 import dataclasses
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -876,6 +878,59 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
             for got, at in zip(times, holds):
                 assert sorted(got.ravel().tolist()) == sorted(stages), (doc["mode"], method)
                 assert at.ravel().tolist() == hold, (doc["mode"], method)
+
+
+# numpy Python functions a step or a record may run: count_nonzero's
+# dispatcher (unit's and group_exp's checks; its C entry point is private),
+# and the Python bodies of the ndarray methods .all() and .max().
+STEP_NUMPY_CALLS = {("numeric.py", "_count_nonzero_dispatcher"), ("numeric.py", "count_nonzero"),
+                    ("_methods.py", "_all"), ("_methods.py", "_amax")}
+
+
+def test_step_path_runs_no_numpy_dispatcher(make_scenario, monkeypatch):
+    """Under sys.setprofile, each time loop of a projected, lifted and co-sim
+    run under both integrators, and of a projected and a lifted sweep, calls
+    no numpy Python code per step or per record but STEP_NUMPY_CALLS: no
+    np.dot or np.max dispatcher, whose Python layer costs 0.2 to 0.5 us a call
+    where the ndarray method runs the same C routine.  Code called fewer
+    times than the loop records samples is per block of steps (the input
+    table).  A constant input keeps each Lie-Euler rate above group_exp's
+    series switch, whose np.where runs only for rates below it."""
+    import invobs.simulate
+
+    numpy_dir = os.path.dirname(np.__file__)
+    loops = []
+
+    def profiled(scenario, rate, pair, state, keep_states):
+        calls = {}
+
+        def hook(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename.startswith(numpy_dir):
+                key = (os.path.basename(code.co_filename), code.co_name)
+                calls[key] = calls.get(key, 0) + 1
+
+        sys.setprofile(hook)
+        try:
+            out = _integrate(scenario, rate, pair, state, keep_states)
+        finally:
+            sys.setprofile(None)
+        loops.append({key for key, n in calls.items() if n >= len(out[0])})
+        return out
+
+    monkeypatch.setattr(invobs.simulate, "_integrate", profiled)
+    constant = {"kind": "constant", "amplitude": [1.0, 0.5, 0.8]}
+    single = dict(input=constant, t_end=0.05)
+    sweep = dict(mode="monte-carlo", input=constant, t_end=0.5)
+    for method in ("rk4-project", "lie-euler"):
+        for fn, doc, h in [(simulate_projected, dict(single, mode="projected"), 1e-3),
+                           (simulate_lifted, dict(single, mode="lifted"), 1e-3),
+                           (simulate_cosim, dict(single, mode="co-sim"), 1e-3),
+                           (monte_carlo, dict(sweep, mc={"runs": 4}), 1e-2),
+                           (monte_carlo, dict(sweep, mc={"runs": 4, "space": "lifted"}), 1e-2)]:
+            loops.clear()
+            fn(make_scenario(**doc, integrator={"method": method, "h": h}))
+            assert loops and all(calls <= STEP_NUMPY_CALLS for calls in loops), (doc, method, loops)
 
 
 @pytest.mark.parametrize("offset", [(1, -1), (1, 0), (1, 1), (2, 1)], ids=lambda o: f"{o[0]}B{o[1]:+d}")

@@ -16,9 +16,25 @@ from invobs.observer import (
     AnisotropicCost,
     SphereCost,
     observer_body_rate,
+    projected_pair_field,
     projected_pair_rates,
 )
-from invobs.so3 import IDENTITY, _sum_squares, group_exp, hat, orthonormalize, unit
+from invobs.so3 import (
+    _ACT_BASIS,
+    _CROSS_SLOTS,
+    _HAT_BASIS,
+    _ONES,
+    _ONES9,
+    _ONES33,
+    IDENTITY,
+    _actor,
+    _sum_squares,
+    cross,
+    group_exp,
+    hat,
+    orthonormalize,
+    unit,
+)
 
 ROWS = [(3,), (2, 3), (201, 3), (1001, 3), (7, 2, 3)]
 
@@ -110,3 +126,58 @@ def test_pair_rates_are_the_input_and_the_observer_body_rates(rng):
         assert w.shape == S.shape
         assert np.array_equal(w[..., :1, :], uu)
         assert np.array_equal(w[..., 1:, :], np.broadcast_to(want, S[..., 1:, :].shape))
+
+
+# --- ndarray.dot in place of np.dot ------------------------------------------
+# The stage primitives call a.dot(b), the C routine np.dot dispatches to,
+# without np.dot's Python dispatcher.  Each check compares with the np.dot
+# form the primitive had.
+
+@pytest.mark.parametrize("shape", ROWS)
+def test_hat_and_sum_squares_equal_their_np_dot_forms(rng, shape):
+    w = rng.standard_normal(shape)
+    assert np.array_equal(hat(w), np.dot(w, _HAT_BASIS).reshape(shape[:-1] + (3, 3)))
+    assert np.array_equal(_sum_squares(w), np.dot(w * w, _ONES))
+    assert np.array_equal(_sum_squares(w, _ONES33), np.dot(w * w, _ONES33))
+    m = rng.standard_normal(shape[:-1] + (9,))
+    assert np.array_equal(_sum_squares(m, _ONES9), np.dot(m * m, _ONES9))
+
+
+@pytest.mark.parametrize("shape", ROWS[1:])
+def test_cross_of_a_vector_and_a_stack_equals_its_np_dot_form(rng, shape):
+    """Both orders: the stack's rows times the (3, 3) matrices holding the
+    vector's entries, the second product subtracted in place."""
+    v, stack = rng.standard_normal(3), rng.standard_normal(shape)
+    M = np.zeros(18)
+    M.put(_CROSS_SLOTS, v)
+    P, Q = M.reshape(2, 3, 3)
+    rows = stack.reshape(-1, 3)
+    for got, (first, second) in ((cross(v, stack), (P, Q)), (cross(stack, v), (Q, P))):
+        want = np.dot(rows, first)
+        want -= np.dot(rows, second)
+        assert np.array_equal(got, want.reshape(shape))
+
+
+@pytest.mark.parametrize("shape", [s[:-1] + (3, 3) for s in ROWS])
+def test_actor_equals_its_np_dot_form(rng, shape):
+    y = _units(rng, (3,))
+    X = _near_rotations(rng, shape[:-2])
+    Y = np.dot(y, _ACT_BASIS).reshape(9, 3)
+    assert np.array_equal(_actor(y)(X), unit(np.dot(X.reshape(X.shape[:-2] + (9,)), Y)))
+
+
+def test_pair_field_equals_its_np_dot_form(rng):
+    """projected_pair_field with one generator: np.dot(S, H) with the
+    observer rows' -k (y - yhat <yhat, y>) subtracted, <yhat, y> as np.dot
+    against one plant vector and as einsum against a plant row per run."""
+    H = hat(rng.standard_normal(3))
+    for c, S, _ in _pair_cases(rng, runs=7):
+        want = np.dot(S, H)
+        if c is not None:
+            yhat, y = S[..., 1:, :], (S[0] if S.ndim == 2 else S[..., :1, :])
+            if isinstance(c, SphereCost):
+                dot = np.dot(yhat, y) if y.ndim == 1 else np.einsum("...i,...i->...", yhat, y)
+                want[..., 1:, :] -= -c.k * (y - yhat * dot[..., None])
+            else:
+                want[..., 1:, :] -= c.grad1(yhat, y)
+        assert np.array_equal(projected_pair_field(c, S, H), want)
