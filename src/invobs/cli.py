@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import runner
 from .scenario import (
@@ -72,9 +73,9 @@ def _load_scenario(args) -> Scenario:
 
 
 def _run(sc: Scenario, out_dir: str, quiet: bool) -> int:
-    """runner.run, with numpy's RuntimeWarning raised as an error (under a
-    filter such as ``python -W error``) reported as the abort it stands for:
-    a diverging run overflows before its state turns non-finite."""
+    """runner.run, with numpy's RuntimeWarning, which main raises as an
+    error, reported as the abort it stands for: a diverging run overflows
+    before its state turns non-finite."""
     try:
         return runner.run(sc, out_dir, quiet=quiet)
     except RuntimeWarning as exc:
@@ -83,38 +84,43 @@ def _run(sc: Scenario, out_dir: str, quiet: bool) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "preset":
-            if args.preset_command == "list":
-                for name in preset_names():
-                    print(f"{name}: {preset_description(name)}")
-            else:
-                print(json.dumps(scenario_to_dict(preset(args.name)), indent=2, sort_keys=True,
-                                 allow_nan=False))
-            return runner.EXIT_OK
+    # numpy warns of an overflow before a diverging state turns non-finite.
+    # Raised, whatever the interpreter's filter, the warning takes the one-line
+    # abort (a run, exit 3) or input error (a parse, exit 2) below.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            if args.command == "preset":
+                if args.preset_command == "list":
+                    for name in preset_names():
+                        print(f"{name}: {preset_description(name)}")
+                else:
+                    print(json.dumps(scenario_to_dict(preset(args.name)), indent=2, sort_keys=True,
+                                     allow_nan=False))
+                return runner.EXIT_OK
 
-        sc = _load_scenario(args)
-        if args.command == "verify":
-            # Parsed again as a verify document, which has no sweep settings.
-            doc = {key: v for key, v in scenario_to_dict(sc).items() if key != "mc"}
-            sc = scenario_from_dict(dict(doc, mode="verify"))
-        elif args.command == "sweep":
-            # Parsed again as a sweep document, so the sweep bounds apply.
-            sc = scenario_from_dict(dict(scenario_to_dict(sc), mode="monte-carlo"))
-        if args.command == "verify" and args.out is None:
-            import tempfile
-            with tempfile.TemporaryDirectory() as tmp:
-                return _run(sc, tmp, args.quiet)
-        return _run(sc, args.out, args.quiet)
-    except (ScenarioError, RuntimeWarning) as exc:  # a warning raised as an error while parsing
-        print(f"error: {exc}", file=sys.stderr)
-        return runner.EXIT_INPUT_ERROR
-    except SimulationAbort as exc:
-        print(f"simulation aborted: {exc}", file=sys.stderr)
-        return runner.EXIT_RUNTIME_ABORT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return runner.EXIT_INPUT_ERROR
+            sc = _load_scenario(args)
+            if args.command == "verify":
+                # Parsed again as a verify document, which has no sweep settings.
+                doc = {key: v for key, v in scenario_to_dict(sc).items() if key != "mc"}
+                sc = scenario_from_dict(dict(doc, mode="verify"))
+            elif args.command == "sweep":
+                # Parsed again as a sweep document, so the sweep bounds apply.
+                sc = scenario_from_dict(dict(scenario_to_dict(sc), mode="monte-carlo"))
+            if args.command == "verify" and args.out is None:
+                import tempfile
+                with tempfile.TemporaryDirectory() as tmp:
+                    return _run(sc, tmp, args.quiet)
+            return _run(sc, args.out, args.quiet)
+        except (ScenarioError, RuntimeWarning) as exc:  # a warning raised as an error while parsing
+            print(f"error: {exc}", file=sys.stderr)
+            return runner.EXIT_INPUT_ERROR
+        except SimulationAbort as exc:
+            print(f"simulation aborted: {exc}", file=sys.stderr)
+            return runner.EXIT_RUNTIME_ABORT
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return runner.EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

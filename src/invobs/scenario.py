@@ -137,17 +137,34 @@ def _rotation(init: InitState, y0v: np.ndarray) -> np.ndarray:
 
 # --- parsing ----------------------------------------------------------------
 
+# Each input kind's fields after "kind", in echo order, for both parse and echo.
+_INPUT_FIELDS = {
+    "constant": ("amplitude",),
+    "sinusoid": ("amplitude", "frequency", "phase"),
+    "piecewise-constant": ("times", "values"),
+    "sum": ("terms",),
+}
+
+
 def _require(cond: bool, message: str):
     if not cond:
         raise ScenarioError(message)
 
 
-def _check_keys(d: dict, allowed: set[str], path: str):
-    unknown = set(d) - allowed
+def _check_keys(d: dict, allowed, path: str):
+    unknown = set(d).difference(allowed)
     if unknown:
         name = sorted(unknown)[0]
         where = f"{path}.{name}" if path else name
         raise ScenarioError(f"unknown key {where!r}")
+
+
+def _object(value, path: str, allowed) -> dict:
+    """value, which must be an object with no keys outside allowed."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{path} must be an object")
+    _check_keys(value, allowed, path)
+    return value
 
 
 def _in_int_range(x) -> bool:
@@ -189,23 +206,26 @@ def _vector(value, length: int, label: str) -> np.ndarray:
     return v
 
 
-def _parse_input(spec, dim: int, path: str) -> InputSignal:
+def _parse_input(spec, dim: int, path: str, t_last: float) -> InputSignal:
+    """The input signal; t_last is the latest time a step samples it."""
     if not isinstance(spec, dict):
         raise ScenarioError(f"{path} must be an object")
     kind = spec.get("kind")
+    _require(kind in InputSignal.KINDS, f"{path}.kind must be one of {list(InputSignal.KINDS)}")
+    _check_keys(spec, ("kind",) + _INPUT_FIELDS[kind], path)
     try:
         if kind == "constant":
-            _check_keys(spec, {"kind", "amplitude"}, path)
             return InputSignal.constant(_vector(spec.get("amplitude"), dim, f"{path}.amplitude"))
         if kind == "sinusoid":
-            _check_keys(spec, {"kind", "amplitude", "frequency", "phase"}, path)
-            return InputSignal.sinusoid(
-                _vector(spec.get("amplitude"), dim, f"{path}.amplitude"),
-                _number(spec, "frequency", None, path),
-                _number(spec, "phase", 0.0, path),
-            )
+            amplitude = _vector(spec.get("amplitude"), dim, f"{path}.amplitude")
+            frequency = _number(spec, "frequency", None, path)
+            phase = _number(spec, "phase", 0.0, path)
+            sig = InputSignal.sinusoid(amplitude, frequency, phase)
+            # eval forms this argument, which grows with t; its sine of inf is NaN.
+            _require(np.isfinite(2.0 * np.pi * frequency * t_last + phase),
+                     f"{path}.frequency: 2 pi frequency t + phase overflows within t_end")
+            return sig
         if kind == "piecewise-constant":
-            _check_keys(spec, {"kind", "times", "values"}, path)
             times = spec.get("times")
             values = spec.get("values")
             if not isinstance(times, (list, tuple)):
@@ -214,30 +234,17 @@ def _parse_input(spec, dim: int, path: str) -> InputSignal:
                 raise ScenarioError(f"{path}.values must hold len({path}.times) + 1 segment values")
             rows = [_vector(v, dim, f"{path}.values[{i}]") for i, v in enumerate(values)]
             return InputSignal.piecewise(_vector(times, len(times), f"{path}.times"), np.array(rows))
-        if kind == "sum":
-            _check_keys(spec, {"kind", "terms"}, path)
-            terms = spec.get("terms")
-            if not isinstance(terms, (list, tuple)) or not terms:
-                raise ScenarioError(f"{path}.terms must be a non-empty list")
-            return InputSignal.sum_of(
-                *[_parse_input(t, dim, f"{path}.terms[{i}]") for i, t in enumerate(terms)]
-            )
+        terms = spec.get("terms")
+        if not isinstance(terms, (list, tuple)) or not terms:
+            raise ScenarioError(f"{path}.terms must be a non-empty list")
+        return InputSignal.sum_of(
+            *[_parse_input(t, dim, f"{path}.terms[{i}]", t_last) for i, t in enumerate(terms)]
+        )
+    except ScenarioError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
         # The signal's messages start with the name of the parameter at fault.
         raise ScenarioError(f"{path}.{exc}") from exc
-    raise ScenarioError(f"{path}.kind must be one of {list(InputSignal.KINDS)}")
-
-
-def _check_sinusoid_horizon(sig: InputSignal, path: str, t_last: float):
-    """Reject a sinusoid whose argument 2 pi frequency t + phase (as eval forms
-    it; its sine of inf is NaN) overflows by t_last; it grows with t."""
-    if sig.kind == "sinusoid":
-        _require(np.isfinite(2.0 * np.pi * sig.frequency * t_last + sig.phase),
-                 f"{path}.frequency: 2 pi frequency t + phase overflows within t_end")
-    for i, term in enumerate(sig.terms):
-        _check_sinusoid_horizon(term, f"{path}.terms[{i}]", t_last)
 
 
 def _finite_rotation(omega, path: str) -> np.ndarray:
@@ -249,19 +256,19 @@ def _finite_rotation(omega, path: str) -> np.ndarray:
     return R
 
 
-def _parse_init(spec, instance: str, path: str) -> InitState:
+def _parse_init(spec, instance: str, path: str, y0, lifts: bool) -> InitState:
+    """An initial state; where the run lifts it, a direction antipodal to y0
+    is refused."""
     if spec == "identity":
-        if instance == "so2-s1":
-            return InitState("angle", 0.0)
-        return InitState("rotation", np.eye(3))
+        spec = {"angle": 0.0} if instance == "so2-s1" else {"rotation": np.eye(3).tolist()}
     if not isinstance(spec, dict):
         raise ScenarioError(f'{path} must be "identity" or an object')
     if instance == "so2-s1":
-        _check_keys(spec, {"angle"}, path)
+        _check_keys(spec, ("angle",), path)
         angle = _number(spec, "angle", None, path)
         _finite_rotation([0.0, 0.0, angle], f"{path}.angle")
         return InitState("angle", angle)
-    _check_keys(spec, {"rotation", "direction", "axis_angle"}, path)
+    _check_keys(spec, ("rotation", "direction", "axis_angle"), path)
     forms = [k for k in ("rotation", "direction", "axis_angle") if k in spec]
     if len(forms) != 1:
         raise ScenarioError(f"{path} needs exactly one of rotation/direction/axis_angle")
@@ -283,10 +290,19 @@ def _parse_init(spec, instance: str, path: str) -> InitState:
     d = _vector(spec["direction"], 3, f"{path}.direction")
     if abs(math.hypot(*d) - 1.0) > 1e-9:  # hypot does not overflow on huge entries
         raise ScenarioError(f"{path}.direction not unit norm")
+    if lifts:
+        try:
+            section(d, y0)
+        except AntipodalError as exc:
+            raise ScenarioError(
+                f"{path}.direction: cannot lift an antipodal direction ({exc})") from exc
     return InitState("direction", d)
 
 
 def scenario_from_dict(d: dict) -> Scenario:
+    """Read a document in one pass, in the order schema_version, instance,
+    mode, k, y0, integrator, t_end, sample_every, seed, mc, input, init; each
+    check runs where its field is read, so the first fault is reported."""
     if not isinstance(d, dict):
         raise ScenarioError("scenario document must be a JSON object")
     _check_keys(d, _TOP_KEYS, "")
@@ -299,10 +315,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     _require(mode in MODES, f"mode must be one of {list(MODES)}")
     _require(not (instance == "so2-s1" and mode == "monte-carlo"),
              "mode monte-carlo is only available for instance so3-s2")
-
-    k = _number(d, "k", 1.0)
-    _require(k > 0.0, "k must be positive")
-
+    k = _number(d, "k", 1.0, positive=True)
     if instance == "so3-s2":
         y0 = _vector(d.get("y0", [0.0, 0.0, 1.0]), 3, "y0")
         if abs(math.hypot(*y0) - 1.0) > 1e-9:
@@ -312,36 +325,18 @@ def scenario_from_dict(d: dict) -> Scenario:
         y0 = circle.wrap(_number(d, "y0", 0.0))
         dim = 1
 
-    default_input = {"kind": "constant", "amplitude": [0.0] * dim}
-    inp = _parse_input(d.get("input", default_input), dim, "input")
-
-    init = d.get("init", {})
-    if not isinstance(init, dict):
-        raise ScenarioError("init must be an object")
-    _check_keys(init, {"plant", "observer"}, "init")
-    default_obs = ({"axis_angle": [0.5 * np.pi, 0.0, 0.0]} if instance == "so3-s2"
-                   else {"angle": 0.5 * np.pi})
-    plant = _parse_init(init.get("plant", "identity"), instance, "init.plant")
-    observer = _parse_init(init.get("observer", default_obs), instance, "init.observer")
-
-    integ = d.get("integrator", {})
-    if not isinstance(integ, dict):
-        raise ScenarioError("integrator must be an object")
-    _check_keys(integ, {"method", "h"}, "integrator")
+    integ = _object(d.get("integrator", {}), "integrator", ("method", "h"))
     method = integ.get("method", "rk4-project")
     h = _number(integ, "h", 1e-3, "integrator", positive=True)
     try:
         spec = IntegratorSpec(method=method, h=h)
     except ValueError as exc:
         raise ScenarioError(f"integrator.{exc}") from exc
-
     t_end = _number(d, "t_end", 10.0, positive=True)
     _require(t_end >= spec.h, "t_end must be at least one integrator step")
     _require(t_end / spec.h <= MAX_STEPS, f"t_end must span at most {MAX_STEPS} steps of integrator.h")
     steps = _n_steps(t_end, spec.h)
     _require(abs(t_end / spec.h - steps) <= 1e-9, "t_end must be a whole number of integrator.h steps")
-    # The last RK4 stage samples the input at (steps - 1) h + h, at most t_end + h.
-    _check_sinusoid_horizon(inp, "input", t_end + spec.h)
     sample_every = _number(d, "sample_every", 10, integer=True, positive=True)
     samples = _n_records(steps, sample_every)
     seed = _number(d, "seed", 0, integer=True)
@@ -350,10 +345,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     mc = None
     if "mc" in d or mode == "monte-carlo":
         _require(mode == "monte-carlo", "mc settings are only valid in monte-carlo mode")
-        mspec = d.get("mc", {})
-        if not isinstance(mspec, dict):
-            raise ScenarioError("mc must be an object")
-        _check_keys(mspec, {"runs", "space", "threshold"}, "mc")
+        mspec = _object(d.get("mc", {}), "mc", ("runs", "space", "threshold"))
         space = mspec.get("space", McSpec.space)
         _require(space in MC_SPACES, f"mc.space must be one of {list(MC_SPACES)}")
         mc = McSpec(
@@ -366,18 +358,17 @@ def scenario_from_dict(d: dict) -> Scenario:
                  f"integrator.h and sample_every) must be at most {MAX_MC_VALUES}")
     _require(samples <= MAX_RUN_SAMPLES, f"t_end must give at most {MAX_RUN_SAMPLES} samples per "
              f"run at the given integrator.h and sample_every")
+    # The last RK4 stage samples the input at (steps - 1) h + h, at most t_end + h.
+    inp = _parse_input(d.get("input", {"kind": "constant", "amplitude": [0.0] * dim}),
+                       dim, "input", t_end + spec.h)
     # Lifted and co-sim runs, lifted sweeps and verify's co-simulation lift
     # both initial states through the section.
-    if mode in ("lifted", "co-sim", "verify") or (mc is not None and mc.space == "lifted"):
-        for name, st in (("plant", plant), ("observer", observer)):
-            if st.kind == "direction":
-                try:
-                    section(st.value, y0)
-                except AntipodalError as exc:
-                    raise ScenarioError(
-                        f"init.{name}.direction: cannot lift an antipodal direction ({exc})"
-                    ) from exc
-
+    lifts = mode in ("lifted", "co-sim", "verify") or (mc is not None and mc.space == "lifted")
+    init = _object(d.get("init", {}), "init", ("plant", "observer"))
+    default_obs = ({"axis_angle": [0.5 * np.pi, 0.0, 0.0]} if instance == "so3-s2"
+                   else {"angle": 0.5 * np.pi})
+    plant = _parse_init(init.get("plant", "identity"), instance, "init.plant", y0, lifts)
+    observer = _parse_init(init.get("observer", default_obs), instance, "init.observer", y0, lifts)
     return Scenario(
         instance=instance, mode=mode, k=k, y0=y0, input=inp,
         plant=plant, observer=observer, integrator=spec,
@@ -397,23 +388,10 @@ def parse_scenario(text: str) -> Scenario:
 # --- serialisation ----------------------------------------------------------
 
 def _input_to_dict(sig: InputSignal) -> dict:
-    if sig.kind == "constant":
-        return {"kind": "constant", "amplitude": sig.amplitude.tolist()}
-    if sig.kind == "sinusoid":
-        return {"kind": "sinusoid", "amplitude": sig.amplitude.tolist(),
-                "frequency": sig.frequency, "phase": sig.phase}
-    if sig.kind == "piecewise-constant":
-        return {"kind": "piecewise-constant", "times": sig.times.tolist(),
-                "values": sig.values.tolist()}
-    return {"kind": "sum", "terms": [_input_to_dict(t) for t in sig.terms]}
-
-
-def _init_to_dict(init: InitState) -> dict:
-    if init.kind == "angle":
-        return {"angle": float(init.value)}
-    if init.kind == "direction":
-        return {"direction": np.asarray(init.value).tolist()}
-    return {"rotation": np.asarray(init.value).tolist()}
+    return {"kind": sig.kind, **{
+        name: ([_input_to_dict(t) for t in sig.terms] if name == "terms"
+               else np.asarray(getattr(sig, name)).tolist())
+        for name in _INPUT_FIELDS[sig.kind]}}
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
@@ -424,9 +402,10 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "instance": sc.instance,
         "mode": sc.mode,
         "k": sc.k,
-        "y0": sc.y0.tolist() if sc.instance == "so3-s2" else float(sc.y0),
+        "y0": np.asarray(sc.y0).tolist(),
         "input": _input_to_dict(sc.input),
-        "init": {"plant": _init_to_dict(sc.plant), "observer": _init_to_dict(sc.observer)},
+        "init": {name: {st.kind: np.asarray(st.value).tolist()}
+                 for name, st in (("plant", sc.plant), ("observer", sc.observer))},
         "integrator": {"method": sc.integrator.method, "h": sc.integrator.h},
         "t_end": sc.t_end,
         "sample_every": sc.sample_every,

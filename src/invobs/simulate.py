@@ -417,14 +417,14 @@ class So2OracleResult:
     solution, plus the final full-state error (the stabiliser is trivial, so
     the state estimate itself must converge)."""
 
-    max_deviation: float  # the observer's
+    observer_deviation: float
     plant_deviation: float
     final_state_error: float
     record: TrajectoryRecord
 
     @property
     def worst_deviation(self) -> float:  # NaN if either gap is
-        return float(np.maximum(self.max_deviation, self.plant_deviation))
+        return float(np.maximum(self.observer_deviation, self.plant_deviation))
 
 
 def so2_oracle_run(scenario) -> So2OracleResult:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -299,6 +300,20 @@ def test_overflow_under_the_warning_filter_exits_with_one_line(tmp_path, capsys)
         assert cli.main([command, "--scenario", path, "--out", str(tmp_path / "x")]) == code, doc
         err = capsys.readouterr().err
         assert err.startswith(want) and err.count("\n") == 1, (doc, err)
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+def test_diverging_run_under_the_default_filter_exits_with_one_line(tmp_path, capsys, command):
+    """Under Python's default warning filter, a diverging admitted run is a
+    runtime abort (exit 3) with one stderr line and no warning shown: main
+    raises numpy's RuntimeWarning whatever the interpreter's filter."""
+    path = write_scenario(tmp_path, {"instance": "so3-s2", "k": 1e308, "t_end": 1})
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("default")
+        code = cli.main([command, "--scenario", path, "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 3 and not shown, (code, [str(w.message) for w in shown])
+    assert err.startswith("simulation aborted: overflow encountered in ") and err.count("\n") == 1
 
 
 def test_trajectory_csv_matches_row_rendering(tmp_path):

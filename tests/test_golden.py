@@ -62,8 +62,8 @@ def compute() -> dict:
             cases[f"so2-s1.{mode}.{method}"] = _trajectory(simulate_circle(sc))
         res = so2_oracle_run(build_scenario("so2-s1", mode="verify", integrator=integ, **SO2_BASE))
         cases[f"so2-s1.oracle.{method}"] = dict(
-            _trajectory(res.record), max_deviation=res.max_deviation,
-            final_state_error=res.final_state_error)
+            _trajectory(res.record), observer_deviation=res.observer_deviation,
+            plant_deviation=res.plant_deviation, final_state_error=res.final_state_error)
         for space in ("projected", "lifted"):
             sc = build_scenario(mode="monte-carlo", k=1.0, input=SINUSOID, t_end=8.0,
                                 sample_every=10, seed=5, integrator=dict(integ, h=1e-2),

@@ -2,14 +2,26 @@
 
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invobs import ScenarioError, parse_scenario, preset, scenario_to_dict
+import invobs
+from invobs import (
+    ScenarioError,
+    closed_form_deviation,
+    parse_scenario,
+    preset,
+    scenario_to_dict,
+    simulate_lifted,
+    simulate_projected,
+)
 from invobs.scenario import (
     INSTANCES,
     MAX_MC_RUNS,
@@ -164,6 +176,41 @@ def test_antipodal_direction_cannot_be_lifted():
     sc = parse(dict(doc, mode="projected"))
     _, yhat = sc.initial_sphere_pair()
     assert np.allclose(yhat, [0, 0, -1], atol=1e-15)
+
+
+def test_first_fault_in_read_order_is_named():
+    """Fields are read in the order schema_version, instance, mode, k, y0,
+    integrator, t_end, sample_every, seed, mc, input, init, each checked
+    where it is read, so the first fault in that order is the one named."""
+    cases = [
+        # the sinusoid horizon needs t_end, so t_end is read before the input
+        ({"t_end": 0.0115, "input": {"kind": "blip"}}, "^t_end "),
+        # the lift check needs the sweep's space, so mc is read before init
+        ({"mode": "monte-carlo", "mc": {"space": "elsewhere"},
+          "init": {"observer": {"direction": [0, 0, -1]}}}, r"^mc\.space "),
+        # each state is lifted where it is read: the plant before the observer
+        ({"mode": "lifted", "init": {"plant": {"direction": [0, 0, -1]},
+                                     "observer": {"direction": [0, 0, 2]}}},
+         r"^init\.plant\.direction: .*antipodal"),
+    ]
+    for doc, fragment in cases:
+        with pytest.raises(ScenarioError, match=fragment):
+            parse(dict(doc, instance="so3-s2"))
+
+
+def test_input_echo_key_order_is_independent_of_the_hash_seed():
+    """The input echo lists each kind's fields in one fixed order, whatever
+    PYTHONHASHSEED orders sets by."""
+    script = ("import json; from invobs import preset, scenario_to_dict; "
+              "sig = scenario_to_dict(preset('autonomy-demo'))['input']; "
+              "print(json.dumps([list(sig)] + [list(t) for t in sig['terms']]))")
+    src = os.path.dirname(os.path.dirname(invobs.__file__))
+    orders = {subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src,
+                                                  PYTHONHASHSEED=seed)).stdout
+              for seed in ("1", "2")}
+    assert [json.loads(out) for out in orders] == [
+        [["kind", "terms"], ["kind", "amplitude", "frequency", "phase"], ["kind", "times", "values"]]]
 
 
 def test_axis_angle_and_rotation_inits_agree():
@@ -321,3 +368,71 @@ def test_piecewise_input_at_switch_times(times, data):
     too_long = dict(doc, integrator={"h": float(np.nextafter(0.01, 1.0))})
     with pytest.raises(ScenarioError, match=r"^integrator\.h "):
         parse(too_long)
+
+
+# --- valid documents: every input kind, both spaces and integrators ---------
+
+def _unit(v) -> list:
+    v = np.asarray(v, dtype=float)
+    return (v / np.linalg.norm(v)).tolist()
+
+
+DIRECTIONS = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(_unit)
+RATES = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)
+# Initial error angles, down to 1e-6 rad short of the antipode.
+THETA0 = st.floats(0.05, 3.0) | st.floats(1e-6, 1e-2).map(lambda eps: np.pi - eps)
+
+
+def _inputs(h):
+    """Inputs of every kind over one second, switch times on and off the
+    step grid, and sums nested in sums."""
+    switch = st.integers(1, round(1.0 / h) - 1).map(lambda i: i * h) | st.floats(0.0, 1.0)
+    piecewise = st.lists(switch, min_size=1, max_size=3, unique=True).map(sorted).flatmap(
+        lambda times: st.fixed_dictionaries({
+            "kind": st.just("piecewise-constant"), "times": st.just(times),
+            "values": st.lists(RATES, min_size=len(times) + 1, max_size=len(times) + 1)}))
+    leaf = (st.fixed_dictionaries({"kind": st.just("constant"), "amplitude": RATES})
+            | st.fixed_dictionaries({"kind": st.just("sinusoid"), "amplitude": RATES,
+                                     "frequency": st.floats(0.0, 3.0),
+                                     "phase": st.floats(-np.pi, np.pi)})
+            | piecewise)
+    return st.recursive(leaf, lambda inner: st.fixed_dictionaries({
+        "kind": st.just("sum"), "terms": st.lists(inner, min_size=1, max_size=3)}), max_leaves=4)
+
+
+@st.composite
+def valid_documents(draw):
+    h = draw(st.sampled_from((2e-3, 5e-3, 1e-2)))
+    y0 = draw(DIRECTIONS)
+    plant = draw(st.just("identity") | DIRECTIONS.filter(lambda d: np.dot(d, y0) > -0.9))
+    y = np.array(y0 if plant == "identity" else plant)
+    axis = np.array(_unit(np.cross(y, draw(DIRECTIONS.filter(
+        lambda r: np.linalg.norm(np.cross(y, r)) > 0.1)))))
+    theta0 = draw(THETA0)
+    if plant == "identity" and draw(st.booleans()):
+        observer = {"axis_angle": (theta0 * axis).tolist()}
+    else:
+        observer = {"direction": _unit(np.cos(theta0) * y + np.sin(theta0) * axis)}
+    return {"instance": "so3-s2", "mode": draw(st.sampled_from(("projected", "lifted"))),
+            "k": draw(st.floats(0.1, 5.0)), "y0": y0, "input": draw(_inputs(h)),
+            "init": {"plant": plant if plant == "identity" else {"direction": plant},
+                     "observer": observer},
+            "integrator": {"method": draw(st.sampled_from(("rk4-project", "lie-euler"))), "h": h},
+            "t_end": 1.0, "sample_every": 1}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(doc=valid_documents())
+def test_valid_documents_parse_round_trip_and_follow_the_law(doc):
+    """Every drawn valid document parses, its echo is a fixed point of
+    echo -> parse -> echo, and its run follows the closed-form error law:
+    to 1e-5 under rk4-project, to 2 k h under the first-order lie-euler."""
+    sc = parse(doc)
+    echo = scenario_to_dict(sc)
+    assert scenario_to_dict(scenario_from_dict(json.loads(json.dumps(echo)))) == echo
+    run = simulate_projected if sc.mode == "projected" else simulate_lifted
+    deviation = closed_form_deviation(run(sc), sc.k)
+    rk4 = sc.integrator.method == "rk4-project"
+    bound = 1e-5 if rk4 else 2.0 * sc.k * sc.integrator.h
+    assert deviation <= bound, (deviation, bound)

@@ -521,13 +521,13 @@ def test_so2_oracle_matched_initial_condition(make_scenario):
     over = dict(SO2_BASE, init={"plant": {"angle": 0.4}, "observer": {"angle": 0.4}},
                 integrator={"h": 1e-4}, sample_every=100)
     res = so2_oracle_run(make_scenario(**over))
-    assert res.max_deviation <= 1e-10
+    assert res.observer_deviation <= 1e-10
 
 
 def test_so2_oracle_random_scenario(make_scenario):
     over = dict(SO2_BASE, integrator={"h": 1e-4}, sample_every=100)
     res = so2_oracle_run(make_scenario(**over))
-    assert res.max_deviation <= 1e-8
+    assert res.observer_deviation <= 1e-8
     assert res.worst_deviation <= 1e-8
 
 
@@ -546,7 +546,7 @@ def test_so2_oracle_checks_the_plant(make_scenario, monkeypatch):
 
     monkeypatch.setattr(invobs.simulate, "_simulate", turned_plant)
     res = so2_oracle_run(make_scenario(**dict(SO2_BASE, integrator={"h": 1e-4}, t_end=2.0)))
-    assert res.max_deviation <= 1e-12
+    assert res.observer_deviation <= 1e-12
     assert res.plant_deviation == pytest.approx(1e-6, rel=1e-6)
     assert res.worst_deviation == res.plant_deviation
 
@@ -572,7 +572,7 @@ def test_so2_lifted_run_stays_planar(make_scenario):
     rec = simulate_circle(sc)
     for X in (rec.X, rec.Xhat):
         assert np.max(np.abs(X[:, 2] - E3)) <= 1e-12
-    assert so2_oracle_run(sc).max_deviation <= 1e-10
+    assert so2_oracle_run(sc).observer_deviation <= 1e-10
 
 
 def test_so2_lie_euler_runs(make_scenario):
@@ -941,7 +941,7 @@ def test_so2_runs_across_block_edges_meet_the_oracle(make_scenario, offset):
     n = offset[0] * BLOCK_STEPS + offset[1]
     h = 1e-3
     res = so2_oracle_run(make_scenario(**dict(SO2_BASE, t_end=n * h, integrator={"h": h})))
-    assert res.max_deviation <= 1e-8
+    assert res.observer_deviation <= 1e-8
     want = [0.0] + [(i + 1) * h for i in range(n) if (i + 1) % 10 == 0 or i + 1 == n]
     assert res.record.t.tolist() == want
 
@@ -955,7 +955,7 @@ def test_so2_order_under_a_nonzero_input(make_scenario, method, band):
     def deviation(h):
         doc = dict(SO2_BASE, t_end=5.0, sample_every=1, integrator={"method": method, "h": h},
                    input={"kind": "sinusoid", "amplitude": [2.0], "frequency": 1.5, "phase": 0.4})
-        return so2_oracle_run(make_scenario(**doc)).max_deviation
+        return so2_oracle_run(make_scenario(**doc)).observer_deviation
 
     ratio = deviation(0.01) / deviation(0.005)
     assert band[0] <= ratio <= band[1]
@@ -984,7 +984,7 @@ def test_so2_oracle_across_grid_aligned_switches(make_scenario, method, h, times
                init={"plant": {"angle": 0.4}, "observer": {"angle": 0.4}},
                input={"kind": "piecewise-constant", "times": times,
                       "values": [[0.0], [1.0], [-0.5]][:len(times) + 1]})
-    assert so2_oracle_run(make_scenario(**doc)).max_deviation <= 1e-8
+    assert so2_oracle_run(make_scenario(**doc)).observer_deviation <= 1e-8
 
 
 SO2_RUN = {"instance": "so2-s1", "t_end": 0.05}
