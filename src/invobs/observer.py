@@ -23,6 +23,7 @@ import numpy as np
 from .sampling import _draws, random_rotation, random_unit
 from .systems import project_dynamics
 from .so3 import (
+    _HAT_BASIS,
     _sum_squares,
     act,
     cross,
@@ -33,6 +34,12 @@ from .so3 import (
 )
 
 FD_EPS = 1e-6  # central-difference step shared by every oracle check
+
+# y @ _NEG_HAT, reshaped to (3, 3), is hat(-y): a row yhat times it is y x yhat.
+_NEG_HAT = -_HAT_BASIS
+# y @ _REPEAT, reshaped to (3, 3), has row i equal to y_i repeated: a row yhat
+# times it is <yhat, y> repeated along the row.
+_REPEAT = np.kron(np.eye(3), np.ones(3))
 
 
 @dataclass(frozen=True)
@@ -59,16 +66,24 @@ class SphereCost:
         leading axes of either argument."""
         yhat = np.asarray(yhat)
         y = np.asarray(y, dtype=float)
-        dot = yhat.dot(y) if y.ndim == 1 else np.einsum("...i,...i->...", yhat, y)
-        # -k (y - yhat <yhat, y>), built in the one temporary yhat <yhat, y>.
-        g = yhat * dot[..., None]
-        np.subtract(y, g, out=g)
-        g *= -self.k
+        # k (yhat <yhat, y> - y), the same bits as -k (y - yhat <yhat, y>),
+        # built in the one temporary yhat <yhat, y>.
+        if y.ndim == 1:  # one plant vector: <yhat, y> along every row from one product
+            g = yhat.dot(y.dot(_REPEAT).reshape(3, 3))
+            g *= yhat
+        else:
+            g = yhat * np.einsum("...i,...i->...", yhat, y)[..., None]
+        g -= y
+        g *= self.k
         return g
 
     def rate(self, yhat, y) -> np.ndarray:
         """Body-rate innovation yhat x grad1(yhat, y) in its closed form
-        k * (y x yhat), over leading axes of either argument."""
+        k * (y x yhat), over leading axes of either argument: against one
+        plant vector y, every row yhat times the one matrix hat(-y)."""
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 1:
+            return self.k * np.asarray(yhat).dot(y.dot(_NEG_HAT).reshape(3, 3))
         return self.k * cross(y, yhat)
 
 
@@ -108,7 +123,7 @@ def _plant_row(S):
     """The plant row of a stacked pair, as the reference of its observer rows:
     a plain vector for a shared-plant (1 + n, 3) stack, the (..., 1, 3) rows
     of a stack with a leading run axis."""
-    return S[0] if S.ndim == 2 else S[..., :1, :]  # a plain vector: grad1 takes one dot, not einsum
+    return S[0] if S.ndim == 2 else S[..., :1, :]  # a plain vector: grad1 and rate take one product each
 
 
 def projected_pair_field(c, S, H) -> np.ndarray:

@@ -26,10 +26,6 @@ _HAT_BASIS = np.array([
     [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
 ])
 _CROSS_ROWS = np.array([[1, 2, 0], [2, 0, 1]])  # last-axis gathers of cross
-# Flat positions in a (2, 3, 3) pair of matrices [P, Q] of the entries a0,
-# a1, a2 of a vector a, then a0, a1, a2 again: b @ P holds the products
-# a1 b2, a2 b0, a0 b1 and b @ Q the products a2 b1, a0 b2, a1 b0.
-_CROSS_SLOTS = np.array([5, 6, 1, 16, 11, 12])
 # y @ _ACT_BASIS, reshaped to (9, 3), has row 3i + j equal to y_i e_j.
 _ACT_BASIS = np.multiply.outer(IDENTITY, IDENTITY).reshape(3, 27)
 _ONES = np.ones(3)
@@ -63,37 +59,13 @@ def cross(a, b) -> np.ndarray:
     """Cross product over the last axis, broadcasting leading axes.
 
     Same arithmetic as ``np.cross`` (``a1*b2 - a2*b1`` and so on), so the
-    result is bit-for-bit equal for finite float64 and integer input (up to
-    the sign of a zero on the one-vector path), without its per-call
-    overhead.  Two 3-element arguments (plain vectors or one-row
-    stacks) are computed on Python scalars.  A float64 vector against a
-    float64 stack takes two BLAS products of the stack with (3, 3) matrices
-    holding the vector's entries, one per column, so that each product entry
-    is the one rounded product np.cross forms.  A non-finite stack entry
-    makes NaN of its whole row there (0 * inf), where np.cross gives +-inf
-    or finite entries.  Other stacks, and integer or mixed-dtype input, take
-    one gather of each argument and one product.
+    result is bit-for-bit equal for finite float64 and integer input,
+    without its per-call overhead.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape[-1:] != (3,) or b.shape[-1:] != (3,):
         raise ValueError(f"cross needs a last axis of length 3, got shapes {a.shape} and {b.shape}")
-    if a.size == 3 and b.size == 3:  # kept for speed: Python scalars beat the gather for one pair
-        a0, a1, a2 = a.ravel().tolist()
-        b0, b1, b2 = b.ravel().tolist()
-        out = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-        return out.reshape(a.shape if a.ndim >= b.ndim else b.shape)
-    if (a.ndim == 1 or b.ndim == 1) and a.dtype == b.dtype == np.float64:
-        v, stack = (a, b) if a.ndim == 1 else (b, a)
-        M = np.zeros(18)
-        M.put(_CROSS_SLOTS, v)  # placed, not scaled from a 0/1 basis: inf stays inf
-        P, Q = M.reshape(2, 3, 3)
-        if v is b:  # a stack a times the vector b: a x b = a @ Q - a @ P
-            P, Q = Q, P
-        rows = stack.reshape(-1, 3)
-        out = rows.dot(P)
-        out -= rows.dot(Q)
-        return out.reshape(stack.shape)
     # Rows [a1 a2 a0], [a2 a0 a1] of a times rows [b2 b0 b1], [b1 b2 b0] of b:
     # the first product row minus the second is a x b.
     p = a[..., _CROSS_ROWS] * b[..., _CROSS_ROWS[::-1]]

@@ -762,26 +762,64 @@ def test_lifted_angle_is_the_canonical_error_angle(make_scenario, monkeypatch, r
     assert np.max(np.abs(_sphere_pair(None).drift(S) - norm_form)) <= ulp2
 
 
+@pytest.mark.parametrize("space", ["projected", "lifted"])
+@pytest.mark.parametrize("method", ["rk4-project", "lie-euler"])
+def test_sweep_runs_equal_their_single_runs(make_scenario, monkeypatch, method, space):
+    """Each run of a sweep steps as the (2, ...) pair of the plant and its
+    own start would alone: the observer rows' innovation against the shared
+    plant vector is one product per stage, which BLAS rounds row by row the
+    same at 2 rows and at 41, so every recorded angle is the same bits.  The
+    lifted worst drift is the one exception, at rounding of rounding: the
+    drift measure's sum of nine squares is a product with a ones vector,
+    which BLAS adds in an order that depends on the row count."""
+    import invobs.simulate
+
+    integrate, sweeps = invobs.simulate._integrate, []
+
+    def kept(scenario, rate, pair, state, keep_states):
+        out = integrate(scenario, rate, pair, state, keep_states)
+        sweeps.append((rate, pair, state, out))
+        return out
+
+    monkeypatch.setattr(invobs.simulate, "_integrate", kept)
+    sc = make_scenario(mode="monte-carlo", input=SINUSOID, t_end=2.0, seed=6,
+                       integrator={"method": method, "h": 0.01}, mc={"runs": 40, "space": space})
+    monte_carlo(sc)
+    (rate, pair, state, (t, theta, max_drift)), = sweeps
+    for i in range(1, len(state)):
+        t1, theta1, max_drift1 = integrate(sc, rate, pair, state[[0, i]], False)
+        assert np.array_equal(t1, t)
+        assert np.array_equal(theta1[:, 0], theta[:, i - 1]), i
+        assert abs(max_drift1[0] - max_drift[i - 1]) <= (1e-30 if space == "lifted" else 0.0), i
+
+
 @pytest.mark.parametrize("method", ["rk4-project", "lie-euler"])
 def test_runs_bit_identical_with_numpy_cross(make_scenario, monkeypatch, method):
+    """Batches with one plant and input per run, (runs, 2, 3) sphere and
+    (runs, 2, 3, 3) group stacks as verify steps them, reach so3.cross at
+    every rate: the observer rows' innovation k (y x yhat) against their own
+    plant rows.  Stepped again with np.cross in its place, every recorded
+    time, angle, drift and state is the same.  (Single runs and sweeps share
+    one plant vector, so their innovation is one product, not a cross.)"""
     import invobs.observer
     import invobs.so3
     import invobs.systems
+    from invobs.sampling import random_rotation, random_unit
+    from invobs.simulate import _group_pair
+    from invobs.verify import _smooth_inputs
 
-    integ = {"method": method, "h": 1e-3}
-    init = {"observer": {"axis_angle": [1.7, -0.4, 0.3]}}
-    runs = [
-        (simulate_projected, make_scenario(mode="projected", input=SINUSOID, t_end=0.2,
-                                           integrator=integ, init=init)),
-        (simulate_lifted, make_scenario(mode="lifted", input=SINUSOID, t_end=0.2,
-                                        integrator=integ, init=init)),
-        (simulate_cosim, make_scenario(mode="co-sim", input=SINUSOID, t_end=0.2,
-                                       integrator=integ, init=init)),
-    ]
-    sweeps = [make_scenario(mode="monte-carlo", input=SINUSOID, t_end=0.5, seed=5,
-                            integrator=dict(integ, h=1e-2), mc={"runs": 30, "space": space})
-              for space in ("projected", "lifted")]
-    ours = [fn(sc) for fn, sc in runs], [monte_carlo(sc) for sc in sweeps]
+    runs, steps = 6, 200
+    sc = make_scenario(mode="projected", t_end=steps * 1e-3, integrator={"method": method, "h": 1e-3})
+    rng = np.random.default_rng(8)
+    inputs = _smooth_inputs(rng, runs)
+
+    def rates(t, at):
+        return np.stack([sig.eval(t, at) for sig in inputs], axis=-2)  # (..., runs, 3)
+
+    cost = SphereCost(rng.uniform(0.5, 2.0, (runs, 1, 1)))
+    batches = [(_sphere_pair(cost), random_unit(rng, 2 * runs).reshape(runs, 2, 3)),
+               (_group_pair(cost, sc.y0_vec), random_rotation(rng, 2 * runs).reshape(runs, 2, 3, 3))]
+    ours = [_integrate(sc, rates, pair, state, True) for pair, state in batches]
     calls = []
 
     def numpy_cross(a, b):
@@ -792,14 +830,12 @@ def test_runs_bit_identical_with_numpy_cross(make_scenario, monkeypatch, method)
     # path really went through np.cross.
     for module in (invobs.observer, invobs.systems, invobs.so3):
         monkeypatch.setattr(module, "cross", numpy_cross)
-    reference = [fn(sc) for fn, sc in runs], [monte_carlo(sc) for sc in sweeps]
-    assert len(calls) >= 4 * 200
-    for got, want in zip(ours[0], reference[0]):
-        for f in dataclasses.fields(got):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            assert (a is None and b is None) or np.array_equal(a, b), f.name
-    for got, want in zip(ours[1], reference[1]):
-        assert got.summaries == want.summaries
+    reference = [_integrate(sc, rates, pair, state, True) for pair, state in batches]
+    # The group batch's rates at every stage, one per step under Lie-Euler
+    # for each batch.
+    assert len(calls) >= steps * (4 if method == "rk4-project" else 2)
+    for got, want in zip(ours, reference):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_runs_step_the_public_fields(make_scenario, monkeypatch):

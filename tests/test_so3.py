@@ -41,8 +41,7 @@ def test_hat_is_linear_cross_product(rng):
 
 
 def test_cross_is_bit_identical_to_numpy(rng):
-    """Both the Python-scalar path (two 3-element arguments, one-row stacks
-    included) and the gathered path for stacks."""
+    """Plain vectors, one-row stacks and stacks, broadcast against each other."""
     a, b = rng.standard_normal(3), rng.standard_normal(3)
     A, B = rng.standard_normal((50, 3)), rng.standard_normal((50, 3))
     for x, y in [(a, b), (A, B), (a, B), (A, b), (A[None], B[:, None]),
@@ -53,8 +52,8 @@ def test_cross_is_bit_identical_to_numpy(rng):
 
 @pytest.mark.parametrize("n", [200, 1000])
 def test_cross_of_one_vector_and_a_stack_is_bit_identical_to_numpy(rng, n):
-    """The one-vector path (two BLAS products of the stack) at sweep sizes,
-    both argument orders, (n, 3) and (n, 1, 3) stacks, strided stacks too."""
+    """One vector against a stack at sweep sizes, both argument orders,
+    (n, 3) and (n, 1, 3) stacks, strided stacks too."""
     a = rng.standard_normal(3)
     B = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 8, (n, 1))
     for stack in (B, B[:, None], B[::-1], np.zeros((n, 3))):
@@ -65,15 +64,17 @@ def test_cross_of_one_vector_and_a_stack_is_bit_identical_to_numpy(rng, n):
 
 
 def test_cross_of_a_non_finite_vector_and_a_stack_matches_numpy(rng):
-    """The vector's entries are placed in the products' matrices, not scaled
-    from a 0/1 basis, so an infinite or NaN entry of the vector gives what
-    np.cross gives; only a non-finite stack entry may differ (see cross)."""
+    """An infinite or NaN entry of the vector or of a stack row gives what
+    np.cross gives: the same products and differences, entry by entry."""
     B = rng.standard_normal((20, 3))
     B[3] = [0.0, 1.0, -2.0]
-    for a in ([np.inf, 1.0, -2.0], [0.5, -np.inf, 3.0], [1.0, 2.0, np.nan]):
+    C = B.copy()
+    C[5] = [np.inf, 0.0, 1.0]
+    C[7] = [1.0, np.nan, -np.inf]
+    for a in ([np.inf, 1.0, -2.0], [0.5, -np.inf, 3.0], [1.0, 2.0, np.nan], [0.3, -1.0, 2.0]):
         a = np.array(a)
         with np.errstate(invalid="ignore"):
-            for x, y in [(a, B), (B, a)]:
+            for x, y in [(a, B), (B, a), (a, C), (C, a)]:
                 np.testing.assert_array_equal(cross(x, y), np.cross(x, y))
 
 

@@ -21,7 +21,6 @@ from invobs.observer import (
 )
 from invobs.so3 import (
     _ACT_BASIS,
-    _CROSS_SLOTS,
     _HAT_BASIS,
     _ONES,
     _ONES9,
@@ -62,18 +61,42 @@ def test_unit_divides_by_its_row_norms(rng, shape):
         assert np.array_equal(unit(v), v / np.sqrt(_sum_squares(v))[..., None]), scale
 
 
+def _repeated_dot(yhat, y):
+    """<yhat, y> repeated along each row: against a plain plant vector one
+    product with the matrix whose row i is y_i repeated, against plant rows
+    einsum's sum row by row, broadcast."""
+    if y.ndim == 1:
+        return np.dot(yhat, np.repeat(y, 3).reshape(3, 3))
+    return np.einsum("...i,...i->...", yhat, y)[..., None]
+
+
 @pytest.mark.parametrize("shape", ROWS)
 def test_sphere_grad1_is_its_closed_form(rng, shape):
     """grad1 built in place in one temporary equals -k (y - yhat <yhat, y>)
-    against a plain plant vector (the dot as one gemv) and against plant
-    rows (the dot row by row, as einsum sums it), with one gain or one gain
-    per row."""
+    against a plain plant vector (<yhat, y> repeated along each row by one
+    product) and against plant rows (the dot row by row, as einsum sums
+    it), with one gain or one gain per row."""
     yhat = _units(rng, shape)
     gains = (1.7, rng.uniform(0.5, 2.0, shape[:-1] + (1,)))
     for y in (_units(rng, (3,)), _units(rng, shape)):
-        dot = np.dot(yhat, y) if y.ndim == 1 else np.einsum("...i,...i->...", yhat, y)
         for k in gains:
-            assert np.array_equal(SphereCost(k).grad1(yhat, y), -k * (y - yhat * dot[..., None]))
+            assert np.array_equal(SphereCost(k).grad1(yhat, y), -k * (y - yhat * _repeated_dot(yhat, y)))
+
+
+@pytest.mark.parametrize("shape", ROWS)
+def test_sphere_rate_is_one_product(rng, shape):
+    """rate against a plain plant vector is every row yhat times the one
+    matrix hat(-y), whose product with yhat is y x yhat; against plant rows
+    it is k * cross(y, yhat).  The product adds its terms as BLAS does, so
+    it stays within one ulp of 1 of np.cross for unit vectors."""
+    yhat = _units(rng, shape)
+    for k in (1.7, rng.uniform(0.5, 2.0, shape[:-1] + (1,))):
+        y = _units(rng, (3,))
+        got = SphereCost(k).rate(yhat, y)
+        assert np.array_equal(got, k * np.dot(yhat, hat(-y)))
+        assert np.max(np.abs(got - k * np.cross(y, yhat))) <= np.max(k) * np.spacing(1.0)
+        rows = _units(rng, shape if len(shape) > 1 else (1, 3))  # plant rows, not one vector
+        assert np.array_equal(SphereCost(k).rate(yhat, rows), k * cross(rows, yhat))
 
 
 @pytest.mark.parametrize("shape", [s[:-1] + (3, 3) for s in ROWS])
@@ -143,21 +166,6 @@ def test_hat_and_sum_squares_equal_their_np_dot_forms(rng, shape):
     assert np.array_equal(_sum_squares(m, _ONES9), np.dot(m * m, _ONES9))
 
 
-@pytest.mark.parametrize("shape", ROWS[1:])
-def test_cross_of_a_vector_and_a_stack_equals_its_np_dot_form(rng, shape):
-    """Both orders: the stack's rows times the (3, 3) matrices holding the
-    vector's entries, the second product subtracted in place."""
-    v, stack = rng.standard_normal(3), rng.standard_normal(shape)
-    M = np.zeros(18)
-    M.put(_CROSS_SLOTS, v)
-    P, Q = M.reshape(2, 3, 3)
-    rows = stack.reshape(-1, 3)
-    for got, (first, second) in ((cross(v, stack), (P, Q)), (cross(stack, v), (Q, P))):
-        want = np.dot(rows, first)
-        want -= np.dot(rows, second)
-        assert np.array_equal(got, want.reshape(shape))
-
-
 @pytest.mark.parametrize("shape", [s[:-1] + (3, 3) for s in ROWS])
 def test_actor_equals_its_np_dot_form(rng, shape):
     y = _units(rng, (3,))
@@ -168,16 +176,15 @@ def test_actor_equals_its_np_dot_form(rng, shape):
 
 def test_pair_field_equals_its_np_dot_form(rng):
     """projected_pair_field with one generator: np.dot(S, H) with the
-    observer rows' -k (y - yhat <yhat, y>) subtracted, <yhat, y> as np.dot
-    against one plant vector and as einsum against a plant row per run."""
+    observer rows' -k (y - yhat <yhat, y>) subtracted, <yhat, y> as in
+    grad1's closed form above."""
     H = hat(rng.standard_normal(3))
     for c, S, _ in _pair_cases(rng, runs=7):
         want = np.dot(S, H)
         if c is not None:
             yhat, y = S[..., 1:, :], (S[0] if S.ndim == 2 else S[..., :1, :])
             if isinstance(c, SphereCost):
-                dot = np.dot(yhat, y) if y.ndim == 1 else np.einsum("...i,...i->...", yhat, y)
-                want[..., 1:, :] -= -c.k * (y - yhat * dot[..., None])
+                want[..., 1:, :] -= -c.k * (y - yhat * _repeated_dot(yhat, y))
             else:
                 want[..., 1:, :] -= c.grad1(yhat, y)
         assert np.array_equal(projected_pair_field(c, S, H), want)
