@@ -9,9 +9,9 @@ observer.  This module holds the cost functions, their gradients and
 body-rate innovations (``rate``, yhat x grad1; the invariant cost's is the
 closed form k * (y x yhat)), the observer fields, the pair fields that move
 a plant and its observers stacked in one array, the horizontal lift of
-tangent vectors (plain arrays orthogonal to their base output), canonical
-errors, the closed form of the scalar error law theta' = -k sin(theta) that
-both instances obey, and the runtime verification predicates.
+tangent vectors (plain arrays orthogonal to their base output), the closed
+form of the scalar error law theta' = -k sin(theta) that both instances obey,
+and the runtime verification predicates.
 """
 
 from __future__ import annotations
@@ -250,19 +250,6 @@ def grad1_lifted_cost(c: SphereCost, Xhat, X, y0) -> np.ndarray:
     return c.k * (np.asarray(Xhat) @ hat(cross(yhat, y)))
 
 
-def right_invariant_error(Xhat, X) -> np.ndarray:
-    """Group error Xhat @ X^-1; unchanged under simultaneous right
-    translation of both states.  Either argument may carry leading axes."""
-    return np.asarray(Xhat) @ np.asarray(X).swapaxes(-1, -2)
-
-
-def canonical_error_from_group(Xhat, X, y0) -> np.ndarray:
-    """Canonical error act(Xhat @ X^-1, y0); equals y0 exactly when the states
-    are indistinguishable.  Fixed only up to a stabiliser rotation by the
-    choice of representatives; its angle to y0 is the invariant observable."""
-    return act(right_invariant_error(Xhat, X), y0)
-
-
 def error_angle(yhat, y):
     """Geodesic angle between two unit directions, in [0, pi], over leading
     axes.
@@ -281,13 +268,14 @@ def error_angle_closed_form(theta0: float, k: float, t):
     theta' = -k sin(theta) from theta0 in [-pi, pi]: the geodesic error angle
     on the sphere, and the signed error of the planar instance.
 
-    |theta0| = pi (to 1e-12) is the unstable equilibrium and is returned
-    unchanged.  A theta0 outside [-pi, pi] or not finite raises ValueError.
+    |theta0| = pi exactly is the unstable equilibrium and is returned
+    unchanged; every other start escapes it, since tan(theta0/2) is finite at
+    every float below pi.  A theta0 outside [-pi, pi] or not finite raises ValueError.
     """
     if not -np.pi <= theta0 <= np.pi:  # false for NaN too
         raise ValueError(f"theta0 must be a finite angle in [-pi, pi], not {theta0!r}")
     t = np.asarray(t, dtype=float)
-    if abs(abs(theta0) - np.pi) < 1e-12:
+    if abs(theta0) == np.pi:
         out = np.full_like(t, theta0)
     else:
         out = 2.0 * np.arctan(np.tan(0.5 * theta0) * np.exp(-k * t))

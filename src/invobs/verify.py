@@ -23,17 +23,13 @@ from .observer import (
     grad1_lifted_cost,
     lifted_cost,
     lifted_observer_field,
-    observer_body_rate,
-    projected_observer_field,
-    projected_pair_field,
-    projected_pair_rates,
     worst_residual,
 )
 from .sampling import _draws, random_rotation, random_tangent, random_unit
 from .scenario import InitState
 from .simulate import _integrate, _sphere_pair, simulate_cosim, simulate_projected, so2_oracle_run
 from .so3 import act, cross, group_exp, hat, unit, vee
-from .systems import InputSignal, plant_vector_field, project_dynamics
+from .systems import InputSignal, plant_vector_field
 
 N_SAMPLES = 1000
 N_AUTONOMY_INPUTS = 6
@@ -189,60 +185,6 @@ def invariant_cost_construction_residual(rng, y0, n=N_SAMPLES) -> float:
         return (abs(base - made.value(act(S, y1), act(S, y2))),
                 abs(base - direct.value(y1, y2)))
 
-    return worst_residual(residual() for _ in range(n))
-
-
-def pair_fields_residual(rng, y0, n=N_SAMPLES) -> float:
-    """The stacked pair fields that step every run against the per-component
-    fields they stand for, row by row: projected_pair_field against
-    project_dynamics (the plant row, and every row without a cost) and
-    projected_observer_field; projected_pair_rates against u and
-    observer_body_rate; plant_vector_field of projected_pair_rates at a group
-    pair's outputs against plant_vector_field of u and of
-    lifted_observer_field.  Each sample checks, with and without a cost, a
-    single pair, a shared-plant stack of several observers, and a stack of
-    runs, each run with its own plant, input and gain."""
-    def by_component(c, S, G, u):
-        y, X = S[0], G[0]
-        field = [project_dynamics(y, u)] + [
-            project_dynamics(yh, u) if c is None else projected_observer_field(c, yh, y, u)
-            for yh in S[1:]]
-        rates = [u] + [u if c is None else observer_body_rate(c, yh, y, u) for yh in S[1:]]
-        if c is None:
-            return field, rates
-        y = act(X, y0)
-        group = [plant_vector_field(X, u)] + [
-            plant_vector_field(Xh, lifted_observer_field(c, Xh, y, u, y0)) for Xh in G[1:]]
-        return field, rates, group
-
-    def stacked(c, S, G, u):
-        out = projected_pair_field(c, S, hat(u)), projected_pair_rates(c, S, u)
-        if c is None:
-            return out
-        return out + (plant_vector_field(G, projected_pair_rates(c, act(G, y0), u)),)
-
-    def gap(got, want):
-        return worst_residual(float(np.max(np.abs(g - np.asarray(w)))) for g, w in zip(got, want))
-
-    def residual():
-        m = int(rng.integers(2, 6))
-        k = rng.uniform(0.5, 2.0, m)
-        u = rng.uniform(-1.5, 1.5, (m, 3))
-        S, G = random_unit(rng, m + 1), random_rotation(rng, m + 1)
-        S_runs = random_unit(rng, 2 * m).reshape(m, 2, 3)
-        G_runs = random_rotation(rng, 2 * m).reshape(m, 2, 3, 3)
-        out = []
-        for gains, costs in ((SphereCost(k[:, None, None]), [SphereCost(g) for g in k]),
-                             (None, [None] * m)):
-            c = costs[0]
-            out.append(gap(stacked(c, S[:2], G[:2], u[0]), by_component(c, S[:2], G[:2], u[0])))
-            out.append(gap(stacked(c, S, G, u[0]), by_component(c, S, G, u[0])))
-            got = stacked(gains, S_runs, G_runs, u)
-            out.extend(gap([g[r] for g in got], by_component(costs[r], S_runs[r], G_runs[r], u[r]))
-                       for r in range(m))
-        return worst_residual(out)
-
-    # Per sample: its single-pair and shared-plant layouts exercise the dot branches.
     return worst_residual(residual() for _ in range(n))
 
 

@@ -612,6 +612,19 @@ def test_runs_near_the_antipode_follow_the_law(make_scenario):
     assert closed_form_deviation(lifted, 1.0) <= 1e-8
 
 
+def test_lifted_run_from_1e13_off_the_antipode_follows_the_law(make_scenario):
+    """An observer 1e-13 rad from the plant's antipode escapes it and
+    converges, and the law from the recorded start, which is not the
+    equilibrium, follows it over 40 s at h = 0.01."""
+    eps = 1e-13
+    sc = make_scenario(mode="lifted", k=1.0, input=SINUSOID, t_end=40.0,
+                       init={"plant": {"axis_angle": [np.pi / 2, 0.0, 0.0]},
+                             "observer": {"direction": [0.0, -np.cos(eps), np.sin(eps)]}})
+    rec = simulate_lifted(sc)
+    assert 0.0 < np.pi - rec.theta[0] <= 2 * eps and rec.theta[-1] < 1e-3
+    assert closed_form_deviation(rec, 1.0) <= 1e-2
+
+
 def _full_state_law(rec, sc):
     """The group error E(t) = E0 exp((theta0 - theta(t)) n) of a lifted run's
     samples, with the fixed axis n = unit(y0 x E0^T y0) and theta from the
@@ -699,7 +712,7 @@ def test_monte_carlo_exclusion_cap(rng):
 
 
 def test_right_invariant_error_projects_to_canonical(rng):
-    from invobs.observer import canonical_error_from_group, right_invariant_error
+    from group_errors import canonical_error_from_group, right_invariant_error
     from invobs.sampling import random_rotation
     from invobs.so3 import act
 
@@ -719,7 +732,8 @@ def test_lifted_angle_is_the_canonical_error_angle(make_scenario, monkeypatch, r
     The norms taken as products with ones (error_angle, so3.drift, the
     sphere pair's drift) agree with their np.linalg.norm forms to 2 ulp."""
     import invobs.simulate
-    from invobs.observer import canonical_error_from_group, error_angle
+    from group_errors import canonical_error_from_group
+    from invobs.observer import error_angle
     from invobs.sampling import random_rotation, random_unit
     from invobs.so3 import drift
 

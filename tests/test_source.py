@@ -50,3 +50,20 @@ def test_top_level_exports_are_the_documented_public_api():
     bullets = [line.split(":", 1)[1] for line in section.splitlines() if line.startswith("- ")]
     documented = {name for line in bullets for name in re.findall(r"`(\w+)`", line)}
     assert bound == documented
+
+
+def test_verify_holds_only_what_its_suite_runs():
+    """Every top-level function and class of ``invobs/verify.py`` is reached
+    from ``run_verification`` through the names the module's definitions use:
+    a residual that no suite runs belongs in a test, not in the package."""
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    defs = {node.name: {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    reached, todo = set(), ["run_verification"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(defs[name] & defs.keys())
+    assert sorted(defs.keys() - reached) == []

@@ -21,7 +21,6 @@ from invobs.verify import (
     lifted_gradient_identity_residual,
     metric_identity_residual,
     observer_two_forms_residual,
-    pair_fields_residual,
 )
 from invobs.observer import (
     AnisotropicCost,
@@ -30,13 +29,17 @@ from invobs.observer import (
     check_innovation_equivariance,
     grad1_lifted_cost,
     lifted_observer_field,
+    observer_body_rate,
+    projected_observer_field,
+    projected_pair_field,
+    projected_pair_rates,
     worst_residual,
 )
 from invobs.sampling import _draws, random_rotation, random_tangent, random_unit
 from invobs.scenario import InitState
 from invobs.simulate import _integrate, _sphere_pair
 from invobs.so3 import act, cross, hat
-from invobs.systems import plant_vector_field
+from invobs.systems import plant_vector_field, project_dynamics
 
 E3 = np.array([0.0, 0.0, 1.0])
 Y0 = np.array([1.0, 2.0, 2.0]) / 3.0
@@ -120,14 +123,65 @@ def test_lie_euler_autonomy_spread_needs_a_fine_step(make_scenario):
     assert 9.0 <= deviation[0] / deviation[1] <= 11.0
 
 
-def test_pair_fields_match_the_component_fields(rng, monkeypatch):
-    """The stacked pair fields agree with the per-component fields row by
-    row; a field whose observer rows take the row above as their reference
-    (right for a single pair, wrong for several observers on one plant)
-    fails."""
-    import invobs.verify
+def test_pair_fields_match_the_component_fields(rng):
+    """The stacked pair fields that step every run agree row by row with the
+    per-component fields they stand for: projected_pair_field against
+    project_dynamics (the plant row, and every row without a cost) and
+    projected_observer_field; projected_pair_rates against u and
+    observer_body_rate; plant_vector_field of projected_pair_rates at a group
+    pair's outputs against plant_vector_field of u and of
+    lifted_observer_field.  Each sample checks, with and without a cost, a
+    single pair, a shared-plant stack of several observers, and a stack of
+    runs, each run with its own plant, input and gain.  A sphere field whose
+    observer rows take the row above as their reference (right for a single
+    pair, wrong for several observers on one plant) fails."""
+    y0 = E3
 
-    assert pair_fields_residual(rng, E3, 100) <= 1e-12
+    def by_component(c, S, G, u):
+        y, X = S[0], G[0]
+        field = [project_dynamics(y, u)] + [
+            project_dynamics(yh, u) if c is None else projected_observer_field(c, yh, y, u)
+            for yh in S[1:]]
+        rates = [u] + [u if c is None else observer_body_rate(c, yh, y, u) for yh in S[1:]]
+        if c is None:
+            return field, rates
+        y = act(X, y0)
+        group = [plant_vector_field(X, u)] + [
+            plant_vector_field(Xh, lifted_observer_field(c, Xh, y, u, y0)) for Xh in G[1:]]
+        return field, rates, group
+
+    def gap(got, want):
+        return worst_residual(float(np.max(np.abs(g - np.asarray(w)))) for g, w in zip(got, want))
+
+    def worst_gap(sphere_field, n):
+        def stacked(c, S, G, u):
+            out = sphere_field(c, S, hat(u)), projected_pair_rates(c, S, u)
+            if c is None:
+                return out
+            return out + (plant_vector_field(G, projected_pair_rates(c, act(G, y0), u)),)
+
+        def residual():
+            m = int(rng.integers(2, 6))
+            k = rng.uniform(0.5, 2.0, m)
+            u = rng.uniform(-1.5, 1.5, (m, 3))
+            S, G = random_unit(rng, m + 1), random_rotation(rng, m + 1)
+            S_runs = random_unit(rng, 2 * m).reshape(m, 2, 3)
+            G_runs = random_rotation(rng, 2 * m).reshape(m, 2, 3, 3)
+            out = []
+            for gains, costs in ((SphereCost(k[:, None, None]), [SphereCost(g) for g in k]),
+                                 (None, [None] * m)):
+                c = costs[0]
+                out.append(gap(stacked(c, S[:2], G[:2], u[0]), by_component(c, S[:2], G[:2], u[0])))
+                out.append(gap(stacked(c, S, G, u[0]), by_component(c, S, G, u[0])))
+                got = stacked(gains, S_runs, G_runs, u)
+                out.extend(gap([g[r] for g in got], by_component(costs[r], S_runs[r], G_runs[r], u[r]))
+                           for r in range(m))
+            return worst_residual(out)
+
+        # Per sample: its single-pair and shared-plant layouts exercise the dot branches.
+        return worst_residual(residual() for _ in range(n))
+
+    assert worst_gap(projected_pair_field, 100) <= 1e-12
 
     def against_row_above(c, S, H):
         v = np.asarray(S) @ H
@@ -135,8 +189,7 @@ def test_pair_fields_match_the_component_fields(rng, monkeypatch):
             v[..., 1:, :] -= c.grad1(S[..., 1:, :], S[..., :-1, :])
         return v
 
-    monkeypatch.setattr(invobs.verify, "projected_pair_field", against_row_above)
-    assert pair_fields_residual(rng, E3, 20) > 1e-3
+    assert worst_gap(against_row_above, 20) > 1e-3
 
 
 # The per-sample forms of the checks that evaluate one array expression over
