@@ -71,9 +71,12 @@ class SphereCost:
         if y.ndim == 1:  # one plant vector: <yhat, y> along every row from one product
             g = yhat.dot(y.dot(_REPEAT).reshape(3, 3))
             g *= yhat
+            # Column by column: 3 inner loops along the rows, y_j at stride 0,
+            # not one loop of 3 per row.
+            np.subtract(g, y, out=g, order="F")
         else:
             g = yhat * np.einsum("...i,...i->...", yhat, y)[..., None]
-        g -= y
+            g -= y
         g *= self.k
         return g
 

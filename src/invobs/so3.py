@@ -29,7 +29,6 @@ _CROSS_ROWS = np.array([[1, 2, 0], [2, 0, 1]])  # last-axis gathers of cross
 # y @ _ACT_BASIS, reshaped to (9, 3), has row 3i + j equal to y_i e_j.
 _ACT_BASIS = np.multiply.outer(IDENTITY, IDENTITY).reshape(3, 27)
 _ONES = np.ones(3)
-_ONES9 = np.ones(9)
 _ONES33 = np.ones((3, 3))  # v @ _ONES33 repeats the sum of each row of v along it
 _I15 = 1.5 * IDENTITY
 
@@ -120,7 +119,10 @@ def _gram(X):
 def drift(X):
     """Frobenius distance of X^T X from the identity, over leading axes."""
     D = _gram(np.asarray(X)) - IDENTITY
-    return np.sqrt(_sum_squares(D.reshape(D.shape[:-2] + (9,)), _ONES9))
+    D = D.reshape(D.shape[:-2] + (9,))
+    # Summed row by row, not as a product with ones: gemv rounds by row count,
+    # so a run's drift would depend on the size of its sweep.
+    return np.sqrt(np.add.reduce(D * D, axis=-1))
 
 
 def orthonormalize(X) -> np.ndarray:

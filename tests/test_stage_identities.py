@@ -23,12 +23,12 @@ from invobs.so3 import (
     _ACT_BASIS,
     _HAT_BASIS,
     _ONES,
-    _ONES9,
     _ONES33,
     IDENTITY,
     _actor,
     _sum_squares,
     cross,
+    drift,
     group_exp,
     hat,
     orthonormalize,
@@ -83,6 +83,35 @@ def test_sphere_grad1_is_its_closed_form(rng, shape):
             assert np.array_equal(SphereCost(k).grad1(yhat, y), -k * (y - yhat * _repeated_dot(yhat, y)))
 
 
+def _layouts(rng, n):
+    """n unit rows C-ordered, Fortran-ordered, as every second row of a
+    larger stack, and as the rows after the first of a (1 + n, 3) stack (the
+    observer rows of a shared-plant pair)."""
+    rows = _units(rng, (n, 3))
+    yield rows
+    yield np.asfortranarray(rows)
+    yield _units(rng, (2 * n, 3))[::2]
+    yield _units(rng, (1 + n, 3))[1:]
+
+
+@pytest.mark.parametrize("n", [1, 2, 200, 1000])
+def test_grad1_rounds_the_same_in_every_layout(rng, n):
+    """Against one plant vector grad1 subtracts it column by column
+    (order="F"), an iteration order that cannot change a value, since each
+    entry is one subtraction.  In every memory layout of the observer rows,
+    and of the pair stack projected_pair_field takes, each entry is the
+    closed form's."""
+    y, H = _units(rng, (3,)), hat(rng.standard_normal(3))
+    for yhat in _layouts(rng, n):
+        for k in (1.7, rng.uniform(0.5, 2.0, (n, 1))):
+            assert np.array_equal(SphereCost(k).grad1(yhat, y), -k * (y - yhat * _repeated_dot(yhat, y)))
+    c = SphereCost(1.3)
+    for S in _layouts(rng, 1 + n):
+        want = np.dot(S, H)
+        want[1:] -= -c.k * (S[0] - S[1:] * _repeated_dot(S[1:], S[0]))
+        assert np.array_equal(projected_pair_field(c, S, H), want)
+
+
 @pytest.mark.parametrize("shape", ROWS)
 def test_sphere_rate_is_one_product(rng, shape):
     """rate against a plain plant vector is every row yhat times the one
@@ -117,6 +146,15 @@ def test_group_exp_sums_rodrigues_in_order(rng, shape):
     t2 = _sum_squares(w)[..., None, None]
     t = np.sqrt(t2)
     assert np.array_equal(group_exp(w), IDENTITY + np.sin(t) / t * K + (1.0 - np.cos(t)) / t2 * (K @ K))
+
+
+@pytest.mark.parametrize("shape", [s[:-1] + (3, 3) for s in ROWS])
+def test_drift_of_a_stack_is_each_matrix_drift(rng, shape):
+    """drift sums each matrix's nine squares along its row, so a matrix in
+    a stack of any size has the drift it has alone."""
+    X = _near_rotations(rng, shape[:-2])
+    alone = [drift(x) for x in X.reshape(-1, 3, 3)]
+    assert np.array_equal(drift(X), np.reshape(alone, shape[:-2]))
 
 
 def _pair_cases(rng, runs):
@@ -162,8 +200,6 @@ def test_hat_and_sum_squares_equal_their_np_dot_forms(rng, shape):
     assert np.array_equal(hat(w), np.dot(w, _HAT_BASIS).reshape(shape[:-1] + (3, 3)))
     assert np.array_equal(_sum_squares(w), np.dot(w * w, _ONES))
     assert np.array_equal(_sum_squares(w, _ONES33), np.dot(w * w, _ONES33))
-    m = rng.standard_normal(shape[:-1] + (9,))
-    assert np.array_equal(_sum_squares(m, _ONES9), np.dot(m * m, _ONES9))
 
 
 @pytest.mark.parametrize("shape", [s[:-1] + (3, 3) for s in ROWS])
