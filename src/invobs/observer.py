@@ -7,11 +7,11 @@ invariant cost makes the error-angle dynamics autonomous and almost globally
 contracting; lifting the innovation horizontally gives the matching group
 observer.  This module holds the cost functions, their gradients and
 body-rate innovations (``rate``, yhat x grad1; the invariant cost's is the
-closed form k * (y x yhat)), the observer fields, the pair fields that move
-a plant and its observers stacked in one array, the horizontal lift of
-tangent vectors (plain arrays orthogonal to their base output), the closed
-form of the scalar error law theta' = -k sin(theta) that both instances obey,
-and the runtime verification predicates.
+closed form k * (y x yhat)), the group observer's field, the pair fields
+that move a plant and its observers stacked in one array, the horizontal
+lift of tangent vectors (plain arrays orthogonal to their base output), the
+closed form of the scalar error law theta' = -k sin(theta) that both
+instances obey, and the runtime verification predicates.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sampling import _draws, random_rotation, random_unit
-from .systems import project_dynamics
 from .so3 import (
     _HAT_BASIS,
     _sum_squares,
@@ -116,12 +115,6 @@ class AnisotropicCost:
         return cross(yhat, self.grad1(yhat, y))
 
 
-def projected_observer_field(c, yhat, y, u) -> np.ndarray:
-    """Observer velocity on the sphere: the internal model (the projected plant
-    at yhat) plus the innovation -c.grad1, over leading axes where grad1 allows."""
-    return project_dynamics(yhat, u) - c.grad1(yhat, y)
-
-
 def _plant_row(S):
     """The plant row of a stacked pair, as the reference of its observer rows:
     a plain vector for a shared-plant (1 + n, 3) stack, the (..., 1, 3) rows
@@ -136,10 +129,10 @@ def projected_pair_field(c, S, H) -> np.ndarray:
 
     H = hat(u) is the input's generator: every row moves by its internal
     model y x u = (S @ H) row by row; the observer rows add the innovation
-    -c.grad1 against the plant row, as projected_observer_field does.
-    ``c = None`` leaves the internal model alone (synchrony).  H is one
-    (3, 3) generator, or one per run.  Taking the generator rather than u
-    lets a caller build hat of a whole table of inputs in one call.
+    -c.grad1 against the plant row.  ``c = None`` leaves the internal model
+    alone (synchrony).  H is one (3, 3) generator, or one per run.  Taking
+    the generator rather than u lets a caller build hat of a whole table of
+    inputs in one call.
     """
     S = np.asarray(S)
     if H.ndim == 2:
@@ -156,9 +149,9 @@ def projected_pair_field(c, S, H) -> np.ndarray:
 
 def projected_pair_rates(c, S, u) -> np.ndarray:
     """Body rates of a stacked sphere pair (rows as in projected_pair_field):
-    u on the plant row and observer_body_rate on the observer rows (u on
-    every row for ``c = None``).  Each row y moves by act(group_exp(h * w), y)
-    with its own rate w.
+    u on the plant row and the observer body rates u + c.rate(yhat, y) on the
+    observer rows (u on every row for ``c = None``).  Each row y moves by
+    act(group_exp(h * w), y) with its own rate w.
 
     At the outputs act(G, y0) of a stacked group pair (the plant and lifted
     observers along axis -3 of G) these are the group pair's body rates, the
@@ -216,24 +209,17 @@ class HorizontalSubspace:
         return abs(float(w @ act(Xhat, self.y0))) <= tol
 
 
-def observer_body_rate(c, yhat, y, u) -> np.ndarray:
-    """Body rate u + c.rate(yhat, y) of the observer at output yhat, over
-    leading axes: the sphere observer moves by act(group_exp(h * .), yhat).
-    The cost's rate is the innovation yhat x c.grad1(yhat, y); for the
-    invariant cost it is k * (y x yhat), so the body rate is the proportional
-    complementary-filter form u + k * (y x yhat)."""
-    return np.asarray(u, dtype=float) + c.rate(yhat, y)
-
-
 def lifted_observer_field(c, Xhat, y, u, y0) -> np.ndarray:
-    """Body-frame velocity of the group observer: observer_body_rate at
-    act(Xhat, y0).
+    """Body-frame velocity of the group observer: the body rate
+    u + c.rate(yhat, y) at its output yhat = act(Xhat, y0).  The cost's rate
+    is the innovation yhat x c.grad1(yhat, y); for the invariant cost it is
+    k * (y x yhat), the proportional complementary-filter form.
 
     Advancing Xhat by group_exp(h * hat(.)) of the returned vector realises
     Xhat' = Xhat @ hat(u) minus the horizontal lift of the cost gradient.
     Xhat, y and u may carry leading axes.
     """
-    return observer_body_rate(c, act(Xhat, y0), y, u)
+    return np.asarray(u, dtype=float) + c.rate(act(Xhat, y0), y)
 
 
 def lifted_cost(c, Xhat, X, y0) -> float:

@@ -1,11 +1,11 @@
-"""The plant: left-invariant kinematics, the direction output, the projected
-sphere dynamics, and admissible input signals.
+"""The plant: left-invariant kinematics and admissible input signals.
 
 The state equation is Xdot = X @ hat(u) with u measured.  Its output
-y = act(X, y0) obeys the closed sphere equation ydot = -hat(u) @ y, which is
-independent of the group representative and is the minimal realisation of the
-input-output behaviour; the stabiliser of y0 is exactly what the output cannot
-see.
+y = act(X, y0) obeys the closed sphere equation ydot = -hat(u) @ y = y x u,
+which is independent of the group representative and is the minimal
+realisation of the input-output behaviour; the stabiliser of y0 is exactly
+what the output cannot see.  The pair fields in ``invobs.observer`` step that
+sphere equation for the plant row of a stacked pair.
 """
 
 from __future__ import annotations
@@ -14,18 +14,12 @@ import math
 
 import numpy as np
 
-from .so3 import cross, hat
+from .so3 import hat
 
 
 def plant_vector_field(X, u) -> np.ndarray:
     """Group tangent X @ hat(u) of the left-invariant plant, over leading axes."""
     return np.asarray(X) @ hat(u)
-
-
-def project_dynamics(y, u) -> np.ndarray:
-    """Output-space velocity -hat(u) @ y = y x u induced by any representative
-    of y, over leading axes of either argument."""
-    return cross(y, u)
 
 
 def _primitive(s, f, phase):

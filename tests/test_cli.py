@@ -391,6 +391,31 @@ def test_lifted_run_from_near_the_antipode(tmp_path, name):
     assert float(first[CSV_COLUMNS.index("drift")]) <= 1e-15
 
 
+def test_run_from_the_exact_antipode_writes_a_null_deviation(tmp_path):
+    """An observer started at the plant's antipode starts at the law's
+    unstable equilibrium, where closed_form_deviation has no law to compare
+    against: the summary writes null, and the run exits 0."""
+    doc = dict(FAST_RUN, t_end=0.1, init={"plant": "identity", "observer": {"direction": [0.0, 0.0, -1.0]}})
+    out = tmp_path / "out"
+    code = cli.main(["run", "--scenario", write_scenario(tmp_path, doc), "--out", str(out), "--quiet"])
+    assert code == 0
+    first = (out / "trajectory.csv").read_text().splitlines()[1].split(",")
+    assert float(first[CSV_COLUMNS.index("theta")]) == np.pi
+    assert json.loads((out / "summary.json").read_text())["summary"]["closed_form_max_deviation"] is None
+
+
+def test_verify_without_out_leaves_no_file(tmp_path, monkeypatch):
+    """``invobs verify`` without ``--out`` writes its artifacts into a
+    temporary directory: it exits 0 and the working directory gains nothing."""
+    src = write_scenario(tmp_path, {"instance": "so3-s2", "t_end": 0.3})
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert cli.main(["verify", "--scenario", src, "--quiet"]) == 0
+    assert list(work.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "work"]
+
+
 def test_preset_commands(capsys):
     assert cli.main(["preset", "list"]) == 0
     listing = capsys.readouterr().out

@@ -23,14 +23,13 @@ from invobs.observer import (
     error_angle_closed_form,
     grad1_lifted_cost,
     lifted_cost,
-    observer_body_rate,
-    projected_observer_field,
     projected_pair_field,
 )
 from invobs.sampling import random_rotation, random_tangent, random_unit
 from invobs.simulate import TrajectoryRecord
 from invobs.so3 import AntipodalError, cross, section, vee
 
+from component_fields import observer_body_rate, projected_observer_field
 from group_errors import canonical_error_from_group
 
 E1, E2, E3 = np.eye(3)

@@ -107,6 +107,17 @@ def test_invalid_json_rejected():
       "sample_every": 1}, "^t_end .*sample_every"),
     ({"instance": "so3-s2", "t_end": 0.0115}, r"^t_end .*integrator\.h"),
     ({"instance": "so3-s2", "t_end": 1.0005}, r"^t_end .*integrator\.h"),
+    ({"instance": "so3-s2", "input": {"kind": "sinusoid", "amplitude": [1, 0, 0]}},
+     "missing required field 'input.frequency'"),
+    ({"instance": "so3-s2", "y0": [0, 0, float("inf")]}, "^y0 must be finite"),
+    ({"instance": "so3-s2", "input": {"kind": "sum", "terms": []}},
+     r"^input\.terms must be a non-empty list"),
+    ({"instance": "so3-s2", "init": {"observer": {"direction": [0, 0, 1], "axis_angle": [0, 0, 1]}}},
+     r"^init\.observer needs exactly one of"),
+    ([], "must be a JSON object"),
+    ({"instance": "so3-s2", "input": {"kind": "sinusoid", "amplitude": [1, 0, 0], "frequency": -1}},
+     r"^input\.frequency must be nonnegative"),
+    ({"instance": "so2-s1", "init": {"observer": {}}}, r"missing required field 'init\.observer\.angle'"),
 ])
 def test_validation_errors_name_the_field(doc, fragment):
     with pytest.raises(ScenarioError, match=fragment):

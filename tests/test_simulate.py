@@ -817,7 +817,6 @@ def test_runs_bit_identical_with_numpy_cross(make_scenario, monkeypatch, method)
     one plant vector, so their innovation is one product, not a cross.)"""
     import invobs.observer
     import invobs.so3
-    import invobs.systems
     from invobs.sampling import random_rotation, random_unit
     from invobs.simulate import _group_pair
     from invobs.verify import _smooth_inputs
@@ -842,7 +841,7 @@ def test_runs_bit_identical_with_numpy_cross(make_scenario, monkeypatch, method)
 
     # Every module whose helpers a step may reach; the count shows the step
     # path really went through np.cross.
-    for module in (invobs.observer, invobs.systems, invobs.so3):
+    for module in (invobs.observer, invobs.so3):
         monkeypatch.setattr(module, "cross", numpy_cross)
     reference = [_integrate(sc, rates, pair, state, True) for pair, state in batches]
     # The group batch's rates at every stage, one per step under Lie-Euler

@@ -15,7 +15,6 @@ import pytest
 from invobs.observer import (
     AnisotropicCost,
     SphereCost,
-    observer_body_rate,
     projected_pair_field,
     projected_pair_rates,
 )
@@ -34,6 +33,8 @@ from invobs.so3 import (
     orthonormalize,
     unit,
 )
+
+from component_fields import observer_body_rate
 
 ROWS = [(3,), (2, 3), (201, 3), (1001, 3), (7, 2, 3)]
 

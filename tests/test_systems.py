@@ -5,8 +5,10 @@ import pytest
 
 from invobs import InputSignal, act, group_exp, hat
 from invobs.so3 import section
-from invobs.systems import plant_vector_field, project_dynamics
+from invobs.systems import plant_vector_field
 from invobs.sampling import random_rotation, random_unit
+
+from component_fields import project_dynamics
 
 E1, E2, E3 = np.eye(3)
 EPS = 1e-6

@@ -29,8 +29,6 @@ from invobs.observer import (
     check_innovation_equivariance,
     grad1_lifted_cost,
     lifted_observer_field,
-    observer_body_rate,
-    projected_observer_field,
     projected_pair_field,
     projected_pair_rates,
     worst_residual,
@@ -39,7 +37,9 @@ from invobs.sampling import _draws, random_rotation, random_tangent, random_unit
 from invobs.scenario import InitState
 from invobs.simulate import _integrate, _sphere_pair
 from invobs.so3 import act, cross, hat
-from invobs.systems import plant_vector_field, project_dynamics
+from invobs.systems import plant_vector_field
+
+from component_fields import observer_body_rate, project_dynamics, projected_observer_field
 
 E3 = np.array([0.0, 0.0, 1.0])
 Y0 = np.array([1.0, 2.0, 2.0]) / 3.0
