@@ -95,7 +95,9 @@ class AnisotropicCost:
 
     Deliberate symmetry breaking: its gradient field is not equivariant, so
     the induced error dynamics depend on the input.  Used as a negative
-    control only.
+    control only.  A stack of weights, (runs, 3, 3) for the observer rows of
+    a (runs, 2, 3) pair, gives each run its own; A = 0 is the zero cost,
+    whose gradient and rate are exactly zero.
     """
 
     A: np.ndarray = field(default_factory=lambda: np.diag([1.0, 1.6, 2.4]))
@@ -107,7 +109,7 @@ class AnisotropicCost:
     def grad1(self, yhat, y) -> np.ndarray:
         """Tangent part at yhat of A^T A (yhat - y), over leading axes."""
         yhat = np.asarray(yhat, dtype=float)
-        p = (yhat - y) @ (self.A.T @ self.A)  # A^T A is symmetric
+        p = (yhat - y) @ (np.swapaxes(self.A, -1, -2) @ self.A)  # A^T A is symmetric
         return p - yhat * np.sum(yhat * p, axis=-1, keepdims=True)
 
     def rate(self, yhat, y) -> np.ndarray:

@@ -8,7 +8,7 @@ bounds, passing only when deliberately broken symmetry shows up at full size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .observer import (
     worst_residual,
 )
 from .sampling import _draws, random_rotation, random_tangent, random_unit
-from .scenario import InitState
-from .simulate import _integrate, _sphere_pair, simulate_cosim, simulate_projected, so2_oracle_run
+from .simulate import _integrate, _sphere_pair, simulate_cosim, so2_oracle_run
 from .so3 import act, cross, group_exp, hat, unit, vee
 from .systems import InputSignal, plant_vector_field
 
@@ -243,21 +242,25 @@ def _batch_theta(scenario, inputs, cost, S):
     return t, theta[..., 0]
 
 
-def autonomy_spread(scenario, inputs, cost=None) -> float:
-    """Pointwise spread of the error angle across runs differing only in the
-    input signal, stepped as one batch from the scenario's initial pair."""
-    cost = SphereCost(scenario.k) if cost is None else cost
-    S = np.tile(scenario.initial_sphere_pair(), (len(inputs), 1, 1))
-    _, theta = _batch_theta(scenario, inputs, cost, S)
-    return float(np.max(np.ptp(theta, axis=1)))
-
-
-def synchrony_residual(scenario, inputs) -> float:
-    """Largest excursion of the error angle from its initial value over runs
-    of the innovation-free pair (the internal model alone), one per input,
-    stepped as one batch from the scenario's initial pair."""
-    S = np.tile(scenario.initial_sphere_pair(), (len(inputs), 1, 1))
-    return check_synchrony(_batch_theta(scenario, inputs, None, S)[1])
+def simulation_residuals(scenario, autonomy, synchrony) -> tuple[float, float, float, float]:
+    """Autonomy spread, its negative control, synchrony excursion and
+    antipodal stationarity, from two batches of projected runs from the
+    scenario's initial pair, one batch per cost.  Under SphereCost(k): one
+    run per autonomy input, then one from the plant's antipode under the
+    scenario's input.  Under AnisotropicCost with one weight per run: the
+    control weight on the first two autonomy inputs, then A = 0, an
+    innovation of exactly zero (the internal model alone), on each synchrony
+    input."""
+    pair = scenario.initial_sphere_pair()
+    y = pair[0]
+    S = np.concatenate((np.tile(pair, (len(autonomy), 1, 1)), [[y, -y]]))
+    theta = _batch_theta(scenario, [*autonomy, scenario.input], SphereCost(scenario.k), S)[1]
+    A = np.stack([AnisotropicCost().A] * 2 + [np.zeros((3, 3))] * len(synchrony))
+    broken = _batch_theta(scenario, [*autonomy[:2], *synchrony], AnisotropicCost(A),
+                          np.tile(pair, (len(A), 1, 1)))[1]
+    return (float(np.max(np.ptp(theta[:, :-1], axis=1))),
+            float(np.max(np.ptp(broken[:, :2], axis=1))),
+            check_synchrony(broken[:, 2:]), float(np.max(np.abs(theta[:, -1] - np.pi))))
 
 
 def cosim_residual(scenario) -> float:
@@ -265,15 +268,6 @@ def cosim_residual(scenario) -> float:
     sphere pair started on its outputs (simulate_cosim)."""
     rec = simulate_cosim(scenario)
     return float(np.max(rec.consistency))
-
-
-def antipodal_stationarity_residual(scenario) -> float:
-    """Exact antipodal initialisation must stay at error angle pi."""
-    sc = dc_replace(scenario, mode="projected")
-    y = sc.initial_sphere_pair()[0]
-    sc = dc_replace(sc, observer=InitState("direction", -y))
-    rec = simulate_projected(sc)
-    return float(np.max(np.abs(rec.theta - np.pi)))
 
 
 # --- suite ------------------------------------------------------------------
@@ -315,13 +309,13 @@ def _run_verification_sphere(scenario) -> list[PropertyCheck]:
                invariant_cost_construction_residual(rng, y0), 1e-9),
     ]
     inputs = _autonomy_inputs(rng, N_AUTONOMY_INPUTS, h)
-    synchrony = synchrony_residual(scenario, _smooth_inputs(rng, 3) + [_random_piecewise(rng, h)])
+    spread, control, synchrony, antipodal = simulation_residuals(
+        scenario, inputs, _smooth_inputs(rng, 3) + [_random_piecewise(rng, h)])
     checks.append(_upper("synchrony_constancy", synchrony, SYNCHRONY_TOL))
-    checks.append(_upper("autonomy_spread", autonomy_spread(scenario, inputs), 1e-6))
-    checks.append(_lower("autonomy_negative_control",
-                         autonomy_spread(scenario, inputs[:2], cost=AnisotropicCost()), 1e-3))
+    checks.append(_upper("autonomy_spread", spread, 1e-6))
+    checks.append(_lower("autonomy_negative_control", control, 1e-3))
     checks.append(_upper("cosim_projection_consistency", cosim_residual(scenario), COSIM_TOL))
-    checks.append(_upper("antipodal_stationarity", antipodal_stationarity_residual(scenario), 1e-9))
+    checks.append(_upper("antipodal_stationarity", antipodal, 1e-9))
     return checks
 
 

@@ -21,20 +21,23 @@ from invobs import (
     simulate_lifted,
     simulate_projected,
 )
-from invobs.observer import AnisotropicCost, check_innovation_equivariance, error_angle_closed_form
+from invobs.observer import (
+    AnisotropicCost,
+    check_innovation_equivariance,
+    check_synchrony,
+    error_angle_closed_form,
+)
 from invobs.simulate import _fit_rates, so2_oracle_run
 from invobs.verify import (
     _batch_theta,
     _random_piecewise,
     _random_sinusoid,
     _smooth_inputs,
-    autonomy_spread,
     gradient_fd_residual,
     lifted_gradient_fd_residual,
     lifted_gradient_identity_residual,
     metric_identity_residual,
     observer_two_forms_residual,
-    synchrony_residual,
 )
 
 H = 1e-3
@@ -49,6 +52,17 @@ def scenario(**over):
     doc = {"instance": "so3-s2"}
     doc.update(over)
     return parse_scenario(json.dumps(doc))
+
+
+def batch_theta(sc, inputs, cost):
+    """Error angles of a batch of runs from the scenario's initial pair, one
+    per input, under one cost (None: the internal model alone)."""
+    S = np.tile(sc.initial_sphere_pair(), (len(inputs), 1, 1))
+    return _batch_theta(sc, inputs, cost, S)[1]
+
+
+def spread(sc, inputs, cost):
+    return float(np.max(np.ptp(batch_theta(sc, inputs, cost), axis=1)))
 
 
 def random_direction(rng):
@@ -90,21 +104,21 @@ def test_criterion_02_autonomy():
                                                  _random_piecewise(rng, H)))
         else:
             inputs.extend(_smooth_inputs(rng, 1))
-    spread = autonomy_spread(sc, inputs)
-    report(2, "input independence", spread <= 1e-6,
-           f"pointwise error-angle spread {spread:.3e} <= 1e-6 over 20 inputs")
+    worst = spread(sc, inputs, SphereCost(sc.k))
+    report(2, "input independence", worst <= 1e-6,
+           f"pointwise error-angle spread {worst:.3e} <= 1e-6 over 20 inputs")
 
 
 def test_criterion_03_synchrony():
     rng = np.random.default_rng(11)
     sc = scenario(mode="synchrony", k=1.0, t_end=10.0,
                   init={"plant": "identity", "observer": {"axis_angle": [1.4, 0.5, 0.0]}})
-    worst = synchrony_residual(sc, _smooth_inputs(rng, 3))
+    worst = check_synchrony(batch_theta(sc, _smooth_inputs(rng, 3), None))
     lie = dataclasses.replace(
         sc, integrator=dataclasses.replace(sc.integrator, method="lie-euler"))
     for _ in range(2):
-        worst = max(worst, synchrony_residual(lie, [_random_piecewise(rng, H)]))
-    neg = autonomy_spread(sc, _smooth_inputs(rng, 2), cost=AnisotropicCost())
+        worst = max(worst, check_synchrony(batch_theta(lie, [_random_piecewise(rng, H)], None)))
+    neg = spread(sc, _smooth_inputs(rng, 2), AnisotropicCost())
     ok = worst <= 1e-8 and neg >= 1e-3
     report(3, "synchrony", ok,
            f"error-angle excursion {worst:.3e} <= 1e-8; "

@@ -77,8 +77,16 @@ def test_grad1_over_leading_axes(rng):
         (SphereCost(ks).grad1(Yh, Y),
          [SphereCost(float(k[0])).grad1(v, w) for k, v, w in zip(ks, Yh, Y)]),
         (anisotropic.grad1(Yh, Y), [anisotropic.grad1(v, w) for v, w in zip(Yh, Y)]),
+        # one weight per run of a (runs, 2, 3) batch's observer rows, n = 3
+        # included: a stack transposed whole, as A.T does, multiplies at that size
+        *[(AnisotropicCost(A).grad1(Yh[:n, None], Y[:n, None])[:, 0],
+           [AnisotropicCost(a).grad1(v, w) for a, v, w in zip(A, Yh, Y)])
+          for n in (2, 3, 5) for A in [rng.uniform(-2.0, 2.0, (n, 3, 3))]],
     ]:
         assert np.max(np.abs(got - np.array(want))) <= 1e-15
+    zero = AnisotropicCost(np.zeros((3, 3)))
+    for a, b in [(Yh, Y), (Yh, y), (Yh[:4, None], Y[:4, None])]:
+        assert not np.any(zero.grad1(a, b)) and not np.any(zero.rate(a, b))
     for bad in (0.0, -1.0, np.inf, np.array([[1.0], [0.0]]), np.array([[1.0], [np.nan]])):
         with pytest.raises(ValueError, match="gain k"):
             SphereCost(bad)

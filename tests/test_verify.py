@@ -5,13 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from invobs import closed_form_deviation, run_verification, simulate_projected
+from invobs import closed_form_deviation, run_verification, simulate_projected, verify
 from invobs.verify import (
     N_AUTONOMY_INPUTS,
     PropertyCheck,
     _autonomy_inputs,
     _batch_theta,
-    autonomy_spread,
+    _random_piecewise,
+    _smooth_inputs,
     cost_closed_forms_residual,
     gradient_fd_residual,
     innovation_cross_form_residual,
@@ -21,12 +22,14 @@ from invobs.verify import (
     lifted_gradient_identity_residual,
     metric_identity_residual,
     observer_two_forms_residual,
+    simulation_residuals,
 )
 from invobs.observer import (
     AnisotropicCost,
     HorizontalSubspace,
     SphereCost,
     check_innovation_equivariance,
+    check_synchrony,
     grad1_lifted_cost,
     lifted_observer_field,
     projected_pair_field,
@@ -43,6 +46,13 @@ from component_fields import observer_body_rate, project_dynamics, projected_obs
 
 E3 = np.array([0.0, 0.0, 1.0])
 Y0 = np.array([1.0, 2.0, 2.0]) / 3.0
+
+
+def _spread(sc, inputs, cost):
+    """Pointwise error-angle spread of a batch of runs from the scenario's
+    initial pair, one per input."""
+    S = np.tile(sc.initial_sphere_pair(), (len(inputs), 1, 1))
+    return float(np.max(np.ptp(_batch_theta(sc, inputs, cost, S)[1], axis=1)))
 
 
 def test_property_check_bounds():
@@ -80,8 +90,8 @@ def test_algebraic_residuals_small(rng):
 def test_batched_runs_match_serial_runs(make_scenario, rng, cost):
     """A batch of runs sees the samples of the serial runs it replaces: each
     column of the batch, with its own input, gain and initial pair, matches
-    simulate_projected of that run, and autonomy_spread is the spread of
-    the serial runs."""
+    simulate_projected of that run, and the batch from one start spreads as
+    the serial runs do."""
     sc = make_scenario(mode="projected", t_end=0.5)
     inputs = _autonomy_inputs(rng, 4, sc.integrator.h)
     k = rng.uniform(0.5, 2.0, 4)
@@ -102,25 +112,53 @@ def test_batched_runs_match_serial_runs(make_scenario, rng, cost):
     assert np.max(np.abs(theta - serial)) <= 1e-12
     same_start = np.stack([serial_theta(dataclasses.replace(sc, input=sig)) for sig in inputs])
     want = np.max(same_start.max(axis=0) - same_start.min(axis=0))
-    assert abs(autonomy_spread(sc, inputs, cost=cost) - want) <= 1e-12
+    assert abs(_spread(sc, inputs, SphereCost(sc.k) if cost is None else cost) - want) <= 1e-12
 
 
 def test_lie_euler_autonomy_spread_needs_a_fine_step(make_scenario):
     """Under lie-euler the input-dependent part of the error angle, which
-    autonomy_spread measures, falls as h^2 (about 100x from h = 1e-2 to
-    1e-3), while the angle's own error falls as h (about 10x): the spread
-    exceeds its fixed 1e-6 bound at h = 1e-2 and meets it at h = 1e-3."""
+    verify's autonomy spread measures, falls as h^2 (about 100x from
+    h = 1e-2 to 1e-3), while the angle's own error falls as h (about 10x):
+    the spread exceeds its fixed 1e-6 bound at h = 1e-2 and meets it at
+    h = 1e-3."""
     spread, deviation = [], []
     for h in (1e-2, 1e-3):
         sc = make_scenario(mode="verify", seed=3, t_end=1.0,
                            integrator={"method": "lie-euler", "h": h})
         inputs = _autonomy_inputs(np.random.default_rng(3), N_AUTONOMY_INPUTS, h)
-        spread.append(autonomy_spread(sc, inputs))
+        spread.append(_spread(sc, inputs, SphereCost(sc.k)))
         rec = simulate_projected(dataclasses.replace(sc, mode="projected"))
         deviation.append(closed_form_deviation(rec, sc.k))
     assert spread[0] > 1e-6 >= spread[1]
     assert 80.0 <= spread[0] / spread[1] <= 125.0
     assert 9.0 <= deviation[0] / deviation[1] <= 11.0
+
+
+@pytest.mark.parametrize("method", ["rk4-project", "lie-euler"])
+def test_simulation_residuals_equal_the_runs_they_replace(make_scenario, method, monkeypatch):
+    """Two time loops give, bit for bit, the spread, control and synchrony
+    residuals of separate batches under SphereCost(k), AnisotropicCost() and
+    no cost; the antipodal row, which steps in a batch of runs rather than as
+    a single pair, matches simulate_projected from -y to rounding."""
+    sc = make_scenario(mode="verify", t_end=0.5, integrator={"method": method},
+                       input={"kind": "constant", "amplitude": [0.8, 0.6, 1.0]},
+                       init={"plant": {"axis_angle": [0.3, 0.7, -0.2]}})
+    rng = np.random.default_rng(5)
+    h = sc.integrator.h
+    autonomy = _autonomy_inputs(rng, N_AUTONOMY_INPUTS, h)
+    synchrony = _smooth_inputs(rng, 3) + [_random_piecewise(rng, h)]
+    loops = []
+    monkeypatch.setattr(verify, "_integrate", lambda *a: loops.append(a) or _integrate(*a))
+    spread, control, excursion, antipodal = simulation_residuals(sc, autonomy, synchrony)
+    assert len(loops) == 2
+    assert spread == _spread(sc, autonomy, SphereCost(sc.k))
+    assert control == _spread(sc, autonomy[:2], AnisotropicCost())
+    S = np.tile(sc.initial_sphere_pair(), (len(synchrony), 1, 1))
+    assert excursion == check_synchrony(_batch_theta(sc, synchrony, None, S)[1])
+    y = sc.initial_sphere_pair()[0]
+    rec = simulate_projected(dataclasses.replace(sc, mode="projected",
+                                                 observer=InitState("direction", -y)))
+    assert abs(antipodal - float(np.max(np.abs(rec.theta - np.pi)))) <= 1e-12
 
 
 def test_pair_fields_match_the_component_fields(rng):
@@ -321,6 +359,37 @@ def test_draws_stack_the_serial_draws():
         assert k[i] == ref.uniform()
         assert np.array_equal(X[i], random_rotation(ref)) and np.array_equal(y[i], random_unit(ref))
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+SPHERE_PROPERTIES = [
+    ("cost_closed_forms", 1e-12, "max"),
+    ("innovation_cross_form", 1e-12, "max"),
+    ("metric_trace_identity", 1e-12, "max"),
+    ("innovation_equivariance", 1e-12, "max"),
+    ("equivariance_negative_control", 1e-3, "min"),
+    ("horizontal_lift_round_trip", 1e-6, "max"),
+    ("lifted_gradient_identity", 1e-12, "max"),
+    ("observer_two_forms", 1e-12, "max"),
+    ("cost_gradient_fd", 1e-5, "max"),
+    ("lifted_cost_gradient_fd", 1e-5, "max"),
+    ("invariant_cost_construction", 1e-9, "max"),
+    ("synchrony_constancy", 1e-8, "max"),
+    ("autonomy_spread", 1e-6, "max"),
+    ("autonomy_negative_control", 1e-3, "min"),
+    ("cosim_projection_consistency", 1e-6, "max"),
+    ("antipodal_stationarity", 1e-9, "max"),
+]
+CIRCLE_PROPERTIES = [("so2_oracle_deviation", 1e-8, "max"), ("so2_state_convergence", 1e-6, "max")]
+
+
+@pytest.mark.parametrize("instance, want", [("so3-s2", SPHERE_PROPERTIES),
+                                            ("so2-s1", CIRCLE_PROPERTIES)])
+def test_run_verification_reports_its_properties_in_order(make_scenario, instance, want):
+    """The property names, their order, tolerances and bounds: summary.json
+    lists them so, and a consumer that reads a property by name or gates on
+    its declared tolerance relies on them."""
+    checks = run_verification(make_scenario(instance=instance, mode="verify", t_end=0.1))
+    assert [(c.name, c.tolerance, c.bound) for c in checks] == want
 
 
 def test_run_verification_circle(make_scenario):
