@@ -17,6 +17,7 @@ instances obey, and the runtime verification predicates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -65,17 +66,11 @@ class SphereCost:
         leading axes of either argument."""
         yhat = np.asarray(yhat)
         y = np.asarray(y, dtype=float)
-        # k (yhat <yhat, y> - y), the same bits as -k (y - yhat <yhat, y>),
-        # built in the one temporary yhat <yhat, y>.
-        if y.ndim == 1:  # one plant vector: <yhat, y> along every row from one product
-            g = yhat.dot(y.dot(_REPEAT).reshape(3, 3))
-            g *= yhat
-            # Column by column: 3 inner loops along the rows, y_j at stride 0,
-            # not one loop of 3 per row.
-            np.subtract(g, y, out=g, order="F")
-        else:
-            g = yhat * np.einsum("...i,...i->...", yhat, y)[..., None]
-            g -= y
+        if y.ndim == 1:
+            return _shared_grad1(self.k, yhat, y)
+        # k (yhat <yhat, y> - y), as _shared_grad1 builds it.
+        g = yhat * np.einsum("...i,...i->...", yhat, y)[..., None]
+        g -= y
         g *= self.k
         return g
 
@@ -85,8 +80,28 @@ class SphereCost:
         plant vector y, every row yhat times the one matrix hat(-y)."""
         y = np.asarray(y, dtype=float)
         if y.ndim == 1:
-            return self.k * np.asarray(yhat).dot(y.dot(_NEG_HAT).reshape(3, 3))
+            return _shared_rate(self.k, np.asarray(yhat), y)
         return self.k * cross(y, yhat)
+
+
+def _shared_grad1(k, yhat, y):
+    """SphereCost(k).grad1 against one plant vector y, the shared plant of
+    every single run and sweep: k (yhat <yhat, y> - y), the same bits as
+    -k (y - yhat <yhat, y>), built in the one temporary yhat <yhat, y>, with
+    <yhat, y> along every row from one product."""
+    g = yhat.dot(y.dot(_REPEAT).reshape(3, 3))
+    g *= yhat
+    # Column by column: 3 inner loops along the rows, y_j at stride 0, not
+    # one loop of 3 per row.
+    np.subtract(g, y, out=g, order="F")
+    g *= k
+    return g
+
+
+def _shared_rate(k, yhat, y):
+    """SphereCost(k).rate against one plant vector y: every row yhat times
+    the one matrix hat(-y), k (y x yhat)."""
+    return k * yhat.dot(y.dot(_NEG_HAT).reshape(3, 3))
 
 
 @dataclass(frozen=True)
@@ -124,6 +139,64 @@ def _plant_row(S):
     return S[0] if S.ndim == 2 else S[..., :1, :]  # a plain vector: grad1 and rate take one product each
 
 
+def _pair_kernels(c, S):
+    """The velocity ``field(H, S)`` and body rates ``rates(u, S)`` of stacked
+    sphere pairs with cost c (see projected_pair_field and
+    projected_pair_rates), chosen once for every stack laid out as S, with
+    one (3, 3) generator H or one vector u for the whole stack.
+
+    A scalar-gain SphereCost on a shared-plant (1 + n, 3) stack, one plant
+    vector S[0] and one input, gets closed forms on plain S[0] and S[1:],
+    with no coercion or layout branch: every row's rate from one product,
+    the plant row's k (y x y) then replaced by u.  Every other pair (c =
+    None, per-row gains, AnisotropicCost, or a stack with a leading run
+    axis) takes the generic body.  The stepping pairs bind these once per
+    integration; each public pair function makes one call."""
+    if S.ndim == 2 and isinstance(c, SphereCost) and np.ndim(c.k) == 0:
+        k = c.k
+
+        def field(H, S):
+            v = S.dot(H)
+            v[1:] -= _shared_grad1(k, S[1:], S[0])
+            return v
+
+        def rates(u, S):
+            w = _shared_rate(k, S, S[0])
+            w += u
+            w[0] = u
+            return w
+
+        return field, rates
+    return partial(_generic_field, c), partial(_generic_rates, c)
+
+
+def _generic_field(c, H, S):
+    """projected_pair_field over any layout and cost."""
+    if H.ndim == 2:
+        v = S.dot(H)  # dot costs less for one rate
+    elif H.ndim > 2:
+        v = S @ H
+    else:
+        raise ValueError(f"H must be a generator hat(u) of shape (..., 3, 3), not shape {H.shape}")
+    if c is not None:
+        observers = v[..., 1:, :]
+        observers -= c.grad1(S[..., 1:, :], _plant_row(S))
+    return v
+
+
+def _generic_rates(c, u, S):
+    """projected_pair_rates over any layout and cost, u a float array."""
+    u = u[..., None, :]
+    if c is None:
+        return np.full(S.shape, u)
+    # The observer rows' u + c.rate written in place, the plant row's copy of u
+    # beside them: np.concatenate cannot broadcast a shared u against a batch.
+    w = np.empty(S.shape)
+    w[..., :1, :] = u
+    np.add(c.rate(S[..., 1:, :], _plant_row(S)), u, out=w[..., 1:, :])
+    return w
+
+
 def projected_pair_field(c, S, H) -> np.ndarray:
     """Velocity of a stacked sphere pair: axis -2 of S holds the plant row and
     the observer rows after it, (1 + n, 3) or, with one plant and input per
@@ -137,16 +210,9 @@ def projected_pair_field(c, S, H) -> np.ndarray:
     inputs in one call.
     """
     S = np.asarray(S)
-    if H.ndim == 2:
-        v = S.dot(H)  # dot costs less for one rate
-    elif H.ndim > 2:
-        v = S @ H
-    else:
-        raise ValueError(f"H must be a generator hat(u) of shape (..., 3, 3), not shape {H.shape}")
-    if c is not None:
-        observers = v[..., 1:, :]
-        observers -= c.grad1(S[..., 1:, :], _plant_row(S))
-    return v
+    if H.ndim != 2:  # one generator per run, or a rate in its place, which the generic body rejects
+        return _generic_field(c, H, S)
+    return _pair_kernels(c, S)[0](H, S)
 
 
 def projected_pair_rates(c, S, u) -> np.ndarray:
@@ -160,15 +226,7 @@ def projected_pair_rates(c, S, u) -> np.ndarray:
     input and lifted_observer_field row by row: G moves by
     plant_vector_field(G, rates)."""
     S = np.asarray(S)
-    u = np.asarray(u, dtype=float)[..., None, :]
-    if c is None:
-        return np.full(S.shape, u)
-    # The observer rows' u + c.rate written in place, the plant row's copy of u
-    # beside them: np.concatenate cannot broadcast a shared u against a batch.
-    w = np.empty(S.shape)
-    w[..., :1, :] = u
-    np.add(c.rate(S[..., 1:, :], _plant_row(S)), u, out=w[..., 1:, :])
-    return w
+    return _pair_kernels(c, S)[1](np.asarray(u, dtype=float), S)
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,15 @@ its state space's retraction, Lie-Euler update and drift measure.  The
 plant and every observer obey the same kinematics, so a pair's state is one
 stacked array whose row axis holds the plant first and its observers after
 it: (1 + n, 3) on the sphere, (1 + n, 3, 3) on the group, and (runs, 2, 3)
-for a batch with one plant and input per run.  One call of a public pair
-field moves every row: the sphere pair steps ``projected_pair_field``
-(``projected_pair_rates`` under Lie-Euler), the group pair
-``plant_vector_field`` of the rates ``projected_pair_rates`` gives at its
-outputs.  Co-simulation is two runs, the group pair and the sphere pair
-started on its outputs, compared sample by sample.  An so2-s1 document
-steps the same pairs, restricted to rotations about the z axis by its
-scenario.
+for a batch with one plant and input per run.  One call of a pair kernel
+moves every row.  The kernels are those of ``projected_pair_field`` and
+``projected_pair_rates``, chosen by ``observer._pair_kernels`` once per
+integration for the cost and the state's layout: the sphere pair steps the
+field (the rates under Lie-Euler), the group pair ``plant_vector_field`` of
+the rates at its outputs.  Co-simulation is two runs, the group pair and
+the sphere pair started on its outputs, compared sample by sample.  An
+so2-s1 document steps the same pairs, restricted to rotations about the z
+axis by its scenario.
 """
 
 from __future__ import annotations
@@ -37,13 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circle
-from .observer import (
-    SphereCost,
-    error_angle,
-    error_angle_closed_form,
-    projected_pair_field,
-    projected_pair_rates,
-)
+from .observer import SphereCost, _pair_kernels, error_angle, error_angle_closed_form
 from .so3 import _actor, _sum_squares, act, compose, drift, group_exp, hat, orthonormalize, unit
 from .sampling import random_rotation, random_unit
 from .systems import plant_vector_field
@@ -204,18 +199,15 @@ def _n_records(n: int, every: int) -> int:
 # its RK4 ``field`` takes, ``rates`` gives the body rates of a Lie-Euler step
 # and ``observe`` the error angle of each observer row.  Over leading axes,
 # ``retract`` is the retraction after an RK4 step, ``lie_step`` the
-# Lie-Euler update by the step-scaled body rates hw (group rows move to
-# X exp(hw), sphere rows to act(exp(hw), y)), and ``drift`` the drift
-# measure of each row, which the state guard checks; they look the
-# primitives up per call, so a replaced module attribute takes effect.
+# Lie-Euler update by the exponential E = exp(hw) of the step-scaled body
+# rates (group rows move to X E, sphere rows to act(E, y)), and ``drift``
+# the drift measure of each row, which the state guard checks.  A builder
+# binds its kernels once per integration, for the layout of the state it
+# will step: the field and rates observer._pair_kernels chooses, the action
+# matrix and the primitives themselves, with no wrapper, so a stage runs no
+# dispatch that is fixed for the run.  A replaced module attribute takes
+# effect in the pairs built after it.
 _Pair = namedtuple("_Pair", "drive field rates observe retract lie_step drift")
-
-
-def _ahead(state, dt, k):
-    """state + dt * k, bit for bit, with the product as its one temporary."""
-    out = k * dt
-    out += state
-    return out
 
 
 def _integrate(scenario, rate, pair, state, keep_states):
@@ -236,14 +228,15 @@ def _integrate(scenario, rate, pair, state, keep_states):
     single run or a sweep; a batch of runs passes a function stacking its
     inputs' rates.  ``pair.field(v, state)`` gives the state's velocity in
     the embedding at a row v of ``pair.drive`` of the RK4 table,
-    ``pair.rates(u, state)`` its body rates for one Lie-Euler step at a row
-    u of the table.  The initial state, every ``sample_every``-th step and
-    the last step are recorded.  Each recorded state must be finite; its
-    error angles are ``pair.observe(state)``, and its drift, per observer
-    row the worse of the plant row's ``pair.drift`` and its own, is computed
-    once: it is what the record reports and what must stay within
-    ORTHOGONALITY_TOL, since the retraction after a step can only keep a
-    state on SO(3) or S^2, not restore it.
+    ``pair.rates(u, state)`` its body rates w for one Lie-Euler step at a
+    row u of the table, after which the state is
+    ``pair.lie_step(state, group_exp(h w))``.  The initial state, every
+    ``sample_every``-th step and the last step are recorded.  Each recorded
+    state must be finite; its error angles are ``pair.observe(state)``, and
+    its drift, per observer row the worse of the plant row's ``pair.drift``
+    and its own, is computed once: it is what the record reports and what
+    must stay within ORTHOGONALITY_TOL, since the retraction after a step
+    can only keep a state on SO(3) or S^2, not restore it.
 
     Each record is written into arrays allocated for the record count
     ``_n_records``.  Without ``keep_states`` (a sweep or a batch of runs)
@@ -257,6 +250,7 @@ def _integrate(scenario, rate, pair, state, keep_states):
     every = scenario.sample_every
     rk4 = scenario.integrator.method == "rk4-project"
     drive, field, rates, observe, retract, lie_step, measure = pair
+    half, sixth, exp = 0.5 * h, h / 6.0, group_exp
     count = _n_records(n, every)
     times = np.empty(count)
     cols = []
@@ -296,19 +290,26 @@ def _integrate(scenario, rate, pair, state, keep_states):
             table = rate(t, mid)
         for i, v in zip(steps, table):
             if rk4:
+                # Each stage state is its step product with the state added in place.
                 k1 = field(v[0], state)
-                k2 = field(v[1], _ahead(state, 0.5 * h, k1))
-                k3 = field(v[1], _ahead(state, 0.5 * h, k2))
+                ahead = k1 * half
+                ahead += state
+                k2 = field(v[1], ahead)
+                ahead = k2 * half
+                ahead += state
+                k3 = field(v[1], ahead)
+                ahead = k3 * h
+                ahead += state
                 # k1 + 2 (k2 + k3) + k4 accumulated in place, in that order.
                 slope = k2 + k3
                 slope *= 2.0
                 slope += k1
-                slope += field(v[2], _ahead(state, h, k3))
-                slope *= h / 6.0
+                slope += field(v[2], ahead)
+                slope *= sixth
                 slope += state
                 state = retract(slope)
             else:
-                state = lie_step(state, h * rates(v, state))
+                state = lie_step(state, exp(h * rates(v, state)))
             if (i + 1) % every == 0 or i + 1 == n:
                 record((i + 1) * h, state)
     if filled != count:
@@ -318,30 +319,35 @@ def _integrate(scenario, rate, pair, state, keep_states):
 
 # --- pairs: stacked [y, yhat...] on the sphere, [X, Xhat...] on the group -----
 
-def _sphere_pair(cost) -> _Pair:
-    """A stacked sphere pair (see projected_pair_field): the plant row and
-    sphere observer rows, which run the internal model alone without a
-    cost.  Its RK4 field takes the generators hat(u), built for a whole
-    table of inputs in one call on the table flattened to (rows, 3): a dot
-    of more than two dimensions loops row by row instead of calling BLAS."""
-    return _Pair(lambda U: hat(U.reshape(-1, 3)).reshape(U.shape + (3,)),
-                 lambda H, S: projected_pair_field(cost, S, H),
-                 lambda u, S: projected_pair_rates(cost, S, u),
+def _sphere_pair(cost, S) -> _Pair:
+    """A stacked sphere pair (see projected_pair_field) for stacks laid out
+    as S: the plant row and sphere observer rows, which run the internal
+    model alone without a cost.  Its RK4 field takes the generators hat(u),
+    built for a whole table of inputs in one call on the table flattened to
+    (rows, 3): a dot of more than two dimensions loops row by row instead of
+    calling BLAS."""
+    field, rates = _pair_kernels(cost, S)
+    return _Pair(lambda U: hat(U.reshape(-1, 3)).reshape(U.shape + (3,)), field, rates,
                  lambda S: error_angle(S[..., 1:, :], S[..., :1, :]),
-                 lambda v: unit(v), lambda y, hw: act(group_exp(hw), y),
+                 unit, lambda y, E: act(E, y),
                  lambda y: np.abs(np.sqrt(_sum_squares(y)) - 1.0))
 
 
-def _group_pair(cost, y0v) -> _Pair:
-    """A stacked group pair: the plant and lifted observers.  Its body rates
-    are those of the sphere pair of its outputs act(G, y0): the input, and
-    for each observer the input minus the horizontal lift of the cost
-    gradient.  The outputs act(G, y0) take the action's matrix built once
-    for the pair."""
-    outputs = _actor(y0v)
+def _group_pair(cost, y0v, G) -> _Pair:
+    """A stacked group pair for stacks laid out as G: the plant and lifted
+    observers.  Its body rates are those of the sphere pair of its outputs
+    act(G, y0): the input, and for each observer the input minus the
+    horizontal lift of the cost gradient.  Its RK4 field is
+    plant_vector_field(G, rates).  The outputs act(G, y0) take the action's
+    matrix built once for the pair."""
+    outputs, vector_field = _actor(y0v), plant_vector_field
+    sphere_rates = _pair_kernels(cost, outputs(G))[1]
 
     def rates(u, G):
-        return projected_pair_rates(cost, outputs(G), u)
+        return sphere_rates(u, outputs(G))
+
+    def field(u, G):
+        return vector_field(G, sphere_rates(u, outputs(G)))
 
     def observe(G):
         # The output error angle, equal to the canonical-error angle of the
@@ -349,9 +355,7 @@ def _group_pair(cost, y0v) -> _Pair:
         O = outputs(G)
         return error_angle(O[..., 1:, :], O[..., :1, :])
 
-    return _Pair(lambda u: u, lambda u, G: plant_vector_field(G, rates(u, G)), rates, observe,
-                 lambda X: orthonormalize(X), lambda X, hw: compose(X, group_exp(hw)),
-                 lambda X: drift(X))
+    return _Pair(lambda u: u, field, rates, observe, orthonormalize, compose, drift)
 
 
 def simulate_projected(scenario) -> TrajectoryRecord:
@@ -360,7 +364,8 @@ def simulate_projected(scenario) -> TrajectoryRecord:
     disables the innovation entirely."""
     cost = None if scenario.mode == "synchrony" else SphereCost(scenario.k)
     S0 = scenario.initial_sphere_pair()
-    t, theta, drift_, S = _integrate(scenario, scenario.body_rates, _sphere_pair(cost), S0, True)
+    pair = _sphere_pair(cost, S0)
+    t, theta, drift_, S = _integrate(scenario, scenario.body_rates, pair, S0, True)
     return TrajectoryRecord(t, S[:, 0], S[:, 1], theta[:, 0], drift_[:, 0])
 
 
@@ -369,9 +374,9 @@ def simulate_lifted(scenario) -> TrajectoryRecord:
     the error angle is the angle between their outputs act(G, y0), equal to
     that of the canonical error act(Xhat X^T, y0) to y0."""
     y0v = scenario.y0_vec
-    pair = _group_pair(SphereCost(scenario.k), y0v)
-    t, theta, drift_, G = _integrate(scenario, scenario.body_rates, pair,
-                                     scenario.initial_group_pair(), True)
+    G0 = scenario.initial_group_pair()
+    pair = _group_pair(SphereCost(scenario.k), y0v, G0)
+    t, theta, drift_, G = _integrate(scenario, scenario.body_rates, pair, G0, True)
     X, Xh = G[:, 0], G[:, 1]
     return TrajectoryRecord(t, act(X, y0v), act(Xh, y0v), theta[:, 0], drift_[:, 0], X=X, Xhat=Xh)
 
@@ -386,8 +391,9 @@ def simulate_cosim(scenario) -> TrajectoryRecord:
     y0v = scenario.y0_vec
     rate, cost = scenario.body_rates, SphereCost(scenario.k)
     G0 = scenario.initial_group_pair()
-    t, theta, drift_, G = _integrate(scenario, rate, _group_pair(cost, y0v), G0, True)
-    _, _, drift_s, S = _integrate(scenario, rate, _sphere_pair(cost), act(G0, y0v), True)
+    S0 = act(G0, y0v)
+    t, theta, drift_, G = _integrate(scenario, rate, _group_pair(cost, y0v, G0), G0, True)
+    _, _, drift_s, S = _integrate(scenario, rate, _sphere_pair(cost, S0), S0, True)
     X, Xh = G[:, 0], G[:, 1]
     y, yhat = act(X, y0v), act(Xh, y0v)
     gap = np.maximum(np.linalg.norm(y - S[:, 0], axis=1), np.linalg.norm(yhat - S[:, 1], axis=1))
@@ -485,16 +491,15 @@ def monte_carlo(scenario) -> MonteCarloResult:
         plant = scenario.initial_group_pair()[0]
         observers = _sample_observers(rng, mc.runs, random_rotation, lambda S: act(S, y0v),
                                       act(plant, y0v))
-        pair = _group_pair(cost, y0v)
     else:
         plant = scenario.initial_sphere_pair()[0]
         observers = _sample_observers(rng, mc.runs, random_unit, lambda S: S, plant)
-        pair = _sphere_pair(cost)
     # The plant on top of the runs' observers is one pair stack.  The sweep
     # keeps the (samples, runs) angle history and each run's worst drift,
     # not the states: a 1000-run, 1501-sample sweep peaks at 1.09 times its
     # 12 MB history under tracemalloc.
     state = np.concatenate((plant[None], observers))
+    pair = _group_pair(cost, y0v, state) if mc.space == "lifted" else _sphere_pair(cost, state)
     t_rec, theta, max_drift = _integrate(scenario, scenario.body_rates, pair, state, False)
     summaries = _summaries(t_rec, theta.T, max_drift, mc.threshold)
     frac = float(np.mean([s.final_angle < mc.threshold for s in summaries]))

@@ -238,7 +238,7 @@ def _batch_theta(scenario, inputs, cost, S):
     def rates(t, at):
         return np.stack([sig.eval(t, at) for sig in inputs], axis=-2)  # (..., n, 3)
 
-    t, theta = _integrate(scenario, rates, _sphere_pair(cost), S, False)[:2]
+    t, theta = _integrate(scenario, rates, _sphere_pair(cost, S), S, False)[:2]
     return t, theta[..., 0]
 
 

@@ -1,6 +1,7 @@
 """Integrators, trajectory records, summaries, Monte Carlo, circle oracle."""
 
 import dataclasses
+import json
 import os
 import sys
 
@@ -217,30 +218,36 @@ def test_cosim_consistency(make_scenario):
     assert np.max(rec.consistency) <= 1e-6
 
 
-def _doubled_innovation(field):
-    return lambda c, S, u: field(dataclasses.replace(c, k=2.0 * c.k), S, u)
+def _doubled_innovation(kernels):
+    def faulty(c, S):
+        return kernels(dataclasses.replace(c, k=2.0 * c.k), S)[0], kernels(c, S)[1]
+    return faulty
 
 
-def _biased_plant_row(field):
-    def biased(c, S, u):
-        v = field(c, S, u)
-        v[..., 0, :] += (0.0, 0.1, 0.0)
-        return v
-    return biased
+def _biased_plant_row(kernels):
+    def faulty(c, S):
+        field, rates = kernels(c, S)
+
+        def biased(H, S):
+            v = field(H, S)
+            v[..., 0, :] += (0.0, 0.1, 0.0)
+            return v
+        return biased, rates
+    return faulty
 
 
 @pytest.mark.parametrize("perturb", [_doubled_innovation, _biased_plant_row])
 def test_cosim_consistency_detects_a_faulty_sphere_pair(make_scenario, monkeypatch, perturb):
     """Negative control: a sphere pair field that doubles the innovation or
-    biases the plant row leaves the lifted run bit-identical, but its
-    co-simulation residual goes far past the 1e-6 bound."""
+    biases the plant row, injected through the kernel factory the pairs
+    look up when they are built, leaves the lifted run bit-identical, but
+    its co-simulation residual goes far past the 1e-6 bound."""
     import invobs.simulate
 
     sc = make_scenario(mode="co-sim", input=SINUSOID, t_end=1.0,
                        init={"plant": "identity", "observer": {"axis_angle": [1.5, 0.4, 0.0]}})
     lifted = simulate_lifted(sc)
-    monkeypatch.setattr(invobs.simulate, "projected_pair_field",
-                        perturb(invobs.simulate.projected_pair_field))
+    monkeypatch.setattr(invobs.simulate, "_pair_kernels", perturb(invobs.simulate._pair_kernels))
     assert np.max(simulate_cosim(sc).consistency) > 1e-3
     again = simulate_lifted(sc)
     for f in dataclasses.fields(lifted):
@@ -280,11 +287,13 @@ def test_simulation_abort_on_overflow(make_scenario):
                        init={"plant": "identity", "observer": {"axis_angle": [1.0, 0, 0]}})
     blowup = AnisotropicCost(np.diag([1e200, 1e200, 1e200]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationAbort):
-        _integrate(sc, sc.body_rates, _sphere_pair(blowup), sc.initial_sphere_pair(), False)
+        S = sc.initial_sphere_pair()
+        _integrate(sc, sc.body_rates, _sphere_pair(blowup, S), S, False)
 
 
 def _off_sphere_retraction(monkeypatch):
-    """Break the sphere retraction after each RK4 step: it lands 1e-3 off S^2."""
+    """Break the sphere retraction after each RK4 step, which the sphere pair
+    binds when it is built: it lands 1e-3 off S^2."""
     import invobs.simulate
     from invobs.so3 import unit
 
@@ -346,7 +355,8 @@ def test_integrate_records_each_stride_and_the_last_step_once(make_scenario, rng
     sc = make_scenario(mode="projected", input=SINUSOID, t_end=t_end, sample_every=every)
     n = round(t_end / sc.integrator.h)
     steps = sorted({0, *range(every, n + 1, every), n})
-    pair = _sphere_pair(SphereCost(1.0))
+    S = np.concatenate((sc.initial_sphere_pair()[:1], random_unit(rng, 5)))  # a sweep's stack
+    pair = _sphere_pair(SphereCost(1.0), S)
     seen = []
 
     def observe(state):
@@ -355,7 +365,6 @@ def test_integrate_records_each_stride_and_the_last_step_once(make_scenario, rng
         return seen[-1][1]
 
     watched = pair._replace(observe=observe)
-    S = np.concatenate((sc.initial_sphere_pair()[:1], random_unit(rng, 5)))  # a sweep's stack
     t, theta, drift_, states = _integrate(sc, sc.body_rates, watched, S, True)
     want_states, want_theta, want_drift = (np.array(col) for col in zip(*seen))
     assert np.array_equal(t, np.array(steps) * sc.integrator.h)
@@ -381,7 +390,8 @@ def test_integrate_fills_every_record_or_fails(make_scenario, monkeypatch, miss,
     sc = make_scenario(mode="projected", input=SINUSOID, t_end=0.007, sample_every=3)
     for keep in (True, False):
         with pytest.raises(error):
-            _integrate(sc, sc.body_rates, _sphere_pair(None), sc.initial_sphere_pair(), keep)
+            S = sc.initial_sphere_pair()
+            _integrate(sc, sc.body_rates, _sphere_pair(None, S), S, keep)
 
 
 @pytest.mark.parametrize("space", ["projected", "lifted"])
@@ -452,6 +462,38 @@ def test_sweep_rates_are_each_runs_own_fit(make_scenario, monkeypatch, space):
     assert sum(r is not None for r in want) >= 45
 
 
+@pytest.mark.parametrize("space,runs", [("projected", 1000), ("lifted", 200)])
+def test_preset_sweeps_follow_the_exact_law_run_by_run(monkeypatch, space, runs):
+    """The preset sweep at the benchmark's h = 0.01, 1000 projected and 200
+    lifted runs: every run's recorded angles follow the exact law
+    2 atan(tan(theta0/2) e^{-kt}) from its own recorded start to 1e-8
+    (6.04e-10 and 5.64e-10 at worst), and its t_converged is the first
+    record at which the law is below mc.threshold, so the law decides each
+    run's convergence exactly as the simulation does."""
+    import invobs.simulate
+    from invobs import parse_scenario, preset, scenario_to_dict
+
+    integrate, kept = invobs.simulate._integrate, []
+
+    def keeping(*args):
+        kept.append(integrate(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(invobs.simulate, "_integrate", keeping)
+    doc = scenario_to_dict(preset("almost-global-sweep"))
+    doc["integrator"]["h"] = 0.01
+    doc["mc"].update(space=space, runs=runs)
+    sc = parse_scenario(json.dumps(doc))
+    res = monte_carlo(sc)
+    (t, theta, _), = kept
+    assert theta.shape == (len(t), runs)
+    for run, summary in zip(theta.T, res.summaries):
+        law = error_angle_closed_form(float(run[0]), sc.k, t)
+        assert np.max(np.abs(run - law)) <= 1e-8
+        below = np.flatnonzero(law < sc.mc.threshold)
+        assert summary.t_converged == (t[below[0]] if below.size else None)
+
+
 def test_sweep_holds_one_angle_history(make_scenario):
     """A sweep's traced peak stays under 1.6 times its runs x samples float64
     angle history; numpy reports its buffers to tracemalloc.  Records built
@@ -480,7 +522,7 @@ def test_sphere_pair_drive_is_hat_of_each_input(rng):
     for shape in ((1024, 3, 3), (7, 3, 4, 3)):  # a single run's table and a batch's
         U = rng.standard_normal(shape)
         U[::3, 1] = -0.0
-        got = _sphere_pair(None).drive(U)
+        got = _sphere_pair(None, np.empty(shape[2:-1] + (2, 3))).drive(U)  # the stack its table drives
         want = np.array([hat(u) for u in U.reshape(-1, 3)]).reshape(shape + (3,))
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -601,7 +643,7 @@ def test_runs_near_the_antipode_follow_the_law(make_scenario):
     eps = np.array([1e-1, 1e-3, 1e-6])
     sc = make_scenario(mode="projected", k=1.0, input=SINUSOID, t_end=10.0)
     S = np.vstack([E3, np.stack([np.zeros(3), np.sin(np.pi - eps), np.cos(np.pi - eps)], axis=1)])
-    t, theta = _integrate(sc, sc.body_rates, _sphere_pair(SphereCost(1.0)), S, False)[:2]
+    t, theta = _integrate(sc, sc.body_rates, _sphere_pair(SphereCost(1.0), S), S, False)[:2]
     assert np.max(np.abs(theta[0] - (np.pi - eps))) <= 1e-12
     for run in theta.T:
         assert np.max(np.abs(run - error_angle_closed_form(run[0], 1.0, t))) <= 1e-8
@@ -773,7 +815,7 @@ def test_lifted_angle_is_the_canonical_error_angle(make_scenario, monkeypatch, r
     assert np.max(np.abs(drift(M) / norm_form - 1.0)) <= ulp2
     S = Y * (1.0 + 1e-12 * rng.standard_normal((1000, 1)))
     norm_form = np.abs(np.linalg.norm(S, axis=-1) - 1.0)
-    assert np.max(np.abs(_sphere_pair(None).drift(S) - norm_form)) <= ulp2
+    assert np.max(np.abs(_sphere_pair(None, S).drift(S) - norm_form)) <= ulp2
 
 
 @pytest.mark.parametrize("space", ["projected", "lifted"])
@@ -830,8 +872,8 @@ def test_runs_bit_identical_with_numpy_cross(make_scenario, monkeypatch, method)
         return np.stack([sig.eval(t, at) for sig in inputs], axis=-2)  # (..., runs, 3)
 
     cost = SphereCost(rng.uniform(0.5, 2.0, (runs, 1, 1)))
-    batches = [(_sphere_pair(cost), random_unit(rng, 2 * runs).reshape(runs, 2, 3)),
-               (_group_pair(cost, sc.y0_vec), random_rotation(rng, 2 * runs).reshape(runs, 2, 3, 3))]
+    S, G = random_unit(rng, 2 * runs).reshape(runs, 2, 3), random_rotation(rng, 2 * runs).reshape(runs, 2, 3, 3)
+    batches = [(_sphere_pair(cost, S), S), (_group_pair(cost, sc.y0_vec, G), G)]
     ours = [_integrate(sc, rates, pair, state, True) for pair, state in batches]
     calls = []
 
@@ -852,21 +894,25 @@ def test_runs_bit_identical_with_numpy_cross(make_scenario, monkeypatch, method)
 
 
 def test_runs_step_the_public_fields(make_scenario, monkeypatch):
-    """The pairs call the pair field and rate functions that verify checks
-    against the per-component fields, under both integrators; a private copy
-    of a field or of the observer body rate in the simulator fails here.  A
-    pair stack moves by one call per stage.  The input is evaluated before
-    the steps it drives: each integration makes one InputSignal.eval call
-    per block of steps, whose times are i h, i h + h/2 and i h + h for each
-    RK4 step i (i h for each Lie-Euler step), each stage once and bit for
-    bit that scalar expression, and whose segment times hold each step's
-    segment at i h + h/2.  hat of the sphere pair's RK4 table and the
-    group pair's action matrix are built once per integration, not per
-    step.  Co-simulation steps the group pair and then the sphere pair, so
-    it makes the calls of both."""
+    """The pairs step the kernels observer._pair_kernels returns, the code
+    projected_pair_field and projected_pair_rates run and verify checks
+    against the per-component fields, under both integrators; a private
+    copy of a field or of the observer body rate in the simulator fails
+    here.  Each pair asks the factory once, when it is built, and moves its
+    whole stack by one kernel call per stage: the sphere pair by the field
+    (the rates under Lie-Euler), the group pair by the rates at its outputs
+    and, under RK4, plant_vector_field of them.  The input is evaluated before the steps it drives:
+    each integration makes one InputSignal.eval call per block of steps,
+    whose times are i h, i h + h/2 and i h + h for each RK4 step i (i h for
+    each Lie-Euler step), each stage once and bit for bit that scalar
+    expression, and whose segment times hold each step's segment at
+    i h + h/2.  hat of the sphere pair's RK4 table and the group pair's
+    action matrix are built once per integration, not per step.
+    Co-simulation steps the group pair and then the sphere pair, so it
+    makes the calls of both."""
     import invobs.simulate
 
-    names = ("projected_pair_field", "projected_pair_rates", "plant_vector_field", "hat", "_actor")
+    names = ("_pair_kernels", "field", "rates", "plant_vector_field", "hat", "_actor")
     calls = dict.fromkeys(names, 0)
     times, holds = [], []
 
@@ -883,7 +929,10 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
             return evaluate(self, t, at)
         return wrapper
 
-    for name in names:
+    kernels = counted("_pair_kernels", invobs.simulate._pair_kernels)
+    monkeypatch.setattr(invobs.simulate, "_pair_kernels",
+                        lambda c, S: tuple(map(counted, ("field", "rates"), kernels(c, S))))
+    for name in ("plant_vector_field", "hat", "_actor"):
         monkeypatch.setattr(invobs.simulate, name, counted(name, getattr(invobs.simulate, name)))
     monkeypatch.setattr(InputSignal, "eval", recorded(InputSignal.eval))
     steps = 20  # rk4-project: four field evaluations per step; lie-euler: one rate
@@ -893,9 +942,9 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
     planar = dict(SO2_BASE, t_end=steps * 1e-3)
     # (entry point, document, step size, pairs stepped, calls per rk4-project
     # step, per lie-euler step)
-    sphere = ("sphere",), {"projected_pair_field": 4}, {"projected_pair_rates": 1}
-    group = ("group",), {"projected_pair_rates": 4, "plant_vector_field": 4}, {"projected_pair_rates": 1}
-    cosim = ("group", "sphere"), dict(group[1], projected_pair_field=4), {"projected_pair_rates": 2}
+    sphere = ("sphere",), {"field": 4}, {"rates": 1}
+    group = ("group",), {"rates": 4, "plant_vector_field": 4}, {"rates": 1}
+    cosim = ("group", "sphere"), dict(group[1], field=4), {"rates": 2}
     runs = [
         (simulate_projected, dict(mode="projected", **single), 1e-3, *sphere),
         (simulate_projected, dict(mode="synchrony", **single), 1e-3, *sphere),
@@ -914,7 +963,7 @@ def test_runs_step_the_public_fields(make_scenario, monkeypatch):
             times.clear()
             holds.clear()
             fn(make_scenario(**doc, integrator={"method": method, "h": h}))
-            per_run = {"_actor": pairs.count("group"),
+            per_run = {"_pair_kernels": len(pairs), "_actor": pairs.count("group"),
                        "hat": pairs.count("sphere") if method == "rk4-project" else 0}
             want = {name: per_step.get(name, 0) * steps + per_run.get(name, 0) for name in calls}
             assert calls == want, (doc["mode"], method)
@@ -980,6 +1029,48 @@ def test_step_path_runs_no_numpy_dispatcher(make_scenario, monkeypatch):
             loops.clear()
             fn(make_scenario(**doc, integrator={"method": method, "h": h}))
             assert loops and all(calls <= STEP_NUMPY_CALLS for calls in loops), (doc, method, loops)
+
+
+# Python frames a step of a 2-row run enters, with its pair's kernels bound
+# once per integration; the per-call public pair functions took 24, 15, 54
+# and 18.
+STEP_FRAMES = {("projected", "rk4-project"): 12, ("projected", "lie-euler"): 13,
+               ("lifted", "rk4-project"): 42, ("lifted", "lie-euler"): 16}
+
+
+@pytest.mark.parametrize("mode,method", list(STEP_FRAMES))
+def test_steps_enter_no_more_frames_than_their_census(make_scenario, monkeypatch, mode, method):
+    """Under sys.setprofile, a single run's time loop enters at most
+    STEP_FRAMES[mode, method] Python frames per step: the frames counted
+    over 200 steps less those over 100, each run recorded only at its
+    start and end and its input evaluated in one block, so that only the
+    steps differ.  A dispatch brought back into a stage (a coercion, a
+    layout branch, a wrapper) raises the count."""
+    import invobs.simulate
+
+    integrate, counts = invobs.simulate._integrate, []
+
+    def profiled(*args):
+        count = 0
+
+        def hook(frame, event, arg):
+            nonlocal count
+            count += event == "call"
+
+        sys.setprofile(hook)
+        try:
+            return integrate(*args)
+        finally:
+            sys.setprofile(None)
+            counts.append(count)
+
+    monkeypatch.setattr(invobs.simulate, "_integrate", profiled)
+    run = simulate_lifted if mode == "lifted" else simulate_projected
+    for steps in (100, 200):
+        run(make_scenario(mode=mode, input=SINUSOID, t_end=steps * 1e-3, sample_every=1000,
+                          integrator={"method": method, "h": 1e-3},
+                          init={"observer": {"axis_angle": [1.7, -0.4, 0.3]}}))
+    assert (counts[1] - counts[0]) / 100 <= STEP_FRAMES[mode, method]
 
 
 @pytest.mark.parametrize("offset", [(1, -1), (1, 0), (1, 1), (2, 1)], ids=lambda o: f"{o[0]}B{o[1]:+d}")

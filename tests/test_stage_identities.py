@@ -9,12 +9,17 @@ over one vector or matrix and over (2, 3), (201, 3), (1001, 3) and
 verify's batches.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from invobs.observer import (
     AnisotropicCost,
     SphereCost,
+    _generic_field,
+    _generic_rates,
+    _pair_kernels,
     projected_pair_field,
     projected_pair_rates,
 )
@@ -95,22 +100,60 @@ def _layouts(rng, n):
     yield _units(rng, (1 + n, 3))[1:]
 
 
-@pytest.mark.parametrize("n", [1, 2, 200, 1000])
+@pytest.mark.parametrize("n", [0, 1, 2, 200, 1000])
 def test_grad1_rounds_the_same_in_every_layout(rng, n):
     """Against one plant vector grad1 subtracts it column by column
     (order="F"), an iteration order that cannot change a value, since each
     entry is one subtraction.  In every memory layout of the observer rows,
     and of the pair stack projected_pair_field takes, each entry is the
-    closed form's."""
-    y, H = _units(rng, (3,)), hat(rng.standard_normal(3))
+    closed form's.  The shared-plant kernels a scalar-gain SphereCost
+    gets give the generic body's bits in every layout, on stacks of 1 (the
+    plant alone), 2, 3, 201 and 1001 rows, the rates formed over all rows
+    in one product included."""
+    y, H, u = _units(rng, (3,)), hat(rng.standard_normal(3)), rng.standard_normal(3)
     for yhat in _layouts(rng, n):
         for k in (1.7, rng.uniform(0.5, 2.0, (n, 1))):
             assert np.array_equal(SphereCost(k).grad1(yhat, y), -k * (y - yhat * _repeated_dot(yhat, y)))
     c = SphereCost(1.3)
     for S in _layouts(rng, 1 + n):
+        field, rates = _pair_kernels(c, S)
         want = np.dot(S, H)
         want[1:] -= -c.k * (S[0] - S[1:] * _repeated_dot(S[1:], S[0]))
         assert np.array_equal(projected_pair_field(c, S, H), want)
+        assert np.array_equal(field(H, S), _generic_field(c, H, S))
+        assert np.array_equal(rates(u, S), _generic_rates(c, u, S))
+
+
+def test_only_a_scalar_gain_on_a_shared_plant_leaves_the_generic_body(rng, monkeypatch):
+    """_pair_kernels gives closed forms to a scalar-gain SphereCost on a
+    shared-plant stack alone; per-row gains, AnisotropicCost, c = None and
+    stacks with a run axis keep the generic body, and the public pair
+    functions reach the factory; a field with one generator per run takes
+    the generic body directly."""
+    import invobs.observer
+
+    S, G = _units(rng, (5, 3)), hat(rng.standard_normal(3))
+    batch = S.reshape(5, 1, 3)[:4].repeat(2, 1)  # (runs, 2, 3)
+    for c, stack in [(SphereCost(rng.uniform(0.5, 2.0, (4, 1))), S), (AnisotropicCost(), S), (None, S),
+                     (SphereCost(1.3), batch), (None, batch), (AnisotropicCost(), batch)]:
+        field, rates = _pair_kernels(c, stack)
+        assert (field.func, rates.func, field.args, rates.args) == (_generic_field, _generic_rates, (c,), (c,))
+    assert not isinstance(_pair_kernels(SphereCost(1.3), S)[0], partial)
+    built = []
+
+    def kernels(c, stack):
+        built.append(stack.shape)
+        return _pair_kernels(c, stack)
+
+    monkeypatch.setattr(invobs.observer, "_pair_kernels", kernels)
+    projected_pair_field(SphereCost(1.3), S, G)
+    projected_pair_rates(SphereCost(1.3), S, rng.standard_normal(3))
+    projected_pair_rates(SphereCost(1.3), batch, rng.standard_normal(3))
+    assert built == [(5, 3), (5, 3), (4, 2, 3)]
+    # one generator per run takes the generic body without the factory
+    Hs = np.stack([G, G])
+    assert np.array_equal(projected_pair_field(SphereCost(1.3), S, Hs), _generic_field(SphereCost(1.3), Hs, S))
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("shape", ROWS)
